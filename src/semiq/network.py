@@ -335,10 +335,6 @@ class QuenchedCouplings:
     def n(self) -> int:
         return self.J.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.J.shape[0]
-
 
 def hamiltonian_quenched(phi: np.ndarray, couplings: QuenchedCouplings) -> float:
     """Energy -(1/2) <phi, J phi> + H0 on a unit n-vector."""

@@ -32,8 +32,11 @@ __all__ = [
     "constraint_residual",
 ]
 
-#: rescale the propagated solution whenever it grows beyond this magnitude
-_RESCALE_AT = 1e120
+#: cells per chunk of the walk: bounds the scan's memory and its depth
+_CHUNK = 4096
+#: largest integral of kappa over the cells of one chunk, so that no product
+#: inside a chunk exceeds about e^300 ~ 1e130 and none can overflow
+_GROWTH_BOUND = 300.0
 
 
 @dataclass(frozen=True)
@@ -97,16 +100,48 @@ def cap_barrier(bp: BarrierProblem, L: float | None = None, n: int = 20000) -> P
     return PiecewisePotential(grid, bp.interaction_energy(grid))
 
 
+def _cell_propagators(w, h):
+    """Right-to-left propagators of cells with constant W = w and width h.
+
+    Returns shape (2, 2, n), acting on (psi, psi'): cosh/sinh for w > 0,
+    cos/sin for w < 0 and the free cell [[1, -h], [0, 1]] for w == 0.
+    """
+    q = np.sqrt(np.abs(w))
+    x = q * h
+    under = w > 0.0
+    diag = np.cos(x)
+    s = np.sin(x)
+    np.cosh(x, out=diag, where=under)
+    np.sinh(x, out=s, where=under)
+    # s/q -> h as q -> 0 (the free cell)
+    s_over_q = np.divide(s, q, out=h.copy(), where=q > 0.0)
+    return np.array([[diag, -s_over_q], [-np.sign(w) * q * s, diag]])
+
+
+def _suffix_products(p):
+    """Scan over the last axis: p[:, :, i] becomes p_i @ p_{i+1} @ ... @ p_last.
+
+    Hillis-Steele doubling, so log2(n) array steps replace n matrix products.
+    """
+    step = 1
+    while step < p.shape[-1]:
+        p[..., :-step] = np.einsum("ijn,jkn->ikn", p[..., :-step], p[..., step:])
+        step *= 2
+    return p
+
+
 def _propagate(grid, values, E, hbar, mu, keep_psi=False):
     """Propagate (psi, psi') from the right edge to the left edge.
 
     Starts from a pure outgoing wave psi = 1, psi' = i*k_R and walks left
     using the exact constant-potential propagator per cell (the cell value
-    is the mean of its endpoint samples).  Growth under the barrier is
-    handled by rescaling; the accumulated log-scale is returned.
+    is the mean of its endpoint samples).  The cells are taken in chunks of
+    at most _CHUNK cells and _GROWTH_BOUND of integrated kappa: one suffix
+    scan gives every partial product of a chunk, its first element carries
+    (psi, psi') across the chunk, and the carried pair is then renormalised
+    into the returned log-scale.  With keep_psi the last item holds psi on
+    the grid as mantissas and their log-scales, psi = m * exp(scale).
     """
-    cell_v = 0.5 * (values[1:] + values[:-1])
-    widths = np.diff(grid)
     k_left_sq = 2.0 * mu * (E - values[0]) / hbar**2
     k_right_sq = 2.0 * mu * (E - values[-1]) / hbar**2
     if k_left_sq <= 0 or k_right_sq <= 0:
@@ -118,36 +153,35 @@ def _propagate(grid, values, E, hbar, mu, keep_psi=False):
     psi = 1.0 + 0.0j
     dpsi = 1j * k_right
     log_scale = 0.0
-    history = [psi] if keep_psi else None
-
-    # walk cells right-to-left; crossing cell i by -h with constant W
-    w_arr = 2.0 * mu * (cell_v - E) / hbar**2
-    for i in range(widths.size - 1, -1, -1):
-        w = w_arr[i]
-        h = widths[i]
-        if w > 0.0:
-            kap = math.sqrt(w)
-            ch = math.cosh(kap * h)
-            sh = math.sinh(kap * h)
-            # inverse propagator: h -> -h flips the sinh terms
-            psi, dpsi = ch * psi - sh / kap * dpsi, -kap * sh * psi + ch * dpsi
-        elif w < 0.0:
-            k = math.sqrt(-w)
-            co = math.cos(k * h)
-            si = math.sin(k * h)
-            psi, dpsi = co * psi - si / k * dpsi, k * si * psi + co * dpsi
-        else:
-            psi, dpsi = psi - h * dpsi, dpsi
-        m = max(abs(psi), abs(dpsi))
-        if m > _RESCALE_AT:
-            psi /= m
-            dpsi /= m
-            log_scale += math.log(m)
-        if keep_psi:
-            history.append(psi * math.exp(log_scale) if log_scale else psi)
-
     if keep_psi:
-        history.reverse()
+        samples = np.empty(grid.size, dtype=complex)
+        scales = np.empty(grid.size)
+        samples[-1], scales[-1] = psi, log_scale
+
+    # walk chunks of cells [start, end) right-to-left
+    end = grid.size - 1
+    while end > 0:
+        lo = max(end - _CHUNK, 0)
+        h = np.diff(grid[lo:end + 1])
+        cell_v = 0.5 * (values[lo + 1:end + 1] + values[lo:end])
+        w = 2.0 * mu * (cell_v - E) / hbar**2
+        # end the chunk early where the integrated kappa passes the bound
+        growth = np.cumsum((np.sqrt(np.maximum(w, 0.0)) * h)[::-1])
+        cells = max(int(np.searchsorted(growth, _GROWTH_BOUND, side="right")), 1)
+        start = end - cells
+        p = _suffix_products(_cell_propagators(w[-cells:], h[-cells:]))
+        if keep_psi:
+            samples[start:end] = p[0, 0] * psi + p[0, 1] * dpsi
+            scales[start:end] = log_scale
+        psi, dpsi = (p[0, 0, 0] * psi + p[0, 1, 0] * dpsi,
+                     p[1, 0, 0] * psi + p[1, 1, 0] * dpsi)
+        m = max(abs(psi), abs(dpsi))
+        psi /= m
+        dpsi /= m
+        log_scale += math.log(m)
+        end = start
+
+    history = (samples, scales) if keep_psi else None
     return psi, dpsi, log_scale, k_left, k_right, history
 
 
@@ -187,8 +221,12 @@ def scattering_wavefunction(pot: PiecewisePotential, E: float = 0.0,
     The wave is purely outgoing at the right edge; the returned samples are
     suitable for residual checks against the second-order operator.
     """
-    *_, history = _propagate(pot.grid, pot.values, E, hbar, mu, keep_psi=True)
-    psi = np.asarray(history, dtype=complex)
+    *_, (m, scale) = _propagate(pot.grid, pot.values, E, hbar, mu,
+                                keep_psi=True)
+    # shift to the largest log-magnitude first: psi itself can overflow deep
+    # under a barrier
+    log_mag = np.log(np.abs(m)) + scale
+    psi = m * np.exp(scale - log_mag.max())
     return psi / np.max(np.abs(psi))
 
 
