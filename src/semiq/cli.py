@@ -4,10 +4,14 @@ Subcommands map one-to-one onto the physics modules:
 
   clock    dephasing trajectory and retention-time summary
   tunnel   barrier transmission (closed form, quadrature, current ratio,
-           optional transfer-matrix cross-check)
+           optional transfer-matrix cross-check) at one point
   network  gauge-check | ek | rolldown | entropy modes
   cosmo    semiclassical branch: trajectory plus residual report
   sweep    1-2 axis Cartesian sweep of the tunnel computation
+
+tunnel is the sweep over no axes: both share one runner, the barrier flags
+and the CSV columns, and a tunnel row equals the row of a one-point sweep.
+Only clock and network draw random numbers, so only they take --seed.
 
 Every run resolves its configuration from defaults, then an optional flat
 key = value config file, then command-line flags (highest precedence),
@@ -102,6 +106,17 @@ class Param:
     repeat: bool = False        # flag may be given multiple times
 
 
+# tunnel and sweep evaluate one barrier per point with the same knobs
+_BARRIER_PARAMS = {
+    "hbar": Param(_as_float, 1.0, "hbar"),
+    "mu": Param(_as_float, 1.0, "collective inertia"),
+    "j0": Param(_as_float, 1.0, "quadratic coupling"),
+    "h0": Param(_as_float, 1.0, "barrier height"),
+    "oracle": Param(_as_bool, False, "add transfer-matrix columns"),
+    "cap": Param(_as_float, 0.0, "capped half-width L (0 = 4b default)"),
+    "points": Param(_as_int, 20000, "oracle grid cells"),
+}
+
 # name -> Param, per subcommand; insertion order is manifest order
 _SCHEMAS: dict[str, dict[str, Param]] = {
     "clock": {
@@ -114,17 +129,7 @@ _SCHEMAS: dict[str, dict[str, Param]] = {
         "seed": Param(_as_int, 0, "RNG seed"),
         "threshold": Param(_as_float, math.exp(-1.0), "retention threshold"),
     },
-    "tunnel": {
-        "hbar": Param(_as_float, 1.0, "hbar"),
-        "mu": Param(_as_float, 1.0, "collective inertia"),
-        "j0": Param(_as_float, 1.0, "quadratic coupling"),
-        "h0": Param(_as_float, 1.0, "barrier height"),
-        "oracle": Param(_as_bool, False, "add transfer-matrix columns"),
-        "cap": Param(_as_float, 0.0, "capped half-width L (0 = 4b default)"),
-        "points": Param(_as_int, 20000, "oracle grid cells"),
-        "sweep": Param(_as_str, "", "axis=lo:hi:n single-axis sweep"),
-        "seed": Param(_as_int, 0, "RNG seed (unused, echoed for uniformity)"),
-    },
+    "tunnel": dict(_BARRIER_PARAMS),
     "network": {
         "mode": Param(_as_str, "gauge-check",
                       "gauge-check | ek | rolldown | entropy"),
@@ -150,21 +155,17 @@ _SCHEMAS: dict[str, dict[str, Param]] = {
         "t_points": Param(_as_int, 201, "trajectory samples"),
         "a_max": Param(_as_float, 0.0, "truncate growth at this a (0 = off)"),
         "matter": Param(_as_str, "none", "none | twolevel:omega | file:FILE"),
-        "seed": Param(_as_int, 0, "RNG seed (unused, echoed for uniformity)"),
     },
     "sweep": {
         "axis": Param(_as_str, [], "axis=lo:hi:n (repeat for a second axis)",
                       repeat=True),
-        "hbar": Param(_as_float, 1.0, "hbar"),
-        "mu": Param(_as_float, 1.0, "collective inertia"),
-        "j0": Param(_as_float, 1.0, "quadratic coupling"),
-        "h0": Param(_as_float, 1.0, "barrier height"),
-        "oracle": Param(_as_bool, False, "add transfer-matrix columns"),
-        "cap": Param(_as_float, 0.0, "capped half-width L (0 = 4b default)"),
-        "points": Param(_as_int, 20000, "oracle grid cells"),
-        "seed": Param(_as_int, 0, "RNG seed (unused, echoed for uniformity)"),
+        **_BARRIER_PARAMS,
     },
 }
+
+#: manifest keys that are not parameters (tableio adds format and outputs)
+_MANIFEST_HEADER = ("format", "tool", "version", "numpy", "scipy",
+                    "subcommand", "outputs")
 
 
 @dataclass
@@ -175,10 +176,6 @@ class RunConfig:
     parameters: dict = field(default_factory=dict)
     output_dir: str = "."
     plot: bool = False
-
-    @property
-    def seed(self) -> int:
-        return int(self.parameters.get("seed", 0))
 
     @classmethod
     def resolve(cls, subcommand: str, cli_values: dict,
@@ -217,6 +214,9 @@ class RunConfig:
         if sub not in _SCHEMAS:
             raise ValidationError(f"{path}: unknown subcommand {sub!r}")
         schema = _SCHEMAS[sub]
+        for name in entries:
+            if name not in schema and name not in _MANIFEST_HEADER:
+                raise ValidationError(f"{path}: unknown key {name!r}")
         params = {}
         for name, spec in schema.items():
             if name not in entries:
@@ -382,63 +382,19 @@ def _parse_axis(spec: str):
     return name, np.linspace(lo, hi, n)
 
 
-def _tunnel_rows(base: dict, axes, with_oracle: bool, cap: float, cells: int):
-    cols = ["hbar", "mu", "j0", "h0", "lambda",
-            "T_closed", "T_quadrature", "T_current_ratio"]
-    if with_oracle:
-        cols += ["T_numeric", "richardson_error", "L", "n"]
-    table = ResultTable(cols)
-
-    # Cartesian product, first axis outermost: lexicographic in axis indices
-    grids = [vals for _, vals in axes]
-    names = [name for name, _ in axes]
-    for idx in (np.ndindex(*(len(g) for g in grids)) if grids
-                else iter([()])):
-        point = dict(base)
-        for name, g, k in zip(names, grids, idx):
-            point[name] = float(g[k])
-        bp = wkb.BarrierProblem(hbar=point["hbar"], mu=point["mu"],
-                                j0=point["j0"], h0=point["h0"])
-        lam = wkb.barrier_exponent_closed(bp)
-        lam_q = wkb.barrier_exponent(bp)
-        ratio = wkb.current_ratio(wkb.solve_barrier(bp))
-        row = [point["hbar"], point["mu"], point["j0"], point["h0"],
-               lam, math.exp(-2.0 * lam), math.exp(-2.0 * lam_q), ratio]
-        if with_oracle:
-            L = cap if cap > 0 else None
-            pot = oracle.cap_barrier(bp, L=L, n=cells)
-            est = oracle.transfer_matrix_transmission(
-                pot, E=0.0, hbar=point["hbar"], mu=point["mu"])
-            half = 0.5 * (pot.grid[-1] - pot.grid[0])
-            row += [est.T_numeric, est.richardson_error, half, cells]
-        table.append(*row)
-    return table
-
-
-def _run_tunnel(cfg: RunConfig):
-    p = cfg.parameters
-    axes = [_parse_axis(p["sweep"])] if p["sweep"] else []
-    return _tunnel_like(p, axes, "tunnel.csv", "tunnel.svg")
-
-
 def _run_sweep(cfg: RunConfig):
+    """tunnel and sweep: tunnel is the sweep over no axes, one point."""
     p = cfg.parameters
-    specs = p["axis"]
-    if not 1 <= len(specs) <= 2:
+    specs = p.get("axis", [])
+    if cfg.subcommand == "sweep" and not 1 <= len(specs) <= 2:
         raise ValidationError("sweep needs one or two --axis specs")
     axes = [_parse_axis(s) for s in specs]
     if len(axes) == 2 and axes[0][0] == axes[1][0]:
         raise ValidationError("the two sweep axes must differ")
-    total = 1
-    for _, vals in axes:
-        total *= len(vals)
+    total = math.prod(len(vals) for _, vals in axes)
     if total > _MAX_SWEEP_POINTS:
         raise ValidationError(f"sweep of {total} points exceeds "
                               f"{_MAX_SWEEP_POINTS}")
-    return _tunnel_like(p, axes, "sweep.csv", "sweep.svg")
-
-
-def _tunnel_like(p: dict, axes, csv_name: str, svg_name: str):
     axis_names = [name for name, _ in axes]
     for key in ("hbar", "mu", "j0", "h0"):
         if key not in axis_names and p[key] <= 0:
@@ -450,19 +406,39 @@ def _tunnel_like(p: dict, axes, csv_name: str, svg_name: str):
         raise ValidationError("points must be >= 100")
     if p["cap"] < 0:
         raise ValidationError("cap must be positive (or 0 for the default)")
-    base = {k: p[k] for k in ("hbar", "mu", "j0", "h0")}
-    table = _tunnel_rows(base, axes, p["oracle"], p["cap"], p["points"])
-    tables = {csv_name: table}
+
+    cols = ["hbar", "mu", "j0", "h0", "lambda",
+            "T_closed", "T_quadrature", "T_current_ratio"]
+    if p["oracle"]:
+        cols += ["T_numeric", "richardson_error", "L", "n"]
+    table = ResultTable(cols)
+    # Cartesian product, first axis outermost: lexicographic in axis indices
+    for idx in np.ndindex(*(len(vals) for _, vals in axes)):
+        point = {k: p[k] for k in ("hbar", "mu", "j0", "h0")}
+        for (name, vals), k in zip(axes, idx):
+            point[name] = float(vals[k])
+        bp = wkb.BarrierProblem(**point)
+        lam = wkb.barrier_exponent_closed(bp)
+        lam_q = wkb.barrier_exponent(bp)
+        ratio = wkb.current_ratio(wkb.solve_barrier(bp))
+        row = [point["hbar"], point["mu"], point["j0"], point["h0"],
+               lam, math.exp(-2.0 * lam), math.exp(-2.0 * lam_q), ratio]
+        if p["oracle"]:
+            pot = oracle.cap_barrier(bp, L=p["cap"] or None, n=p["points"])
+            est = oracle.transfer_matrix_transmission(
+                pot, E=0.0, hbar=point["hbar"], mu=point["mu"])
+            half = 0.5 * (pot.grid[-1] - pot.grid[0])
+            row += [est.T_numeric, est.richardson_error, half, p["points"]]
+        table.append(*row)
 
     def plots():
         if not axes:
             raise ValidationError("plotting needs at least two rows")
-        xname = axes[0][0]
         ys = ["T_closed", "T_quadrature"] + (["T_numeric"] if p["oracle"] else [])
-        svg = render_plot(table, xname, ys, logy=True, title="transmission")
-        return [(svg_name, svg)]
+        svg = render_plot(table, axes[0][0], ys, logy=True, title="transmission")
+        return [(f"{cfg.subcommand}.svg", svg)]
 
-    return tables, plots
+    return {f"{cfg.subcommand}.csv": table}, plots
 
 
 # --------------------------------------------------------------------------
@@ -752,7 +728,7 @@ def _run_cosmo(cfg: RunConfig):
 # --------------------------------------------------------------------------
 # driver
 
-_RUNNERS = {"clock": _run_clock, "tunnel": _run_tunnel, "network": _run_network,
+_RUNNERS = {"clock": _run_clock, "tunnel": _run_sweep, "network": _run_network,
             "cosmo": _run_cosmo, "sweep": _run_sweep}
 
 

@@ -192,7 +192,8 @@ def _transmission_once(pot: PiecewisePotential, E, hbar, mu) -> float:
     alpha = 0.5 * (psi + dpsi / (1j * k_left))
     log_T = (math.log(k_right / k_left)
              - 2.0 * math.log(abs(alpha)) - 2.0 * log_scale)
-    return math.exp(log_T)
+    # a near-transparent profile can round to just above T = 1
+    return math.exp(min(log_T, 0.0))
 
 
 def transfer_matrix_transmission(pot: PiecewisePotential, E: float = 0.0,

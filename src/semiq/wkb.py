@@ -151,17 +151,32 @@ def solve_barrier(bp: BarrierProblem, c: complex = 1.0 + 0.0j) -> WkbSolution:
                        transmission=math.exp(-2.0 * lam), c=c)
 
 
-def _momentum_allowed(bp: BarrierProblem, phi: float) -> float:
-    return math.sqrt(max(-2.0 * bp.mu * bp.interaction_energy(phi), 0.0))
+def _allowed_action(bp: BarrierProblem, x: float) -> tuple[float, float]:
+    """(integral_b^x p, p(x)) for x > b, in closed form.
+
+    With p = k*sqrt(x^2 - b^2) and k = sqrt(2*mu*j0) the antiderivative is
+    (k/2)*(x*sqrt(x^2 - b^2) - b^2*arcosh(x/b)), the arcosh written as
+    arsinh(sqrt(x^2 - b^2)/b) so that it stays accurate near the turning
+    point; the term vanishes with b.
+    """
+    _, b = turning_points(bp)
+    k = math.sqrt(2.0 * bp.mu * bp.j0)
+    s = math.sqrt((x - b) * (x + b))
+    arc = b * b * math.asinh(s / b) if b > 0.0 else 0.0
+    return 0.5 * k * (x * s - arc), k * s
 
 
-def _momentum_forbidden(bp: BarrierProblem, phi: float) -> float:
-    return math.sqrt(max(2.0 * bp.mu * bp.interaction_energy(phi), 0.0))
+def _forbidden_action(bp: BarrierProblem, x: float) -> tuple[float, float]:
+    """(integral_x^b rho, rho(x)) for |x| < b, in closed form.
 
-
-def _quad(f, lo, hi):
-    val, _ = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return val
+    With rho = k*sqrt(b^2 - x^2) the antiderivative is
+    (k/2)*(b^2*arccos(x/b) - x*sqrt(b^2 - x^2)), the arccos written as
+    atan2(sqrt(b^2 - x^2), x); at x = a it is hbar*Lambda.
+    """
+    _, b = turning_points(bp)
+    k = math.sqrt(2.0 * bp.mu * bp.j0)
+    s = math.sqrt((b - x) * (b + x))
+    return 0.5 * k * (b * b * math.atan2(s, x) - x * s), k * s
 
 
 def wkb_wavefunction(sol: WkbSolution, region: str, phi: float) -> complex:
@@ -169,10 +184,12 @@ def wkb_wavefunction(sol: WkbSolution, region: str, phi: float) -> complex:
 
     incoming  (phi < a): exp(L) * (-i c)/sqrt(p) * exp(i*(FI - pi/4)),
                          FI = (1/hbar) * integral_phi^a p
-    under     (a<phi<b): (-i c)/sqrt(rho) * exp(-(1/hbar) * integral_b^phi rho)
+    under     (a<phi<b): (-i c)/sqrt(rho) * exp((1/hbar) * integral_phi^b rho)
     outgoing  (phi > b): c/sqrt(p) * exp(i*(FO - pi/4)),
                          FO = (1/hbar) * integral_b^phi p
 
+    The barrier is symmetric, so FI at phi is FO at -phi; all three
+    integrals have closed forms (_allowed_action, _forbidden_action).
     Evaluation within TURNING_POINT_EXCLUSION*(b - a) of a turning point is
     refused: the 1/sqrt prefactor is meaningless there.
     """
@@ -189,24 +206,20 @@ def wkb_wavefunction(sol: WkbSolution, region: str, phi: float) -> complex:
     if region == "incoming":
         if not phi < a:
             raise ValueError(f"phi={phi} is not in the incoming region (phi < {a})")
-        p = _momentum_allowed(bp, phi)
-        phase = _quad(lambda x: _momentum_allowed(bp, x), phi, a) / bp.hbar
+        action, p = _allowed_action(bp, -phi)
         return (math.exp(sol.barrier_exponent) * (-1j) * c / math.sqrt(p)
-                * cmath.exp(1j * (phase - math.pi / 4.0)))
+                * cmath.exp(1j * (action / bp.hbar - math.pi / 4.0)))
     if region == "under_barrier":
         if not a < phi < b:
             raise ValueError(f"phi={phi} is not under the barrier ({a}, {b})")
-        rho = _momentum_forbidden(bp, phi)
-        # integral from b down to phi is negative, so the amplitude grows
-        # towards the entrance face
-        damp = _quad(lambda x: _momentum_forbidden(bp, x), b, phi) / bp.hbar
-        return (-1j) * c / math.sqrt(rho) * math.exp(-damp)
+        # the amplitude grows towards the entrance face
+        action, rho = _forbidden_action(bp, phi)
+        return (-1j) * c / math.sqrt(rho) * math.exp(action / bp.hbar)
     # outgoing
     if not phi > b:
         raise ValueError(f"phi={phi} is not in the outgoing region (phi > {b})")
-    p = _momentum_allowed(bp, phi)
-    phase = _quad(lambda x: _momentum_allowed(bp, x), b, phi) / bp.hbar
-    return c / math.sqrt(p) * cmath.exp(1j * (phase - math.pi / 4.0))
+    action, p = _allowed_action(bp, phi)
+    return c / math.sqrt(p) * cmath.exp(1j * (action / bp.hbar - math.pi / 4.0))
 
 
 def _fd_current(sol: WkbSolution, region: str, phi: float, h: float) -> float:
@@ -231,9 +244,10 @@ def current_ratio(sol: WkbSolution, bp: BarrierProblem | None = None,
         bp = sol.problem
     a, b = turning_points(bp)
     scale = (b - a) if b > a else 1.0
-    h = rel_step * scale
     phi_in = a - offset * scale
     phi_out = b + offset * scale
+    # the step resolves the local wavelength as well as the barrier width
+    h = rel_step * min(scale, bp.hbar / momenta(bp, phi_out).p)
 
     j_in = _fd_current(sol, "incoming", phi_in, h)
     j_out = _fd_current(sol, "outgoing", phi_out, h)

@@ -242,3 +242,52 @@ def test_paths_printed_on_success(tmp_path, capsys):
     assert run_cli(["tunnel"], tmp_path) == EXIT_OK
     out = capsys.readouterr().out
     assert "tunnel.csv" in out
+
+
+def test_tunnel_is_a_one_point_sweep(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(["tunnel", "--h0", "1.7", "--mu", "0.8", "--oracle"],
+                   a) == EXIT_OK
+    assert run_cli(["sweep", "--axis", "h0=1.7:1.7:1", "--mu", "0.8",
+                    "--oracle"], b) == EXIT_OK
+    assert (a / "tunnel.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+def test_tunnel_sweep_flag_removed(tmp_path):
+    assert run_cli(["tunnel", "--sweep", "hbar=1:2:3"],
+                   tmp_path) == EXIT_VALIDATION
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["tunnel"], ["sweep", "--axis", "h0=1:2:2"], ["cosmo"]])
+def test_seed_only_where_random_numbers_are_drawn(tmp_path, args):
+    assert run_cli([*args, "--seed", "1"], tmp_path) == EXIT_VALIDATION
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["tunnel", "--hbar", "0.01"],
+    ["sweep", "--axis", "hbar=0.02:0.2:10", "--axis", "mu=0.5:2:3"],
+])
+def test_deep_semiclassical_current_ratio(tmp_path, args):
+    # the finite-difference step follows the local wavelength hbar/p
+    assert run_cli(args, tmp_path) == EXIT_OK
+    t = read_csv(tmp_path / f"{args[0]}.csv")
+    for ratio, closed in zip(t.float_column("T_current_ratio"),
+                             t.float_column("T_closed")):
+        assert ratio == pytest.approx(closed, rel=1e-4)
+
+
+def test_manifest_with_unknown_key_rejected(tmp_path):
+    from semiq.cli import RunConfig, ValidationError
+
+    assert run_cli(["tunnel"], tmp_path) == EXIT_OK
+    path = tmp_path / "tunnel.manifest.txt"
+    assert RunConfig.from_manifest(path).parameters["hbar"] == 1.0
+    text = path.read_text()
+    # what a manifest of an older tunnel --sweep run carried
+    for extra in ("seed = 0\n", "sweep = hbar=1:2:3\n"):
+        path.write_text(text + extra)
+        with pytest.raises(ValidationError, match="unknown key"):
+            RunConfig.from_manifest(path)

@@ -210,6 +210,14 @@ def test_transmission_golden(name, hbar, mu, h0, cells, T, rich):
                                                      abs=1e-12 * T)
 
 
+@pytest.mark.filterwarnings("ignore:odd cell count")
+def test_flat_profile_never_exceeds_one():
+    # identical cells round coherently: uncapped, this walk gave
+    # T = 1 + 3.4e-13 (and the per-cell loop 1 + 2.9e-13)
+    pot = PiecewisePotential(np.linspace(0.0, 1.0, 4094), np.full(4094, -1.0))
+    assert _T(pot, 0.3125, 1.0) <= 1.0
+
+
 def test_deep_barrier_underflows_without_fp_errors():
     # 2*Lambda ~ 2200: T underflows to exactly 0, as the per-cell loop gave.
     # Chunks of fixed length alone would overflow here; the bound on the

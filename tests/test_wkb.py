@@ -1,10 +1,13 @@
 """Inverted-parabola barrier: exponent, wavefunctions, current ratio."""
 
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from semiq import (
     BarrierProblem,
@@ -17,6 +20,7 @@ from semiq import (
     turning_points,
     wkb_wavefunction,
 )
+from semiq.wkb import TURNING_POINT_EXCLUSION, _allowed_action, _forbidden_action
 
 # frozen oracle at hbar = mu = j0 = h0 = 1:
 # Lambda = (pi h0 / 2 hbar) sqrt(2 mu / j0) = pi / sqrt(2)
@@ -103,7 +107,9 @@ def test_outgoing_amplitude_sets_scale():
         solve_barrier(bp, c=0.0 + 0j)
 
 
-@pytest.mark.parametrize("hbar,mu,j0", GRID[::3])
+# hbar = 0.01: the wavelength hbar/p is 1/200 of the barrier width, and the
+# finite-difference step has to follow it
+@pytest.mark.parametrize("hbar,mu,j0", GRID[::3] + [(0.01, 1.0, 1.0)])
 def test_current_ratio_equals_activation_rate(hbar, mu, j0):
     bp = BarrierProblem(hbar=hbar, mu=mu, j0=j0, h0=1.0)
     sol = solve_barrier(bp)
@@ -128,3 +134,62 @@ def test_interaction_energy_profile():
     phi = np.linspace(-2, 2, 9)
     np.testing.assert_allclose(bp.interaction_energy(phi),
                                -3.0 * phi**2 + 1.5)
+
+
+def test_flat_top_barrier_h0_zero():
+    # b = 0: no barrier, no forbidden region, full transmission
+    sol = solve_barrier(BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=0.0))
+    for region, phi in (("incoming", -0.5), ("outgoing", 0.5)):
+        psi = wkb_wavefunction(sol, region, phi)
+        assert cmath.isfinite(psi) and psi != 0
+    assert current_ratio(sol) == 1.0
+
+
+# --------------------------------------------------------------------------
+# closed-form actions against the quadrature they replaced
+
+
+def quad_action(bp, region, phi):
+    """integral_phi^a p, integral_phi^b rho or integral_b^phi p by quadrature."""
+    a, b = turning_points(bp)
+
+    def p(x):
+        return math.sqrt(max(-2.0 * bp.mu * bp.interaction_energy(x), 0.0))
+
+    def rho(x):
+        return math.sqrt(max(2.0 * bp.mu * bp.interaction_energy(x), 0.0))
+
+    f, lo, hi = {"incoming": (p, phi, a), "under_barrier": (rho, phi, b),
+                 "outgoing": (p, b, phi)}[region]
+    val, _ = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
+    return val
+
+
+def closed_action(bp, region, phi):
+    if region == "incoming":
+        return _allowed_action(bp, -phi)[0]
+    if region == "under_barrier":
+        return _forbidden_action(bp, phi)[0]
+    return _allowed_action(bp, phi)[0]
+
+
+#: just outside the exclusion zone, in units of the half-width b
+EDGE = 2.0 * TURNING_POINT_EXCLUSION * 1.01
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hbar=st.floats(0.02, 2.0), mu=st.floats(0.1, 10.0),
+       j0=st.floats(0.1, 10.0), h0=st.floats(0.05, 5.0),
+       region=st.sampled_from(["incoming", "under_barrier", "outgoing"]),
+       u=st.floats(0.0, 1.0))
+def test_closed_form_actions_match_quadrature(hbar, mu, j0, h0, region, u):
+    bp = BarrierProblem(hbar=hbar, mu=mu, j0=j0, h0=h0)
+    _, b = turning_points(bp)
+    if region == "under_barrier":
+        phi = b * (1.0 - EDGE) * (2.0 * u - 1.0)
+    else:
+        phi = b * (1.0 + EDGE + 4.0 * u)
+        phi = -phi if region == "incoming" else phi
+    want = quad_action(bp, region, phi)
+    assert closed_action(bp, region, phi) == pytest.approx(want, rel=1e-11,
+                                                           abs=0.0)
