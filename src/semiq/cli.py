@@ -30,6 +30,7 @@ import argparse
 import math
 import os
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 
@@ -282,8 +283,8 @@ def render_plot(table: ResultTable, x: str, ys: list[str],
     if len(table.rows) < 2:
         raise ValidationError("plotting needs at least two rows")
     try:
-        xs = table.float_column(x)
-        series = [(yname, table.float_column(yname)) for yname in ys]
+        xs = np.asarray(table.column(x), dtype=float)
+        series = [(y, np.asarray(table.column(y), dtype=float)) for y in ys]
     except (KeyError, ValueError) as exc:
         raise ValidationError(str(exc)) from None
     fig = LinePlot(title or "semiq", xlabel=x, ylabel=",".join(ys),
@@ -321,41 +322,39 @@ def _run_clock(cfg: RunConfig):
     else:
         traj = clock.evolve_analytic(system, model, p["steps"])
 
-    mags = traj.coherence_magnitudes()
-    t_traj = ResultTable(["step", "time", "pair", "coherence", "events_so_far"])
-    events_at = np.zeros(traj.steps + 1, dtype=int)
-    for step_idx, _t in traj.event_log:
-        events_at[step_idx:] += 1
-    for k in range(traj.steps + 1):
-        for (i, j), series in sorted(mags.items()):
-            t_traj.append(k, float(traj.times[k]), f"{i}-{j}",
-                          float(series[k]), int(events_at[k]))
+    # pairs i < j in row-major order, one row per (step, pair)
+    iu, ju = np.triu_indices(traj.dim, k=1)
+    labels = [f"{i}-{j}" for i, j in zip(iu, ju)]
+    coherence = np.abs(traj.rhos[:, iu, ju])
+    event_steps = np.array([k for k, _t in traj.event_log], dtype=int)
+    events_at = np.cumsum(np.bincount(event_steps, minlength=traj.steps + 1))
+    t_traj = ResultTable({
+        "step": np.repeat(np.arange(traj.steps + 1), len(labels)),
+        "time": np.repeat(traj.times, len(labels)),
+        "pair": np.tile(labels, traj.steps + 1),
+        "coherence": coherence.ravel(),
+        "events_so_far": np.repeat(events_at, len(labels)),
+    })
 
     record = clock.retention_time(traj, threshold=p["threshold"])
-    i, j = traj.dominant_pair()
-    t_sum = ResultTable(["pair", "retention_steps", "retention_time",
-                         "threshold", "horizon_steps", "reached",
-                         "mean_increment", "sigma"])
-    t_sum.append(f"{i}-{j}",
-                 -1 if record.retention_time_steps is None
-                 else record.retention_time_steps,
-                 math.nan if record.retention_time_physical is None
-                 else record.retention_time_physical,
-                 record.threshold, record.horizon_steps, record.reached,
-                 record.mean_increment, p["sigma"])
+    dom = "-".join(map(str, traj.dominant_pair()))
+    t_sum = ResultTable({k: [v] for k, v in dict(
+        pair=dom,
+        retention_steps=(-1 if record.retention_time_steps is None
+                         else record.retention_time_steps),
+        retention_time=(math.nan if record.retention_time_physical is None
+                        else record.retention_time_physical),
+        threshold=record.threshold, horizon_steps=record.horizon_steps,
+        reached=record.reached, mean_increment=record.mean_increment,
+        sigma=p["sigma"]).items()})
 
     tables = {"clock_trajectory.csv": t_traj, "clock_summary.csv": t_sum}
 
     def plots():
-        dom = f"{i}-{j}"
-        times, cohs = [], []
-        for row in t_traj.rows:
-            if row[2] == dom:
-                times.append(row[1])
-                cohs.append(row[3])
+        cohs = coherence[:, labels.index(dom)]
         fig = LinePlot("coherence decay", xlabel="time", ylabel="coherence",
-                       ylog=all(c > 0 for c in cohs))
-        fig.add(dom, times, cohs)
+                       ylog=bool(np.all(cohs > 0)))
+        fig.add(dom, traj.times, cohs)
         return [("clock.svg", fig.render())]
 
     return tables, plots
@@ -396,7 +395,7 @@ def _run_sweep(cfg: RunConfig):
         raise ValidationError(f"sweep of {total} points exceeds "
                               f"{_MAX_SWEEP_POINTS}")
     axis_names = [name for name, _ in axes]
-    for key in ("hbar", "mu", "j0", "h0"):
+    for key in _SWEEP_AXES:
         if key not in axis_names and p[key] <= 0:
             raise ValidationError(f"{key} must be positive")
     for _, vals in axes:
@@ -407,35 +406,30 @@ def _run_sweep(cfg: RunConfig):
     if p["cap"] < 0:
         raise ValidationError("cap must be positive (or 0 for the default)")
 
-    cols = ["hbar", "mu", "j0", "h0", "lambda",
-            "T_closed", "T_quadrature", "T_current_ratio"]
-    if p["oracle"]:
-        cols += ["T_numeric", "richardson_error", "L", "n"]
-    table = ResultTable(cols)
+    rows = []
     # Cartesian product, first axis outermost: lexicographic in axis indices
     for idx in np.ndindex(*(len(vals) for _, vals in axes)):
-        point = {k: p[k] for k in ("hbar", "mu", "j0", "h0")}
+        row = {k: p[k] for k in _SWEEP_AXES}
         for (name, vals), k in zip(axes, idx):
-            point[name] = float(vals[k])
-        bp = wkb.BarrierProblem(**point)
+            row[name] = float(vals[k])
+        bp = wkb.BarrierProblem(**row)
         lam = wkb.barrier_exponent_closed(bp)
-        lam_q = wkb.barrier_exponent(bp)
-        ratio = wkb.current_ratio(wkb.solve_barrier(bp))
-        row = [point["hbar"], point["mu"], point["j0"], point["h0"],
-               lam, math.exp(-2.0 * lam), math.exp(-2.0 * lam_q), ratio]
+        row.update({"lambda": lam, "T_closed": math.exp(-2.0 * lam),
+                    "T_quadrature": math.exp(-2.0 * wkb.barrier_exponent(bp)),
+                    "T_current_ratio": wkb.current_ratio(wkb.solve_barrier(bp))})
         if p["oracle"]:
             pot = oracle.cap_barrier(bp, L=p["cap"] or None, n=p["points"])
             est = oracle.transfer_matrix_transmission(
-                pot, E=0.0, hbar=point["hbar"], mu=point["mu"])
-            half = 0.5 * (pot.grid[-1] - pot.grid[0])
-            row += [est.T_numeric, est.richardson_error, half, p["points"]]
-        table.append(*row)
+                pot, E=0.0, hbar=bp.hbar, mu=bp.mu)
+            row.update(T_numeric=est.T_numeric, richardson_error=est.richardson_error,
+                       L=0.5 * (pot.grid[-1] - pot.grid[0]), n=p["points"])
+        rows.append(row)
+    table = ResultTable({k: [r[k] for r in rows] for k in rows[0]})
 
     def plots():
-        if not axes:
-            raise ValidationError("plotting needs at least two rows")
         ys = ["T_closed", "T_quadrature"] + (["T_numeric"] if p["oracle"] else [])
-        svg = render_plot(table, axes[0][0], ys, logy=True, title="transmission")
+        x = axes[0][0] if axes else "hbar"      # one tunnel row: render_plot rejects it
+        svg = render_plot(table, x, ys, logy=True, title="transmission")
         return [(f"{cfg.subcommand}.svg", svg)]
 
     return {f"{cfg.subcommand}.csv": table}, plots
@@ -460,10 +454,8 @@ def _run_network(cfg: RunConfig):
 def _network_gauge(p):
     if p["draws"] < 1:
         raise ValidationError("draws must be >= 1")
-    table = ResultTable(["trial", "hamiltonian", "transformed_hamiltonian",
-                         "abs_difference"])
-    seeds = np.random.SeedSequence(p["seed"]).spawn(p["draws"])
-    for t, ss in enumerate(seeds):
+    before, after = [], []
+    for ss in np.random.SeedSequence(p["seed"]).spawn(p["draws"]):
         rng = np.random.default_rng(ss)
         state = network.NeuralState.random(p["n"], p["N"],
                                            seed=int(rng.integers(2**31)))
@@ -472,10 +464,12 @@ def _network_gauge(p):
                                       scale=p["g_scale"])
         o = network.GaugeTransformation.random(p["n"], p["N"],
                                                seed=int(rng.integers(2**31)))
-        h_before = network.hamiltonian_full(state, g, 0.0)
+        before.append(network.hamiltonian_full(state, g, 0.0))
         state2, g2 = network.gauge_transform(state, g, o)
-        h_after = network.hamiltonian_full(state2, g2, 0.0)
-        table.append(t, h_before, h_after, abs(h_after - h_before))
+        after.append(network.hamiltonian_full(state2, g2, 0.0))
+    table = ResultTable({"trial": np.arange(p["draws"]), "hamiltonian": before,
+                         "transformed_hamiltonian": after,
+                         "abs_difference": np.abs(np.subtract(after, before))})
 
     def plots():
         svg = render_plot(table, "trial", ["abs_difference"],
@@ -493,14 +487,13 @@ def _network_ek(p):
     comp = network.ek_comparison(n=p["n"], N=p["N"], beta=p["beta"],
                                  draws=p["draws"], samples=p["samples"],
                                  seed=p["seed"], g_scale=p["g_scale"])
-    t_draws = ResultTable(["draw", "discrepancy", "std_error"])
-    for k, (d, se) in enumerate(zip(comp.discrepancies, comp.std_errors)):
-        t_draws.append(k, float(d), float(se))
-    t_sum = ResultTable(["n", "N", "beta", "draws", "samples", "g_scale",
-                         "median_abs_discrepancy", "se", "starved"])
-    t_sum.append(p["n"], p["N"], p["beta"], p["draws"], p["samples"],
-                 p["g_scale"], comp.median_abs_discrepancy, comp.se,
-                 comp.starved)
+    t_draws = ResultTable({"draw": np.arange(comp.discrepancies.size),
+                           "discrepancy": comp.discrepancies,
+                           "std_error": comp.std_errors})
+    t_sum = ResultTable({
+        **{k: [p[k]] for k in ("n", "N", "beta", "draws", "samples", "g_scale")},
+        "median_abs_discrepancy": [comp.median_abs_discrepancy],
+        "se": [comp.se], "starved": [comp.starved]})
 
     def plots():
         svg = render_plot(t_draws, "draw", ["discrepancy"],
@@ -523,14 +516,15 @@ def _network_rolldown(p):
     start[flip_at] = -start[flip_at]
     result = network.rolldown(start, couplings)
 
-    t_traj = ResultTable(["step", "energy", "overlap"])
-    for k, (st, en) in enumerate(zip(result.states, result.energies)):
-        t_traj.append(k, float(en), float(st @ pats[0]) / p["n"])
+    energies = np.asarray(result.energies, dtype=float)
+    # overlaps are sums of +-1 products, exact in any summation order
+    t_traj = ResultTable({"step": np.arange(energies.size), "energy": energies,
+                          "overlap": np.array(result.states) @ pats[0] / p["n"]})
     recovered = bool(np.array_equal(result.final_state, pats[0]))
-    t_sum = ResultTable(["n", "patterns", "flips", "sweeps", "converged",
-                         "recovered", "final_energy"])
-    t_sum.append(p["n"], p["patterns"], p["flips"], result.sweeps,
-                 result.converged, recovered, float(result.energies[-1]))
+    t_sum = ResultTable({
+        **{k: [p[k]] for k in ("n", "patterns", "flips")},
+        "sweeps": [result.sweeps], "converged": [result.converged],
+        "recovered": [recovered], "final_energy": [energies[-1]]})
 
     def plots():
         svg = render_plot(t_traj, "step", ["energy", "overlap"],
@@ -556,15 +550,16 @@ def _network_entropy(p):
         flip = rng.random(p["n"]) < p["flip_prob"]
         hist[k] = np.where(flip, -hist[k - 1], hist[k - 1])
 
-    table = ResultTable(["window", "windows_observed", "occupied_bins",
-                         "entropy_bits_per_step", "undersampled"])
-    for w in range(1, p["window"] + 1):
-        counts = network.window_counts(hist, w)
-        m = sum(counts.values())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rate = network.entropy_rate(hist, w)
-        table.append(w, m, len(counts), rate, m / len(counts) < 5.0)
+    windows = range(1, p["window"] + 1)
+    counts = [network.window_counts(hist, w) for w in windows]
+    seen = np.array([sum(c.values()) for c in counts])
+    bins = np.array([len(c) for c in counts])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rates = [network.entropy_rate(hist, w) for w in windows]
+    table = ResultTable({"window": windows, "windows_observed": seen,
+                         "occupied_bins": bins, "entropy_bits_per_step": rates,
+                         "undersampled": seen / bins < 5.0})
 
     def plots():
         svg = render_plot(table, "window", ["entropy_bits_per_step"],
@@ -594,14 +589,12 @@ def _parse_potential(spec: str):
             raise ValidationError("table potential needs a file path")
         try:
             tab = read_csv(arg)
+            a_vals, u_vals = (np.asarray(tab.column(k), dtype=float) for k in "au")
         except OSError as exc:
             raise ValidationError(f"cannot read potential table: {exc}") from None
-        try:
-            a_vals = np.array(tab.float_column("a"))
-            u_vals = np.array(tab.float_column("u"))
-        except (KeyError, ValueError):
+        except (KeyError, ValueError) as exc:
             raise ValidationError(f"{arg}: potential table needs numeric "
-                                  "columns a,u") from None
+                                  f"columns a,u ({exc})") from None
         if a_vals.size < 2 or np.any(np.diff(a_vals) <= 0):
             raise ValidationError(f"{arg}: column a must be strictly increasing")
         if np.any(u_vals <= 0):
@@ -634,15 +627,14 @@ def _parse_matter(spec: str):
             raise ValidationError("matter file needs a path")
         try:
             tab = read_csv(arg)
+            cols = {k: np.asarray(tab.column(k), dtype=float)
+                    for k in ("a", "h00", "h01re", "h01im", "h11")}
         except OSError as exc:
             raise ValidationError(f"cannot read matter table: {exc}") from None
-        try:
-            cols = {k: np.array(tab.float_column(k))
-                    for k in ("a", "h00", "h01re", "h01im", "h11")}
-        except (KeyError, ValueError):
+        except (KeyError, ValueError) as exc:
             raise ValidationError(
                 f"{arg}: matter table needs numeric columns "
-                "a,h00,h01re,h01im,h11") from None
+                f"a,h00,h01re,h01im,h11 ({exc})") from None
         a_vals = cols["a"]
         if a_vals.size < 2 or np.any(np.diff(a_vals) <= 0):
             raise ValidationError(f"{arg}: column a must be strictly increasing")
@@ -685,33 +677,24 @@ def _run_cosmo(cfg: RunConfig):
         if t_grid.size < 2:
             raise ValidationError("a_max truncates the run immediately")
 
-    cols = ["t", "a"]
-    traj = None
+    a_vals = np.atleast_1d(cm(t_grid))
+    cols = {"t": t_grid, "a": a_vals}
     if matter is not None:
         chi0 = np.array([1.0, 0.0], dtype=complex)
         traj = minisuperspace.evolve_matter(model, cm, chi0, t_grid)
-        d = chi0.size
-        cols += [f"re_chi_{k}" for k in range(d)]
-        cols += [f"im_chi_{k}" for k in range(d)]
-        cols += ["norm"]
+        re, im = traj.chis.real, traj.chis.imag
+        cols.update({f"re_chi_{k}": re[:, k] for k in range(chi0.size)})
+        cols.update({f"im_chi_{k}": im[:, k] for k in range(chi0.size)})
+        # vecdot sums like a per-row np.linalg.norm; a norm along axis=1 does not
+        cols["norm"] = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
     t_traj = ResultTable(cols)
-    a_vals = np.atleast_1d(cm(t_grid))
-    for k, t in enumerate(t_grid):
-        row = [float(t), float(a_vals[k])]
-        if traj is not None:
-            chi = traj.chis[k]
-            row += [float(c.real) for c in chi]
-            row += [float(c.imag) for c in chi]
-            row += [float(np.linalg.norm(chi))]
-        t_traj.append(*row)
 
     a_end = float(a_vals[-1])
     if not a_end > p["a0"]:
         raise ValidationError("trajectory does not grow; residual span empty")
     report = minisuperspace.wdw_residual(model, (p["a0"], a_end), hbars)
-    t_res = ResultTable(["hbar", "residual", "slope"])
-    for hb, r in zip(report.hbars, report.residuals):
-        t_res.append(float(hb), float(r), report.slope)
+    t_res = ResultTable({"hbar": report.hbars, "residual": report.residuals,
+                         "slope": [report.slope] * len(report.hbars)})
 
     tables = {"cosmo_trajectory.csv": t_traj, "cosmo_residual.csv": t_res}
 
@@ -735,9 +718,10 @@ _RUNNERS = {"clock": _run_clock, "tunnel": _run_sweep, "network": _run_network,
 def run(cfg: RunConfig) -> dict[str, ResultTable]:
     """Execute a resolved config: compute, render, then write files.
 
-    All computation and plot rendering happens before the first write, so
-    a failing run leaves no partial output.  Raises ValidationError for
-    bad inputs, module exceptions for numerical trouble, OSError for I/O.
+    Everything is computed and rendered before the first write; files are
+    staged, then renamed into place (manifest last), so a failing run leaves
+    no partial output.  Raises ValidationError for bad inputs, module
+    exceptions for numerical trouble, OSError for I/O.
     """
     tables, make_plots = _RUNNERS[cfg.subcommand](cfg)
     plot_files = make_plots() if cfg.plot else []
@@ -746,14 +730,24 @@ def run(cfg: RunConfig) -> dict[str, ResultTable]:
     outputs = list(tables.keys()) + [name for name, _ in plot_files]
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    for name, table in tables.items():
-        table.provenance = manifest_name
-        write_csv(table, os.path.join(cfg.output_dir, name))
-    for name, content in plot_files:
-        with open(os.path.join(cfg.output_dir, name), "w") as fh:
-            fh.write(content)
-    write_manifest(os.path.join(cfg.output_dir, manifest_name),
-                   cfg.manifest_entries(), outputs)
+    placed = []
+    with tempfile.TemporaryDirectory(prefix=".semiq-", dir=cfg.output_dir) as stage:
+        try:
+            for name, table in tables.items():
+                write_csv(table, os.path.join(stage, name))
+            for name, content in plot_files:
+                with open(os.path.join(stage, name), "w") as fh:
+                    fh.write(content)
+            write_manifest(os.path.join(stage, manifest_name),
+                           cfg.manifest_entries(), outputs)
+            for name in outputs + [manifest_name]:
+                dest = os.path.join(cfg.output_dir, name)
+                os.replace(os.path.join(stage, name), dest)
+                placed.append(dest)
+        except OSError:
+            for dest in placed:
+                os.remove(dest)
+            raise
     return tables
 
 

@@ -9,9 +9,9 @@ with the same seed yields byte-identical files.
 from __future__ import annotations
 
 import csv
-import io
-import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+
+import numpy as np
 
 __all__ = ["ResultTable", "fmt_value", "write_csv", "read_csv",
            "write_manifest", "read_manifest", "MANIFEST_FORMAT"]
@@ -19,63 +19,69 @@ __all__ = ["ResultTable", "fmt_value", "write_csv", "read_csv",
 MANIFEST_FORMAT = "1"
 
 
+def _formatter(kind: str):
+    """The one value-formatting rule, chosen by numpy dtype kind."""
+    return {"b": lambda v: "1" if v else "0", "f": "{:.17g}".format}.get(kind, str)
+
+
 def fmt_value(v) -> str:
-    """Floats at 17 significant digits (lossless round trip), ints plain."""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return f"{v:.17g}"
-    return str(v)
+    """Bools as 1/0, floats at 17 significant digits, anything else str."""
+    return _formatter(np.asarray(v).dtype.kind)(v)
 
 
-@dataclass
+class _Rows(Sequence):
+    """Read-only row tuples of a columnar table, built on access."""
+
+    def __init__(self, cols: list):
+        self._cols = cols
+
+    def __len__(self):
+        return len(self._cols[0]) if self._cols else 0
+
+    def __getitem__(self, k):
+        return (list(self)[k] if isinstance(k, slice)
+                else tuple(c[k] for c in self._cols))
+
+    def __iter__(self):
+        return zip(*self._cols)
+
+
 class ResultTable:
-    """Column names plus rows of scalars, with a provenance pointer."""
+    """Named, equal-length columns (numpy arrays or lists); ``columns`` lists
+    the names and ``rows`` is a read-only view of the same data as tuples."""
 
-    columns: list[str]
-    rows: list[tuple] = field(default_factory=list)
-    provenance: str | None = None      # manifest filename once written
+    def __init__(self, data: dict):
+        lengths = {name: len(col) for name, col in data.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"column lengths differ: {lengths}")
+        self._data = dict(data)
+        self.columns = list(self._data)
+        self.rows = _Rows(list(self._data.values()))
 
-    def append(self, *values):
-        if len(values) != len(self.columns):
-            raise ValueError(f"row width {len(values)} != {len(self.columns)} columns")
-        self.rows.append(tuple(values))
-
-    def column(self, name: str) -> list:
-        try:
-            i = self.columns.index(name)
-        except ValueError:
-            raise KeyError(f"no column {name!r}; have {self.columns}") from None
-        return [r[i] for r in self.rows]
-
-    def float_column(self, name: str) -> list[float]:
-        out = []
-        for v in self.column(name):
-            try:
-                out.append(float(v))
-            except (TypeError, ValueError):
-                raise ValueError(f"column {name!r} is not numeric: {v!r}") from None
-        return out
+    def column(self, name: str):
+        return self._data[name]
 
 
 def write_csv(table: ResultTable, path) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(table.columns)
-    for row in table.rows:
-        w.writerow([fmt_value(v) for v in row])
+    """Stream the rows to ``path``, formatting each column lazily."""
+    cols = [map(_formatter(np.asarray(col).dtype.kind), col)
+            for col in map(table.column, table.columns)]
     with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+        w = csv.writer(fh, lineterminator="\r\n")
+        w.writerow(table.columns)
+        w.writerows(zip(*cols))
 
 
 def read_csv(path) -> ResultTable:
+    """Columns of strings named by the header row; blank lines are skipped."""
     with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise ValueError(f"{path}: empty CSV")
-    return ResultTable(columns=rows[0], rows=[tuple(r) for r in rows[1:]])
+    header, body = rows[0], rows[1:]
+    if len(set(header)) < len(header) or any(len(r) != len(header) for r in body):
+        raise ValueError(f"{path}: repeated column name or ragged row")
+    return ResultTable({name: [r[i] for r in body] for i, name in enumerate(header)})
 
 
 def write_manifest(path, entries: dict, outputs: list[str]) -> None:

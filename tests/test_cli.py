@@ -129,6 +129,13 @@ def test_io_failure_exit_4(tmp_path):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("blocked", ["clock_summary.csv", "clock.manifest.txt"])
+def test_io_failure_after_first_file_leaves_no_files(tmp_path, blocked):
+    (tmp_path / blocked).mkdir()
+    assert run_cli(["clock"], tmp_path) == EXIT_IO
+    assert os.listdir(tmp_path) == [blocked]
+
+
 def test_sweep_single_axis_monotone(tmp_path):
     assert run_cli(["sweep", "--axis", "h0=0.8:2.0:7", "--oracle"],
                    tmp_path) == EXIT_OK
@@ -195,6 +202,23 @@ def test_cosmo_matter_columns(tmp_path):
     norms = [float(v) for v in traj.column("norm")]
     for n in norms:
         assert abs(n - 1.0) < 1e-9
+
+
+def test_cosmo_reads_potential_and_matter_tables(tmp_path):
+    grid = [0.5 + 0.25 * k for k in range(21)]
+    pot, mat, bad = tmp_path / "u.csv", tmp_path / "h.csv", tmp_path / "bad.csv"
+    pot.write_text("a,u\n" + "".join(f"{a!r},4\n" for a in grid))
+    mat.write_text("a,h00,h01re,h01im,h11\n"
+                   + "".join(f"{a!r},0.5,{0.5 / a!r},0,-0.5\n" for a in grid))
+    bad.write_text("a,u\n1,4\n2\n")
+    assert main(["cosmo", "--potential", f"table:{pot}", "--matter",
+                 f"file:{mat}", "--output-dir", str(tmp_path / "ok")]) == EXIT_OK
+    traj = read_csv(tmp_path / "ok" / "cosmo_trajectory.csv")
+    assert float(traj.column("a")[-1]) > 1.0
+    assert all(abs(float(v) - 1.0) < 1e-9 for v in traj.column("norm"))
+    assert main(["cosmo", "--potential", f"table:{bad}",
+                 "--output-dir", str(tmp_path / "no")]) == EXIT_VALIDATION
+    assert not (tmp_path / "no").exists()
 
 
 def test_network_gauge_mode(tmp_path):
@@ -274,9 +298,8 @@ def test_deep_semiclassical_current_ratio(tmp_path, args):
     # the finite-difference step follows the local wavelength hbar/p
     assert run_cli(args, tmp_path) == EXIT_OK
     t = read_csv(tmp_path / f"{args[0]}.csv")
-    for ratio, closed in zip(t.float_column("T_current_ratio"),
-                             t.float_column("T_closed")):
-        assert ratio == pytest.approx(closed, rel=1e-4)
+    for ratio, closed in zip(t.column("T_current_ratio"), t.column("T_closed")):
+        assert float(ratio) == pytest.approx(float(closed), rel=1e-4)
 
 
 def test_manifest_with_unknown_key_rejected(tmp_path):

@@ -1,9 +1,15 @@
-"""Golden CLI outputs: tunnel and sweep tables pinned cell by cell.
+"""Golden CLI outputs: every subcommand's tables pinned cell by cell.
 
-The files under tests/golden/ were written by the per-point quadrature WKB
-code.  Every column must match its text exactly, except T_current_ratio,
-a ratio of finite-difference currents whose last digits depend on how the
-WKB phases are evaluated; it gets 1e-11 relative.
+The tunnel and sweep files under tests/golden/ were written by the
+per-point quadrature WKB code, the others by the row-at-a-time table code
+that the columnar tables replaced.  Every column must match its text
+exactly, except:
+
+- T_current_ratio, a ratio of finite-difference currents whose last digits
+  depend on how the WKB phases are evaluated: 1e-11 relative;
+- columns that pass through BLAS (the Monte Carlo clock's coherence, and
+  the ek discrepancies and standard errors, which go through a dense expm),
+  whose last bits may differ with the BLAS build: 1e-12 relative.
 """
 
 import os
@@ -16,7 +22,17 @@ from semiq.tableio import read_csv
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 #: column -> relative tolerance; every other column is compared as text
-TOLERANCE = {"T_current_ratio": 1e-11}
+TOLERANCE = {"T_current_ratio": 1e-11, "coherence": 1e-12,
+             "discrepancy": 1e-12, "std_error": 1e-12,
+             "median_abs_discrepancy": 1e-12, "se": 1e-12}
+
+CLOCK = ["clock", "--energies", "0,0.5,1.3", "--sigma", "0.5", "--steps", "40"]
+CLOCK_MC = [*CLOCK, "--samples", "50", "--seed", "1"]
+EK = ["network", "--mode", "ek", "--n", "3", "--N", "4", "--draws", "4",
+      "--samples", "100", "--seed", "3"]
+ROLLDOWN = ["network", "--mode", "rolldown", "--n", "24", "--patterns", "2",
+            "--flips", "5", "--seed", "4"]
+COSMO = ["cosmo", "--matter", "twolevel:5"]
 
 CASES = [
     ("tunnel_unit_oracle.csv", "tunnel.csv",
@@ -26,6 +42,22 @@ CASES = [
      ["tunnel", "--hbar", "0.05", "--oracle"]),
     ("sweep_h0_mu_oracle.csv", "sweep.csv",
      ["sweep", "--axis", "h0=0.5:2:4", "--axis", "mu=1:4:3", "--oracle"]),
+    ("clock_3level_trajectory.csv", "clock_trajectory.csv", CLOCK),
+    ("clock_3level_summary.csv", "clock_summary.csv", CLOCK),
+    ("clock_3level_mc_trajectory.csv", "clock_trajectory.csv", CLOCK_MC),
+    ("clock_3level_mc_summary.csv", "clock_summary.csv", CLOCK_MC),
+    ("network_gauge_check.csv", "network_gauge_check.csv",
+     ["network", "--mode", "gauge-check", "--n", "4", "--N", "3",
+      "--draws", "5", "--seed", "2"]),
+    ("network_ek.csv", "network_ek.csv", EK),
+    ("network_ek_summary.csv", "network_ek_summary.csv", EK),
+    ("network_rolldown.csv", "network_rolldown.csv", ROLLDOWN),
+    ("network_rolldown_summary.csv", "network_rolldown_summary.csv", ROLLDOWN),
+    ("network_entropy.csv", "network_entropy.csv",
+     ["network", "--mode", "entropy", "--n", "3", "--steps", "300",
+      "--window", "4", "--seed", "5"]),
+    ("cosmo_twolevel_trajectory.csv", "cosmo_trajectory.csv", COSMO),
+    ("cosmo_twolevel_residual.csv", "cosmo_residual.csv", COSMO),
 ]
 
 

@@ -27,27 +27,25 @@ def test_fmt_value_special():
     assert fmt_value("abc") == "abc"
 
 
-def test_table_append_checks_width():
-    t = ResultTable(columns=["a", "b"])
-    t.append(1.0, 2.0)
+def test_table_rejects_unequal_column_lengths():
+    ResultTable({"a": [1.0], "b": [2.0]})
     with pytest.raises(ValueError):
-        t.append(1.0)
+        ResultTable({"a": [1.0, 2.0], "b": [1.0]})
 
 
 def test_table_column_lookup():
-    t = ResultTable(columns=["x", "y"])
-    t.append(1, "p")
-    t.append(2, "q")
+    t = ResultTable({"x": [1, 2], "y": ["p", "q"]})
+    assert t.columns == ["x", "y"]
+    assert t.rows[1] == (2, "q")
+    assert list(t.rows) == [(1, "p"), (2, "q")]
     assert t.column("y") == ["p", "q"]
-    assert t.float_column("x") == [1.0, 2.0]
     with pytest.raises(KeyError):
         t.column("z")
 
 
 def test_csv_crlf_and_roundtrip(tmp_path):
-    t = ResultTable(columns=["name", "value"])
-    t.append("alpha", 0.1 + 0.2)
-    t.append("beta", float("nan"))
+    t = ResultTable({"name": ["alpha", "beta"],
+                     "value": [0.1 + 0.2, float("nan")]})
     p = tmp_path / "t.csv"
     write_csv(t, p)
     raw = p.read_bytes()
@@ -57,6 +55,27 @@ def test_csv_crlf_and_roundtrip(tmp_path):
     assert back.columns == ["name", "value"]
     assert float(back.rows[0][1]) == pytest.approx(0.30000000000000004, abs=0)
     assert back.rows[1][1] == "nan"
+
+
+def test_csv_numpy_columns(tmp_path):
+    t = ResultTable({"flag": np.array([True, False]),
+                     "count": np.array([3, -1], dtype=np.int64),
+                     "x": np.array([0.1, np.nan])})
+    p = tmp_path / "t.csv"
+    write_csv(t, p)
+    assert p.read_bytes() == b"flag,count,x\r\n1,3,0.10000000000000001\r\n0,-1,nan\r\n"
+    assert fmt_value(np.True_) == "1"
+    assert fmt_value(np.float64(0.1)) == "0.10000000000000001"
+
+
+def test_read_csv_rejects_ragged_rows(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n1,2\n3\n")
+    with pytest.raises(ValueError):
+        read_csv(p)
+    p.write_text("a,a\n1,2\n")
+    with pytest.raises(ValueError):
+        read_csv(p)
 
 
 def test_manifest_roundtrip(tmp_path):
