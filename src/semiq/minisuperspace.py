@@ -60,20 +60,21 @@ class MiniSuperspaceModel:
         if not (self.hbar > 0 and math.isfinite(self.hbar)):
             raise ValueError("hbar must be positive and finite")
 
-    def with_hbar(self, hbar: float) -> "MiniSuperspaceModel":
-        return MiniSuperspaceModel(self.potential_u, hbar, self.lapse,
-                                   self.matter_hamiltonian)
-
     def u(self, a):
         return self.potential_u(a)
 
     def matter_at(self, a: float) -> np.ndarray:
         h = np.asarray(self.matter_hamiltonian(a), dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError("matter Hamiltonian must be a square matrix")
-        if np.max(np.abs(h - h.conj().T)) > 1e-12:
-            raise ValueError("matter Hamiltonian must be Hermitian")
-        return h
+        return _check_hermitian(h[None])[0]
+
+
+def _check_hermitian(h: np.ndarray) -> np.ndarray:
+    """Raise unless h is a (steps, d, d) stack of Hermitian matrices."""
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise ValueError("matter Hamiltonian must be a square matrix")
+    if np.max(np.abs(h - h.conj().swapaxes(1, 2))) > 1e-12:
+        raise ValueError("matter Hamiltonian must be Hermitian")
+    return h
 
 
 def _u_values(model: MiniSuperspaceModel, x: np.ndarray) -> np.ndarray:
@@ -87,15 +88,6 @@ def _u_values(model: MiniSuperspaceModel, x: np.ndarray) -> np.ndarray:
     return u
 
 
-def _check_lorentzian(model: MiniSuperspaceModel, points: np.ndarray):
-    u = np.asarray([model.u(a) for a in points], dtype=float)
-    if np.any(u < 0.0):
-        bad = points[np.argmin(u)]
-        raise ValueError(
-            f"U({bad}) < 0: Euclidean region, no Lorentzian branch here")
-    return u
-
-
 def hamilton_jacobi_phase(model: MiniSuperspaceModel, a_grid: np.ndarray) -> np.ndarray:
     """S(a) = integral_{a0}^{a} sqrt(U), adaptive quadrature per segment.
 
@@ -106,7 +98,10 @@ def hamilton_jacobi_phase(model: MiniSuperspaceModel, a_grid: np.ndarray) -> np.
     if a.ndim != 1 or a.size < 2 or not np.all(np.diff(a) > 0):
         raise ValueError("a_grid must be strictly increasing with >= 2 points")
     probe = np.unique(np.concatenate([a, 0.5 * (a[1:] + a[:-1])]))
-    _check_lorentzian(model, probe)
+    u = _u_values(model, probe)
+    if np.any(u < 0.0):
+        raise ValueError(f"U({probe[np.argmin(u)]}) < 0: Euclidean region, "
+                         "no Lorentzian branch here")
 
     def integrand(x):
         return math.sqrt(max(model.u(x), 0.0))
@@ -196,20 +191,14 @@ class MatterTrajectory:
     max_norm_drift: float
 
 
-def _step_unitary(h: np.ndarray, weight: float, hbar: float) -> np.ndarray:
-    """exp(-1j * weight * H / hbar) for Hermitian H, via eigendecomposition."""
-    vals, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * weight * vals / hbar)
-    return (vecs * phases) @ vecs.conj().T
-
-
 def evolve_matter(model: MiniSuperspaceModel, clock: ClockMap,
                   chi0: np.ndarray, t_grid: np.ndarray) -> MatterTrajectory:
     """Unitary matter evolution i hbar dchi/dt = N(t) H_q(a(t)) chi.
 
     One midpoint-sampled exponential per step of the supplied grid (which
-    need not be uniform).  Each propagator is unitary to roundoff; a
-    per-step norm drift above 1e-12 rejects the step.
+    need not be uniform), all from one batched eigendecomposition.  Each
+    propagator is unitary to roundoff; a per-step norm drift above 1e-12
+    rejects the run at that step.
     """
     if model.matter_hamiltonian is None:
         raise ValueError("model has no matter sector")
@@ -222,26 +211,36 @@ def evolve_matter(model: MiniSuperspaceModel, clock: ClockMap,
         raise ValueError("chi0 must be nonzero")
 
     a_vals = clock(t)
+    t_mid = 0.5 * (t[:-1] + t[1:])
+    weights = np.array([model.lapse(tm) for tm in t_mid]) * np.diff(t)
+    # one (steps, d, d) buffer: the Hamiltonians, then their propagators
+    ops = np.empty((t_mid.size, chi.size, chi.size), dtype=complex)
+    for k, a in enumerate(clock(t_mid).tolist()):
+        h = model.matter_hamiltonian(a)
+        if np.shape(h) != ops.shape[1:]:
+            raise ValueError("matter Hamiltonian must be a square matrix "
+                             f"of chi0's dimension {chi.size}")
+        ops[k] = h
+    vals, vecs = np.linalg.eigh(_check_hermitian(ops))
+    # exp(-1j * weight * H / hbar) per step
+    phases = np.exp(-1j * weights[:, None] * vals / model.hbar)
+    np.matmul(vecs * phases[:, None, :], vecs.conj().swapaxes(1, 2), out=ops)
+
     chis = np.empty((t.size, chi.size), dtype=complex)
     chis[0] = chi
-    drift = 0.0
-    prev_norm = norm0
-    for k in range(t.size - 1):
-        tm = 0.5 * (t[k] + t[k + 1])
-        dt = t[k + 1] - t[k]
-        weight = model.lapse(tm) * dt
-        u = _step_unitary(model.matter_at(float(clock(tm))), weight, model.hbar)
-        chi = u @ chi
-        norm = np.linalg.norm(chi)
-        step_drift = abs(norm - prev_norm)
-        if step_drift > 1e-12 * norm0:
-            raise RuntimeError(f"norm drift {step_drift:.2e} at step {k}: "
-                               "propagator lost unitarity")
-        drift = max(drift, abs(norm - norm0))
-        prev_norm = norm
+    for k in range(t_mid.size):
+        chi = ops[k] @ chi
         chis[k + 1] = chi
+    re, im = chis[1:].real, chis[1:].imag
+    # vecdot sums like np.linalg.norm of one row; a norm along axis=1 does not
+    norms = np.concatenate(([norm0], np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))))
+    step_drift = np.abs(np.diff(norms))
+    bad = np.flatnonzero(step_drift > 1e-12 * norm0)
+    if bad.size:
+        raise RuntimeError(f"norm drift {step_drift[bad[0]]:.2e} at step {bad[0]}: "
+                           "propagator lost unitarity")
     return MatterTrajectory(t_grid=t, a_values=a_vals, chis=chis,
-                            max_norm_drift=float(drift))
+                            max_norm_drift=float(np.max(np.abs(norms - norm0))))
 
 
 @dataclass
@@ -297,7 +296,7 @@ def _gauss_legendre_phase(model, grid: np.ndarray) -> np.ndarray:
 
 
 def _residual_once(model: MiniSuperspaceModel, a_lo: float, a_hi: float,
-                   hbar: float, n: int, chi_of_a=None) -> float:
+                   hbar: float, n: int) -> float:
     grid = np.linspace(a_lo, a_hi, n + 1)
     u = _u_values(model, grid)
     if np.any(u < 0.0):
@@ -308,22 +307,12 @@ def _residual_once(model: MiniSuperspaceModel, a_lo: float, a_hi: float,
         raise ValueError("dS/da <= 0 on the residual grid: caustic")
     amp = np.sqrt(ds[0] / ds)
     psi = amp * np.exp(1j * s / hbar)
-    if chi_of_a is not None:
-        chi = chi_of_a(grid)           # (n+1, d)
-        psi = psi[:, None] * chi
-    else:
-        psi = psi[:, None]
     h = grid[1] - grid[0]
 
     def residual_vec(stride: int) -> np.ndarray:
         p = psi[::stride]
         lap = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (stride * h) ** 2
-        r = -hbar**2 * lap - u[stride:-stride:stride, None] * p[1:-1]
-        if chi_of_a is not None and model.matter_hamiltonian is not None:
-            hq = np.stack([model.matter_at(float(a))
-                           for a in grid[stride:-stride:stride]])
-            r = r + np.einsum("kij,kj->ki", hq, p[1:-1])
-        return r
+        return -hbar**2 * lap - u[stride:-stride:stride] * p[1:-1]
 
     # The second difference of the oscillatory factor carries an O(h^2)
     # truncation error that can dwarf the O(hbar^2) defect being measured.
@@ -334,7 +323,7 @@ def _residual_once(model: MiniSuperspaceModel, a_lo: float, a_hi: float,
     fine_even = fine[1::2]               # same grid indices as `coarse`
     res = (4.0 * fine_even - coarse) / 3.0
     pts = psi[2:-2:2]
-    scale = np.sqrt(np.mean(np.abs(u[2:-2:2, None] * pts) ** 2))
+    scale = np.sqrt(np.mean(np.abs(u[2:-2:2] * pts) ** 2))
     return float(np.sqrt(np.mean(np.abs(res) ** 2)) / scale)
 
 

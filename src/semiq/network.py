@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import ortho_group
 
 __all__ = [
     "NeuralState",
@@ -149,12 +148,10 @@ class GaugeTransformation:
 
     @staticmethod
     def random(n: int, N: int, seed: int) -> "GaugeTransformation":
-        rng = np.random.default_rng(seed)
-        if N == 1:
-            o = rng.choice([-1.0, 1.0], size=(n, 1, 1))
-        else:
-            o = np.stack([ortho_group.rvs(N, random_state=rng) for _ in range(n)])
-        return GaugeTransformation(o)
+        # Haar measure on O(N): QR of a Gaussian draw, columns signed by
+        # diag(R) (Mezzadri, Notices AMS 54, 592, 2007)
+        q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, N, N)))
+        return GaugeTransformation(q * np.sign(r.diagonal(axis1=1, axis2=2))[:, None, :])
 
 
 def _connection(g) -> np.ndarray:

@@ -18,6 +18,9 @@ __all__ = ["ResultTable", "fmt_value", "write_csv", "read_csv",
 
 MANIFEST_FORMAT = "1"
 
+#: rows per block that write_csv converts and writes at once
+_BLOCK_ROWS = 8192
+
 
 def _formatter(kind: str):
     """The one value-formatting rule, chosen by numpy dtype kind."""
@@ -63,13 +66,17 @@ class ResultTable:
 
 
 def write_csv(table: ResultTable, path) -> None:
-    """Stream the rows to ``path``, formatting each column lazily."""
-    cols = [map(_formatter(np.asarray(col).dtype.kind), col)
-            for col in map(table.column, table.columns)]
+    """Stream the rows to ``path`` in blocks of ``_BLOCK_ROWS``; array columns
+    are formatted from ``tolist``, as Python scalars format faster."""
+    cols = list(map(table.column, table.columns))
+    fmts = [_formatter(np.asarray(col).dtype.kind) for col in cols]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\r\n")
         w.writerow(table.columns)
-        w.writerows(zip(*cols))
+        for lo in range(0, len(table.rows), _BLOCK_ROWS):
+            block = [col[lo:lo + _BLOCK_ROWS] for col in cols]
+            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+            w.writerows(zip(*(map(f, b) for f, b in zip(fmts, block))))
 
 
 def read_csv(path) -> ResultTable:

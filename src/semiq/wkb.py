@@ -40,6 +40,11 @@ __all__ = [
 #: 1/sqrt(p) prefactors blow up and evaluation is refused
 TURNING_POINT_EXCLUSION = 1e-3
 
+#: current_ratio samples the currents CURRENT_OFFSET barrier widths outside
+#: the turning points, with a step of CURRENT_REL_STEP wavelengths hbar/p
+CURRENT_OFFSET = 0.5
+CURRENT_REL_STEP = 1e-4
+
 _REGIONS = ("incoming", "under_barrier", "outgoing")
 
 
@@ -231,8 +236,7 @@ def _fd_current(sol: WkbSolution, region: str, phi: float, h: float) -> float:
     return bp.hbar / bp.mu * (psi.conjugate() * dpsi).imag
 
 
-def current_ratio(sol: WkbSolution, bp: BarrierProblem | None = None,
-                  offset: float = 0.5, rel_step: float = 1e-4) -> float:
+def current_ratio(sol: WkbSolution, bp: BarrierProblem | None = None) -> float:
     """|j_outgoing| / |j_incoming| from finite-difference currents.
 
     Both currents are checked against their closed-form values
@@ -244,10 +248,11 @@ def current_ratio(sol: WkbSolution, bp: BarrierProblem | None = None,
         bp = sol.problem
     a, b = turning_points(bp)
     scale = (b - a) if b > a else 1.0
-    phi_in = a - offset * scale
-    phi_out = b + offset * scale
-    # the step resolves the local wavelength as well as the barrier width
-    h = rel_step * min(scale, bp.hbar / momenta(bp, phi_out).p)
+    phi_in = a - CURRENT_OFFSET * scale
+    phi_out = b + CURRENT_OFFSET * scale
+    # a fixed phase step k*h keeps the rounding that 1/(k*h) amplifies the
+    # same at any wavelength; a quarter width stays clear of the exclusion zone
+    h = min(CURRENT_REL_STEP * bp.hbar / momenta(bp, phi_out).p, 0.25 * scale)
 
     j_in = _fd_current(sol, "incoming", phi_in, h)
     j_out = _fd_current(sol, "outgoing", phi_out, h)

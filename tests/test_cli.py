@@ -2,9 +2,12 @@
 console script, minus the process boundary, so failures keep tracebacks)."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import semiq
 from semiq.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from semiq.tableio import read_csv, read_manifest
 
@@ -314,3 +317,13 @@ def test_manifest_with_unknown_key_rejected(tmp_path):
         path.write_text(text + extra)
         with pytest.raises(ValidationError, match="unknown key"):
             RunConfig.from_manifest(path)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about half a second of import time and nothing uses it
+    code = "import sys, semiq.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(semiq.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -177,3 +177,64 @@ def test_matter_hermiticity_checked():
     m = quad_model(matter_hamiltonian=bad)
     with pytest.raises(ValueError):
         m.matter_at(1.0)
+
+
+def test_matter_matches_per_step_reference():
+    # non-uniform grid and a time-dependent lapse: every step has its own
+    # midpoint, width and weight N(t_mid) * dt
+    lapse = lambda t: 1.0 + 0.5 * math.sin(7.0 * t)
+    m = MiniSuperspaceModel(potential_u=lambda a: 4.0 * a * a, hbar=0.3,
+                            lapse=lapse, matter_hamiltonian=two_level)
+    cm = clock_map(m, a0=1.0, t_span=(0.0, 0.3))
+    t = 0.3 * np.linspace(0.0, 1.0, 241) ** 1.5
+    chi = np.array([0.6, 0.8j], dtype=complex)
+    traj = evolve_matter(m, cm, chi, t)
+    ref = [chi]
+    for k in range(t.size - 1):
+        tm = 0.5 * (t[k] + t[k + 1])
+        vals, vecs = np.linalg.eigh(two_level(cm(tm)))
+        w = lapse(tm) * (t[k + 1] - t[k])
+        u = (vecs * np.exp(-1j * w * vals / m.hbar)) @ vecs.conj().T
+        ref.append(u @ ref[-1])
+    assert np.max(np.abs(traj.chis - np.array(ref))) < 1e-14
+    assert traj.max_norm_drift < 1e-14
+
+
+def test_matter_rejects_hamiltonian_turning_non_hermitian():
+    def h(a):
+        out = two_level(a)
+        if a > 1.5:
+            out[0, 1] += 1e-6
+        return out
+
+    m = quad_model(matter_hamiltonian=h)
+    cm = clock_map(m, a0=1.0, t_span=(0.0, 0.3))
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve_matter(m, cm, np.array([1.0, 0.0], dtype=complex),
+                      np.linspace(0.0, 0.3, 301))
+
+
+def test_matter_norm_drift_names_first_bad_step(monkeypatch):
+    # propagators that stretch chi by 2e-9 at steps 7 and 12: the error
+    # names the first of them
+    eigh = np.linalg.eigh
+
+    def leaky_eigh(h):
+        vals, vecs = eigh(h)
+        vecs[[7, 12]] *= 1.0 + 1e-9
+        return vals, vecs
+
+    m = quad_model(matter_hamiltonian=two_level)
+    cm = clock_map(m, a0=1.0, t_span=(0.0, 0.3))
+    monkeypatch.setattr(np.linalg, "eigh", leaky_eigh)
+    with pytest.raises(RuntimeError, match="at step 7:"):
+        evolve_matter(m, cm, np.array([1.0, 0.0], dtype=complex),
+                      np.linspace(0.0, 0.3, 31))
+
+
+def test_matter_rejects_hamiltonian_of_wrong_size():
+    m = quad_model(matter_hamiltonian=lambda a: np.eye(3, dtype=complex))
+    cm = clock_map(m, a0=1.0, t_span=(0.0, 0.3))
+    with pytest.raises(ValueError, match="square matrix"):
+        evolve_matter(m, cm, np.array([1.0, 0.0], dtype=complex),
+                      np.linspace(0.0, 0.3, 11))

@@ -243,3 +243,11 @@ def test_gauge_transformation_orthogonality():
         assert np.max(np.abs(m @ m.T - np.eye(4))) < 1e-12
     o1 = GaugeTransformation.random(4, 1, seed=3)
     assert set(np.unique(o1.matrices)) <= {-1.0, 1.0}
+
+
+def test_gauge_transformation_is_scipy_haar_draw():
+    # the same QR-and-sign algorithm on the same stream as ortho_group
+    from scipy.stats import ortho_group
+    rng = np.random.default_rng(5)
+    ref = np.stack([ortho_group.rvs(3, random_state=rng) for _ in range(4)])
+    assert np.array_equal(GaugeTransformation.random(4, 3, seed=5).matrices, ref)

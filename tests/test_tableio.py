@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from semiq import tableio
 from semiq.svgplot import LinePlot
 from semiq.tableio import (
     ResultTable,
@@ -66,6 +67,18 @@ def test_csv_numpy_columns(tmp_path):
     assert p.read_bytes() == b"flag,count,x\r\n1,3,0.10000000000000001\r\n0,-1,nan\r\n"
     assert fmt_value(np.True_) == "1"
     assert fmt_value(np.float64(0.1)) == "0.10000000000000001"
+
+
+def test_csv_spans_several_row_blocks(tmp_path):
+    # write_csv converts and writes a block of rows at a time; every row of
+    # every block must come out, formatted like a single value
+    n = 2 * tableio._BLOCK_ROWS + 3
+    x = np.random.default_rng(0).normal(size=n)
+    t = ResultTable({"i": np.arange(n), "x": x, "flag": x > 0,
+                     "tag": [f"r{k}" for k in range(n)]})
+    write_csv(t, tmp_path / "t.csv")
+    back = read_csv(tmp_path / "t.csv")
+    assert list(back.rows) == [tuple(map(fmt_value, row)) for row in t.rows]
 
 
 def test_read_csv_rejects_ragged_rows(tmp_path):

@@ -118,6 +118,15 @@ def test_current_ratio_equals_activation_rate(hbar, mu, j0):
     assert abs(ratio - expected) / expected < 1e-4
 
 
+def test_current_ratio_at_long_wavelength():
+    # the wavelength hbar/p is about 6 barrier widths; a step tied to the
+    # barrier width lets phase rounding through at the 5e-12 level
+    bp = BarrierProblem(hbar=2.0, mu=0.5, j0=1.0, h0=0.1)
+    sol = solve_barrier(bp)
+    assert current_ratio(sol) == pytest.approx(
+        math.exp(-2.0 * barrier_exponent(bp)), rel=1e-12, abs=0.0)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         BarrierProblem(hbar=0.0, mu=1.0, j0=1.0, h0=1.0)
