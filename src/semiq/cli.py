@@ -600,10 +600,17 @@ def _parse_potential(spec: str):
         if np.any(u_vals <= 0):
             raise ValidationError(f"{arg}: potential values must be positive")
 
-        # constant extension outside the tabulated range keeps the ODE
-        # right-hand side defined while the solver brackets its events
-        def u_of(a, _a=a_vals, _u=u_vals):
-            return np.interp(np.asarray(a, dtype=float), _a, _u)
+        # imported here: scipy.interpolate adds ~50 ms to every CLI start
+        from scipy.interpolate import CubicSpline
+
+        # a spline, so U'' is a function and not a sum of delta functions;
+        # the clip extends it as a constant outside the tabulated range,
+        # which keeps the ODE right-hand side defined while the solver
+        # brackets its events
+        spline = CubicSpline(a_vals, u_vals)
+
+        def u_of(a, _lo=a_vals[0], _hi=a_vals[-1]):
+            return spline(np.clip(np.asarray(a, dtype=float), _lo, _hi))
 
         return u_of, (float(a_vals[0]), float(a_vals[-1]))
     raise ValidationError(f"unknown potential {spec!r}")
@@ -700,8 +707,10 @@ def _run_cosmo(cfg: RunConfig):
 
     def plots():
         svg1 = render_plot(t_traj, "t", ["a"], title="scale factor clock")
-        svg2 = render_plot(t_res, "hbar", ["residual"],
-                           logx=True, logy=True, title="constraint residual",
+        # a constant U has residual 0, which a log axis cannot show
+        svg2 = render_plot(t_res, "hbar", ["residual"], logx=True,
+                           logy=bool(np.all(report.residuals > 0)),
+                           title="constraint residual",
                            annotate_loglog_slope=True)
         return [("cosmo_trajectory.svg", svg1), ("cosmo_residual.svg", svg2)]
 

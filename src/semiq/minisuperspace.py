@@ -13,9 +13,9 @@ is solved order by order in hbar with the ansatz Psi = A(a) e^{iS/hbar} chi:
   *  da/dt = 2 N(t) dS/da             (the emergent clock; N is the lapse)
   *  i hbar dchi/dt = N H_q(a(t)) chi (unitary matter evolution)
 
-What the truncation discards is O(hbar^2), which wdw_residual verifies by
-applying the full operator to the assembled Psi and watching the residual
-scale as hbar**2.
+What the truncation discards is exactly -hbar**2 A'' e^{iS/hbar}, which
+wdw_residual evaluates in closed form from U, U' and U'' and whose norm
+scales as hbar**2.
 """
 
 from __future__ import annotations
@@ -69,9 +69,11 @@ class MiniSuperspaceModel:
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
-    """Raise unless h is a (steps, d, d) stack of Hermitian matrices."""
+    """Raise unless h is a (steps, d, d) stack of finite Hermitian matrices."""
     if h.ndim != 3 or h.shape[1] != h.shape[2]:
         raise ValueError("matter Hamiltonian must be a square matrix")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matter Hamiltonian must be finite")
     if np.max(np.abs(h - h.conj().swapaxes(1, 2))) > 1e-12:
         raise ValueError("matter Hamiltonian must be Hermitian")
     return h
@@ -275,6 +277,10 @@ def build_branch(model: MiniSuperspaceModel, a_grid: np.ndarray,
                                clock=clock, matter=matter)
 
 
+#: uniform points on which wdw_residual samples U and its derivatives
+RESIDUAL_POINTS = 4097
+
+
 @dataclass
 class ResidualReport:
     hbars: np.ndarray
@@ -282,82 +288,40 @@ class ResidualReport:
     slope: float                       # log-log fit of residual vs hbar
 
 
-def _gauss_legendre_phase(model, grid: np.ndarray) -> np.ndarray:
-    """Cumulative integral of sqrt(U) on a fine grid, 5-point GL per cell."""
-    nodes, wts = np.polynomial.legendre.leggauss(5)
-    lo = grid[:-1]
-    h = np.diff(grid)
-    x = lo[:, None] + 0.5 * h[:, None] * (nodes[None, :] + 1.0)
-    u = _u_values(model, x)
-    if np.any(u < -1e-15):
-        raise ValueError("U < 0 inside the residual grid: Euclidean region")
-    seg = 0.5 * h * (np.sqrt(np.clip(u, 0.0, None)) @ wts)
-    return np.concatenate(([0.0], np.cumsum(seg)))
-
-
-def _residual_once(model: MiniSuperspaceModel, a_lo: float, a_hi: float,
-                   hbar: float, n: int) -> float:
-    grid = np.linspace(a_lo, a_hi, n + 1)
-    u = _u_values(model, grid)
-    if np.any(u < 0.0):
-        raise ValueError("U < 0 on the residual grid: Euclidean region")
-    s = _gauss_legendre_phase(model, grid)
-    ds = np.sqrt(u)
-    if np.any(ds <= 0.0):
-        raise ValueError("dS/da <= 0 on the residual grid: caustic")
-    amp = np.sqrt(ds[0] / ds)
-    psi = amp * np.exp(1j * s / hbar)
-    h = grid[1] - grid[0]
-
-    def residual_vec(stride: int) -> np.ndarray:
-        p = psi[::stride]
-        lap = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (stride * h) ** 2
-        return -hbar**2 * lap - u[stride:-stride:stride] * p[1:-1]
-
-    # The second difference of the oscillatory factor carries an O(h^2)
-    # truncation error that can dwarf the O(hbar^2) defect being measured.
-    # Fine and double-step residuals share the even grid points, so a
-    # pointwise Richardson step removes that error to O(h^4).
-    fine = residual_vec(1)               # at grid indices 1 .. n-1
-    coarse = residual_vec(2)             # at grid indices 2, 4, .. n-2
-    fine_even = fine[1::2]               # same grid indices as `coarse`
-    res = (4.0 * fine_even - coarse) / 3.0
-    pts = psi[2:-2:2]
-    scale = np.sqrt(np.mean(np.abs(u[2:-2:2] * pts) ** 2))
-    return float(np.sqrt(np.mean(np.abs(res) ** 2)) / scale)
-
-
 def wdw_residual(model: MiniSuperspaceModel, a_span: tuple[float, float],
-                 hbar_list, n: int = 4096, max_refinements: int = 6) -> ResidualReport:
-    """Apply the full constraint operator to the assembled branch per hbar.
+                 hbar_list) -> ResidualReport:
+    """Relative defect of the assembled branch under the full constraint.
 
-    Psi = A e^{iS/hbar} is rebuilt for every hbar (S and A do not depend on
-    it) and the second-order finite-difference operator is applied; the
-    grid is refined until doubling changes the residual by < 10% (a coarse
-    grid would report its own truncation error instead of the branch's).
-    Matter is deliberately left out: chi contributes a kinetic term of
-    order hbar^0 that the semiclassical factorisation discards, so the
-    hbar**2 scaling is a property of the gravitational factor alone.
+    With S' = sqrt(U) and A = (U(a0)/U)^(1/4) the eikonal and transport
+    equations cancel the hbar^0 and hbar^1 terms, so exactly
+
+        (-hbar**2 d^2/da^2 - U) A e^{iS/hbar} = -hbar**2 A'' e^{iS/hbar},
+
+    with A'' = A (5 U'^2 / (16 U^2) - U'' / (4 U)).  The residual relative
+    to ||U Psi|| is hbar**2 ||A''|| / ||U A|| on RESIDUAL_POINTS uniform
+    points; the grid never has to resolve the phase.  A constant U gives
+    residual 0 and slope nan.  Matter is deliberately left out: chi
+    contributes a kinetic term of order hbar^0 that the semiclassical
+    factorisation discards, so the hbar**2 scaling is a property of the
+    gravitational factor alone.
     """
     hbars = np.asarray(sorted(hbar_list, reverse=True), dtype=float)
     if hbars.size < 2 or np.any(hbars <= 0):
         raise ValueError("need at least two positive hbar values")
-    residuals = np.empty_like(hbars)
-    for i, hb in enumerate(hbars):
-        size = n
-        val = _residual_once(model, a_span[0], a_span[1], hb, size)
-        for _ in range(max_refinements):
-            if val < 1e-10:      # at the rounding floor: exact solution
-                break
-            nxt = _residual_once(model, a_span[0], a_span[1], hb, 2 * size)
-            size *= 2
-            if abs(nxt - val) <= 0.1 * abs(nxt):
-                val = nxt
-                break
-            val = nxt
-        else:
-            warnings.warn(f"residual at hbar={hb} not grid-converged "
-                          f"(last change > 10% at n={size})")
-        residuals[i] = val
-    slope = float(np.polyfit(np.log(hbars), np.log(residuals), 1)[0])
+    a = np.linspace(a_span[0], a_span[1], RESIDUAL_POINTS)
+    u = _u_values(model, a)
+    if np.any(u <= 0.0):
+        raise ValueError(f"U({a[np.argmin(u)]}) <= 0 on the residual span: "
+                         "Euclidean region or turning point")
+    h = a[1] - a[0]
+    # the one-sided edge weights -1.5/h, 2/h, -0.5/h do not cancel in
+    # floating point; differencing u - u[0] keeps a constant U's U' at 0
+    du = np.gradient(u - u[0], h, edge_order=2)
+    d2u = np.gradient(du, h, edge_order=2)
+    amp = (u[0] / u) ** 0.25
+    amp_dd = amp * (5.0 * du**2 / (16.0 * u**2) - d2u / (4.0 * u))
+    ratio = np.linalg.norm(amp_dd) / np.linalg.norm(u * amp)
+    residuals = hbars**2 * ratio
+    slope = (float(np.polyfit(np.log(hbars), np.log(residuals), 1)[0])
+             if ratio > 0.0 else math.nan)
     return ResidualReport(hbars=hbars, residuals=residuals, slope=slope)

@@ -1,10 +1,13 @@
 """End-to-end checks driven through semiq.cli.main (same code path as the
 console script, minus the process boundary, so failures keep tracebacks)."""
 
+import math
 import os
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 import semiq
@@ -224,6 +227,69 @@ def test_cosmo_reads_potential_and_matter_tables(tmp_path):
     assert not (tmp_path / "no").exists()
 
 
+def residual_rows(out_dir):
+    res = read_csv(out_dir / "cosmo_residual.csv")
+    return [(float(h), float(r), float(s)) for h, r, s in res.rows]
+
+
+def test_cosmo_residual_in_deep_regime(tmp_path):
+    # a grows to e^4: S = a^2 - 1 winds far faster than any grid resolves,
+    # and the residual is hbar^2 ||A''|| / ||U A|| with A = a^(-1/2)
+    from semiq.minisuperspace import RESIDUAL_POINTS
+
+    assert run_cli(["cosmo", "--t-max", "1.0"], tmp_path) == EXIT_OK
+    a_end = float(read_csv(tmp_path / "cosmo_trajectory.csv").column("a")[-1])
+    a = np.linspace(1.0, a_end, RESIDUAL_POINTS)
+    ratio = np.linalg.norm(0.75 * a**-2.5) / np.linalg.norm(4.0 * a**1.5)
+    for hbar, residual, slope in residual_rows(tmp_path):
+        assert residual == pytest.approx(hbar**2 * ratio, rel=1e-10)
+        assert abs(slope - 2.0) < 0.2
+
+
+@pytest.mark.parametrize("plot", [False, True])
+def test_cosmo_constant_potential_has_no_residual(tmp_path, plot):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["cosmo", "--potential", "constant:4",
+                        *(["--plot"] if plot else [])], tmp_path) == EXIT_OK
+    assert caught == []
+    for _, residual, slope in residual_rows(tmp_path):
+        assert residual == 0.0 and math.isnan(slope)
+    if plot:
+        assert (tmp_path / "cosmo_trajectory.svg").exists()
+        assert (tmp_path / "cosmo_residual.svg").exists()
+
+
+def test_cosmo_table_potential_is_splined(tmp_path):
+    grid = [0.5 + 0.1 * k for k in range(26)]
+    quad, flat = tmp_path / "quad.csv", tmp_path / "flat.csv"
+    quad.write_text("a,u\n" + "".join(f"{a!r},{4 * a * a!r}\n" for a in grid))
+    flat.write_text("a,u\n" + "".join(f"{a!r},4\n" for a in grid))
+    for name, spec in (("table", f"table:{quad}"), ("closed", "quadratic:4"),
+                       ("flat", f"table:{flat}")):
+        assert main(["cosmo", "--potential", spec, "--a-max", "3.0",
+                     "--output-dir", str(tmp_path / name)]) == EXIT_OK
+    # a cubic spline reproduces u = 4 a^2 exactly, so U'' is 8, not a sum
+    # of delta functions at the knots
+    for got, want in zip(residual_rows(tmp_path / "table"),
+                         residual_rows(tmp_path / "closed")):
+        assert got == pytest.approx(want, rel=1e-9)
+    for _, residual, slope in residual_rows(tmp_path / "flat"):
+        assert residual == 0.0 and math.isnan(slope)
+
+
+def test_cosmo_rejects_non_finite_matter_table(tmp_path):
+    grid = [0.5 + 0.25 * k for k in range(21)]
+    mat = tmp_path / "h.csv"
+    mat.write_text("a,h00,h01re,h01im,h11\n" + "".join(
+        f"{a!r},0.5,{'nan' if a == 2.0 else repr(0.5 / a)},0,-0.5\n"
+        for a in grid))
+    out = tmp_path / "out"
+    assert main(["cosmo", "--matter", f"file:{mat}", "--t-max", "0.2",
+                 "--t-points", "21", "--output-dir", str(out)]) == EXIT_NUMERICAL
+    assert not out.exists()
+
+
 def test_network_gauge_mode(tmp_path):
     assert run_cli(["network", "--mode", "gauge-check", "--n", "4", "--N", "4",
                     "--samples", "10", "--seed", "0"], tmp_path) == EXIT_OK
@@ -320,10 +386,12 @@ def test_manifest_with_unknown_key_rejected(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about half a second of import time and nothing uses it
-    code = "import sys, semiq.cli; print('scipy.stats' in sys.modules)"
+    # scipy.stats costs about half a second of import time and nothing uses
+    # it; scipy.interpolate costs about 50 ms and only table: potentials do
+    code = ("import sys, semiq.cli; print([m for m in "
+            "('scipy.stats', 'scipy.interpolate') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(semiq.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

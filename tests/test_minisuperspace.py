@@ -150,13 +150,56 @@ def test_wdw_residual_matches_amplitude_curvature():
     assert abs(rep.residuals[0] - expected) < 1e-6
 
 
+def finite_difference_residual(model, a_lo, a_hi, hbar, n):
+    """Reference: apply the constraint operator to Psi = A e^{iS/hbar} by
+    finite differences on n cells, Richardson-extrapolated pointwise.
+
+    The grid has to resolve the phase: the second difference's O(h^2)
+    truncation error can dwarf the O(hbar^2) defect unless n is large.
+    """
+    grid = np.linspace(a_lo, a_hi, n + 1)
+    u = model.u(grid)
+    nodes, wts = np.polynomial.legendre.leggauss(5)
+    h = grid[1] - grid[0]
+    x = grid[:-1, None] + 0.5 * h * (nodes[None, :] + 1.0)
+    s = np.concatenate(([0.0], np.cumsum(0.5 * h * (np.sqrt(model.u(x)) @ wts))))
+    ds = np.sqrt(u)
+    psi = np.sqrt(ds[0] / ds) * np.exp(1j * s / hbar)
+
+    def residual_vec(stride):
+        p = psi[::stride]
+        lap = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (stride * h) ** 2
+        return -hbar**2 * lap - u[stride:-stride:stride] * p[1:-1]
+
+    # fine and double-step residuals share the even grid points
+    res = (4.0 * residual_vec(1)[1::2] - residual_vec(2)) / 3.0
+    scale = np.sqrt(np.mean(np.abs(u[2:-2:2] * psi[2:-2:2]) ** 2))
+    return float(np.sqrt(np.mean(np.abs(res) ** 2)) / scale)
+
+
+@pytest.mark.parametrize("a_span", [(1.0, math.exp(1.2)), (1.0, 4.0), (0.5, 2.0)])
+def test_wdw_residual_matches_finite_difference_reference(a_span):
+    hbars = [0.1, 0.05, 0.025]
+    rep = wdw_residual(quad_model(), a_span, hbars)
+    ref = [finite_difference_residual(quad_model(), *a_span, hb, 65536)
+           for hb in rep.hbars]
+    assert rep.residuals == pytest.approx(ref, rel=1e-3)
+
+
+def test_wdw_residual_rejects_turning_point():
+    m = MiniSuperspaceModel(potential_u=lambda a: a - 2.0, hbar=1.0)
+    with pytest.raises(ValueError, match="<= 0"):
+        wdw_residual(m, (2.0, 3.0), [0.1, 0.05])
+
+
 def test_wdw_residual_plane_wave_exact():
     m = MiniSuperspaceModel(potential_u=lambda a: 1.0 + 0.0 * np.asarray(a),
                             hbar=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = wdw_residual(m, (1.0, 4.0), [0.1, 0.05])
-    assert np.all(rep.residuals < 1e-9)
+    assert np.all(rep.residuals == 0.0)
+    assert math.isnan(rep.slope)
 
 
 def test_build_branch_assembles():
