@@ -30,6 +30,8 @@ CLOCK = ["clock", "--energies", "0,0.5,1.3", "--sigma", "0.5", "--steps", "40"]
 CLOCK_MC = [*CLOCK, "--samples", "50", "--seed", "1"]
 EK = ["network", "--mode", "ek", "--n", "3", "--N", "4", "--draws", "4",
       "--samples", "100", "--seed", "3"]
+EK32 = ["network", "--mode", "ek", "--n", "4", "--N", "32", "--draws", "8",
+        "--samples", "2000", "--seed", "1123"]
 ROLLDOWN = ["network", "--mode", "rolldown", "--n", "24", "--patterns", "2",
             "--flips", "5", "--seed", "4"]
 COSMO = ["cosmo", "--matter", "twolevel:5"]
@@ -51,6 +53,8 @@ CASES = [
       "--draws", "5", "--seed", "2"]),
     ("network_ek.csv", "network_ek.csv", EK),
     ("network_ek_summary.csv", "network_ek_summary.csv", EK),
+    ("network_ek_n4_N32.csv", "network_ek.csv", EK32),
+    ("network_ek_n4_N32_summary.csv", "network_ek_summary.csv", EK32),
     ("network_rolldown.csv", "network_rolldown.csv", ROLLDOWN),
     ("network_rolldown_summary.csv", "network_rolldown_summary.csv", ROLLDOWN),
     ("network_entropy.csv", "network_entropy.csv",
