@@ -31,7 +31,6 @@ import math
 import os
 import sys
 import tempfile
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -554,9 +553,7 @@ def _network_entropy(p):
     counts = [network.window_counts(hist, w) for w in windows]
     seen = np.array([sum(c.values()) for c in counts])
     bins = np.array([len(c) for c in counts])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rates = [network.entropy_rate(hist, w) for w in windows]
+    rates = [network.plugin_entropy_rate(c, w) for c, w in zip(counts, windows)]
     table = ResultTable({"window": windows, "windows_observed": seen,
                          "occupied_bins": bins, "entropy_bits_per_step": rates,
                          "undersampled": seen / bins < 5.0})

@@ -18,14 +18,25 @@ interaction Hamiltonian
 
     H_int = -(1/2N) <<phi, exp(D) phi>> + H0
 
-is therefore exactly invariant.  Collapsing all sites to one removes the
+is therefore exactly invariant.  hamiltonian_full evaluates it with a
+dense expm, for any connection.  Collapsing all sites to one removes the
 difference part, exp(D) -> exp(G): the quenched single-site reduction.
+
+The large-N comparison (ek_comparison) puts the same G at every site.
+Then D = -I + S (x) (1 + G), with S the cyclic site shift, is block-
+circulant and exp(D) is diagonal in site-Fourier modes times the
+eigenvectors of the Hermitian iG.  One N x N eigendecomposition per draw
+gives the ring energies and, as the n = 1 case, the reduced ones, at
+O(samples n N (n + N) + N^3) cost (O(samples n N^2 + N^3) for n <= N)
+and with no (nN) x (nN) matrix.
+
 The quenched Hopfield limit keeps an n x n coupling matrix J and the
 energy -(1/2) <phi, J phi> + H0 on unit n-vectors.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from collections import Counter
@@ -51,6 +62,7 @@ __all__ = [
     "hamiltonian_quenched",
     "hebbian_couplings",
     "rolldown",
+    "plugin_entropy_rate",
     "entropy_rate",
     "observer_triple",
 ]
@@ -121,12 +133,6 @@ class GlialField:
         rng = np.random.default_rng(seed)
         r = rng.standard_normal((n, N, N))
         return GlialField(scale * 0.5 * (r - np.transpose(r, (0, 2, 1))))
-
-    @staticmethod
-    def uniform(g: np.ndarray, n: int) -> "GlialField":
-        """The same single-site matrix replicated at every site."""
-        g = np.asarray(g, dtype=float)
-        return GlialField(np.broadcast_to(g, (n,) + g.shape).copy())
 
 
 class GaugeTransformation:
@@ -223,6 +229,35 @@ def gauge_transform(state: NeuralState, g, o: GaugeTransformation):
     return NeuralState(phi2), g2
 
 
+def _uniform_ring_energies(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-(1/2N) <x, exp(D) x> per sample, x shaped (samples, n, N), for a
+    ring that carries the same antisymmetric connection g at every site.
+
+    D = -I + S (x) (1 + G) with (S x)_i = x_{i+1} is block-circulant: site
+    mode k (x_i ~ w_k^i, w_k = exp(2 pi i k / n)) and eigenvector v_j of G
+    (G v_j = mu_j v_j) give exp(D) the eigenvalue exp(-1 + w_k (1 + mu_j)).
+    With z_kj = <v_j, x_hat_k> and x_hat_k = sum_i w_k^-i x_i / sqrt(n),
+    <x, exp(D) x> = sum_kj |z_kj|^2 Re exp(-1 + w_k (1 + mu_j)).  At n = 1,
+    D = G.
+    """
+    n, N = x.shape[1], x.shape[2]
+    lam, v = np.linalg.eigh(1j * g)         # iG Hermitian: mu_j = -i lam_j
+    vc = v.conj()
+    sites = np.arange(n)
+    energy = np.zeros(x.shape[0])
+    for k in range(n):
+        theta = 2.0 * math.pi * (k * sites % n) / n
+        # sqrt(n) x_hat_k from real cos and sin projections: an FFT over the
+        # site axis would hold complex copies of every site of every sample
+        x_hat = (np.einsum("i,sim->sm", np.cos(theta), x)
+                 - 1j * np.einsum("i,sim->sm", np.sin(theta), x))
+        z = x_hat @ vc
+        omega = cmath.exp(2j * math.pi * k / n)
+        weight = np.exp(-1.0 + omega * (1.0 - 1j * lam)).real
+        energy += (z.real ** 2 + z.imag ** 2) @ weight
+    return -energy / (2.0 * n * N)
+
+
 def ek_reduced_hamiltonian(phi: np.ndarray, g: np.ndarray, h0: float = 0.0) -> float:
     """Single-site reduction: H_red = -(1/2N) <phi, exp(G) phi> + H0.
 
@@ -233,10 +268,11 @@ def ek_reduced_hamiltonian(phi: np.ndarray, g: np.ndarray, h0: float = 0.0) -> f
     g = np.asarray(g, dtype=float)
     if phi.ndim != 1 or g.shape != (phi.size, phi.size):
         raise ValueError("expected a length-N vector and an N x N matrix")
+    if np.max(np.abs(g + g.T)) > 1e-12:
+        raise ValueError("connection matrix must be antisymmetric")
     if abs(np.linalg.norm(phi) - 1.0) > 1e-9:
         raise ValueError("phi must be a unit vector")
-    N = phi.size
-    return float(-(phi @ expm(g) @ phi) / (2.0 * N) + h0)
+    return float(_uniform_ring_energies(phi[None, None, :], g)[0] + h0)
 
 
 @dataclass
@@ -285,15 +321,12 @@ def ek_comparison(n: int, N: int, beta: float, draws: int, samples: int,
         rng = np.random.default_rng(streams[d])
         r = rng.standard_normal((N, N))
         g = g_scale * (r - r.T) / (2.0 * math.sqrt(N))
-        m_red = expm(g)
-        m_full = expm(difference_operator(GlialField.uniform(g, n)))
-
         x = rng.standard_normal((samples, n * N))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        e_full = -np.einsum("sd,sd->s", x, x @ m_full.T) / (2.0 * N)
+        e_full = _uniform_ring_energies(x.reshape(samples, n, N), g)
         y = rng.standard_normal((samples, N))
         y /= np.linalg.norm(y, axis=1, keepdims=True)
-        e_red = -np.einsum("sd,sd->s", y, y @ m_red.T) / (2.0 * N)
+        e_red = _uniform_ring_energies(y[:, None, :], g)
 
         lz_full, se_full = _log_mean_exp(-beta * e_full)
         lz_red, se_red = _log_mean_exp(-beta * e_red)
@@ -430,6 +463,13 @@ def window_counts(spike_history: np.ndarray, window: int) -> Counter:
                    for k in range(steps - window + 1))
 
 
+def plugin_entropy_rate(counts: Counter, window: int) -> float:
+    """Plug-in Shannon entropy of a window-pattern histogram, bits per step."""
+    m = sum(counts.values())
+    p = np.array(list(counts.values()), dtype=float) / m
+    return float(-np.sum(p * np.log2(p))) / window
+
+
 def entropy_rate(spike_history: np.ndarray, window: int) -> float:
     """Plug-in Shannon entropy of length-window spike patterns, bits per step.
 
@@ -442,9 +482,7 @@ def entropy_rate(spike_history: np.ndarray, window: int) -> float:
     if m / len(counts) < 5.0:
         warnings.warn(f"entropy histogram undersampled: {m} windows over "
                       f"{len(counts)} occupied bins")
-    p = np.array(list(counts.values()), dtype=float) / m
-    h_window = float(-np.sum(p * np.log2(p)))
-    return h_window / window
+    return plugin_entropy_rate(counts, window)
 
 
 @dataclass(frozen=True)

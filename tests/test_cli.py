@@ -298,6 +298,14 @@ def test_network_gauge_mode(tmp_path):
     assert diffs and max(diffs) < 1e-10
 
 
+def test_network_ek_has_no_size_ceiling(tmp_path):
+    # nN = 8192: twice the largest dense operator gauge-check assembles
+    assert run_cli(["network", "--mode", "ek", "--n", "64", "--N", "128",
+                    "--draws", "1", "--samples", "50"], tmp_path) == EXIT_OK
+    t = read_csv(tmp_path / "network_ek.csv")
+    assert math.isfinite(float(t.column("discrepancy")[0]))
+
+
 def test_network_rolldown_mode(tmp_path):
     assert run_cli(["network", "--mode", "rolldown", "--n", "16",
                     "--patterns", "3", "--flips", "1", "--seed", "5"],
@@ -317,6 +325,16 @@ def test_network_entropy_mode(tmp_path):
     t = read_csv(tmp_path / "network_entropy.csv")
     row = dict(zip(t.columns, t.rows[0]))
     assert 0.0 <= float(row["entropy_bits_per_step"]) <= 6.0
+
+
+def test_network_entropy_flags_undersampling_without_warnings(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["network", "--mode", "entropy", "--n", "3",
+                        "--steps", "300", "--window", "4", "--seed", "5"],
+                       tmp_path) == EXIT_OK
+    t = read_csv(tmp_path / "network_entropy.csv")
+    assert t.column("undersampled")[-1] == "1"
 
 
 def test_help_exits_zero(capsys):

@@ -2,14 +2,16 @@
 
 The tunnel and sweep files under tests/golden/ were written by the
 per-point quadrature WKB code, the others by the row-at-a-time table code
-that the columnar tables replaced.  Every column must match its text
-exactly, except:
+that the columnar tables replaced; the ek files (N = 4 and N = 32) by the
+dense expm of the (nN) x (nN) ring operator that the site-Fourier closed
+form replaced.  Every column must match its text exactly, except:
 
 - T_current_ratio, a ratio of finite-difference currents whose last digits
   depend on how the WKB phases are evaluated: 1e-11 relative;
 - columns that pass through BLAS (the Monte Carlo clock's coherence, and
-  the ek discrepancies and standard errors, which go through a dense expm),
-  whose last bits may differ with the BLAS build: 1e-12 relative.
+  the ek discrepancies and standard errors, which go through an eigh and
+  complex matrix products), whose last bits may differ with the BLAS build
+  and the evaluation order: 1e-12 relative.
 """
 
 import os

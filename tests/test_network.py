@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiq import (
     EkComparison,
@@ -23,8 +24,11 @@ from semiq import (
 )
 from semiq import ClockModel, evolve_analytic
 from semiq import QuantumSystem
+from semiq.network import _uniform_ring_energies
 
 SEED = 1123
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 gauge_cases = [(4, 4, s) for s in range(25)] + [(8, 8, s) for s in range(25)]
 
@@ -38,6 +42,37 @@ def test_gauge_invariance_of_hamiltonian(n, N, seed):
     state2, g2 = gauge_transform(state, g, o)
     h2 = hamiltonian_full(state2, g2, h0=0.25)
     assert abs(h1 - h2) < 1e-10
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 2.0))
+def test_gauge_invariance_property(n, N, seed, scale):
+    state = NeuralState.random(n, N, seed=seed)
+    g = GlialField.random(n, N, seed=seed + 1, scale=scale)
+    o = GaugeTransformation.random(n, N, seed=seed + 2)
+    state2, g2 = gauge_transform(state, g, o)
+    h1 = hamiltonian_full(state, g)
+    assert hamiltonian_full(state2, g2) == pytest.approx(h1, rel=1e-10, abs=1e-12)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 3.0))
+def test_site_fourier_energy_matches_dense_expm(n, N, seed, scale):
+    # the same connection at every site: the closed form against the dense
+    # exp(D) of hamiltonian_full, three states at once
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((N, N))
+    g = scale * (r - r.T) / 2.0
+    x = rng.standard_normal((3, n, N))
+    x /= np.linalg.norm(x, axis=(1, 2), keepdims=True)
+    field = GlialField(np.broadcast_to(g, (n, N, N)).copy())
+    dense = [hamiltonian_full(NeuralState(phi), field) for phi in x]
+    assert _uniform_ring_energies(x, g) == pytest.approx(dense, rel=1e-12)
+    if n == 1:
+        reduced = [ek_reduced_hamiltonian(phi[0], g) for phi in x]
+        assert reduced == pytest.approx(dense, rel=1e-12)
 
 
 def test_difference_operator_conjugates():
@@ -93,6 +128,24 @@ def test_ek_comparison_shrinks_with_components():
         assert not comp.starved
         meds.append(comp.median_abs_discrepancy)
     assert meds[1] < meds[0]
+
+
+def test_ek_trend_continues_to_large_N():
+    # criterion 8 covers N = 4..32 with N * median ~ 0.35; the discrepancy
+    # keeps falling like 1/N beyond it
+    meds = []
+    for N in (64, 128, 256):
+        comp = ek_comparison(n=4, N=N, beta=1.0, draws=8, samples=2000,
+                             seed=SEED)
+        assert not comp.starved
+        assert 0.3 < N * comp.median_abs_discrepancy < 0.4
+        meds.append(comp.median_abs_discrepancy)
+    assert meds[0] > meds[1] > meds[2]
+
+
+def test_ek_reduced_rejects_symmetric_connection():
+    with pytest.raises(ValueError):
+        ek_reduced_hamiltonian(np.array([0.6, 0.8]), np.ones((2, 2)))
 
 
 def test_ek_comparison_deterministic():
