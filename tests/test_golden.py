@@ -4,7 +4,9 @@ The tunnel and sweep files under tests/golden/ were written by the
 per-point quadrature WKB code, the others by the row-at-a-time table code
 that the columnar tables replaced; the ek files (N = 4 and N = 32) by the
 dense expm of the (nN) x (nN) ring operator that the site-Fourier closed
-form replaced.  Every column must match its text exactly, except:
+form replaced; the deep tunnel at 10^6 cells and the 20 x 20 oracle sweep
+by the chunked suffix-scan walk, before the transmission walk reduced each
+chunk to its one product.  Every column must match its text exactly, except:
 
 - T_current_ratio, a ratio of finite-difference currents whose last digits
   depend on how the WKB phases are evaluated: 1e-11 relative;
@@ -44,8 +46,13 @@ CASES = [
       "--oracle"]),
     ("tunnel_hbar0.05_oracle.csv", "tunnel.csv",
      ["tunnel", "--hbar", "0.05", "--oracle"]),
+    ("tunnel_hbar0.05_oracle_1M.csv", "tunnel.csv",
+     ["tunnel", "--hbar", "0.05", "--oracle", "--points", "1000000"]),
     ("sweep_h0_mu_oracle.csv", "sweep.csv",
      ["sweep", "--axis", "h0=0.5:2:4", "--axis", "mu=1:4:3", "--oracle"]),
+    ("sweep_hbar_h0_oracle_20x20.csv", "sweep.csv",
+     ["sweep", "--axis", "hbar=0.3:2.0:20", "--axis", "h0=0.5:2.0:20",
+      "--oracle", "--points", "8194"]),
     ("clock_3level_trajectory.csv", "clock_trajectory.csv", CLOCK),
     ("clock_3level_summary.csv", "clock_summary.csv", CLOCK),
     ("clock_3level_mc_trajectory.csv", "clock_trajectory.csv", CLOCK_MC),

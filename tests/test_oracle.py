@@ -163,7 +163,7 @@ def test_residual_plane_wave_truncation_order():
 # preceded the chunked scan, so they pin the walk's output, not its speed.
 # The rows are the criterion-11 point, the corners of the h0 x mu benchmark
 # sweep, two deep barriers (the second integrates kappa past one chunk's
-# bound) and cell counts around the chunk length.
+# bound) and cell counts around the chunk length and around 16 chunks.
 GOLDEN = [
     ("criterion_11", 1.0, 1.0, 1.0, 20000,
      0.01219146915978628, 1.923401121243599e-09),
@@ -187,12 +187,15 @@ GOLDEN = [
      0.012191478695151772, 1.145875100476886e-08),
     ("cells_12289", 1.0, 1.0, 1.0, 12289, 0.012191472330829177, math.nan),
     ("cells_999", 1.0, 1.0, 1.0, 999, 0.012192238119559952, math.nan),
+    ("cells_65535", 1.0, 1.0, 1.0, 65535, 0.012191467415520673, math.nan),
+    ("cells_65537", 1.0, 1.0, 1.0, 65537, 0.012191467415510181, math.nan),
 ]
 
 
 def test_golden_rows_straddle_the_chunk():
     cells = {row[4] for row in GOLDEN}
-    assert {_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1} <= cells
+    assert {_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1,
+            16 * _CHUNK - 1, 16 * _CHUNK + 1} <= cells
 
 
 @pytest.mark.filterwarnings("ignore:odd cell count")
