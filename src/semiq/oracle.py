@@ -32,11 +32,15 @@ __all__ = [
     "constraint_residual",
 ]
 
-#: cells per chunk of the walk: bounds the scan's memory and its depth
+#: cells per chunk of the walk: with _GROWTH_BOUND it keeps every product
+#: inside a chunk finite, and it bounds the working memory
 _CHUNK = 4096
 #: largest integral of kappa over the cells of one chunk, so that no product
 #: inside a chunk exceeds about e^300 ~ 1e130 and none can overflow
 _GROWTH_BOUND = 300.0
+#: chunks whose products one pairwise reduction computes together
+_BATCH = 16
+_IDENTITY = np.eye(2)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -130,17 +134,89 @@ def _suffix_products(p):
     return p
 
 
+def _products(p):
+    """Reduce over the last axis: p_0 @ p_1 @ ... @ p_last.
+
+    Pairwise: each level multiplies neighbours (2k, 2k+1) and carries an odd
+    last matrix up unchanged.  These are the blocks, in the same order, of
+    the first element of _suffix_products, and the component arithmetic
+    rounds as its einsum does, so the two agree bit for bit.
+    """
+    while p.shape[-1] > 1:
+        n = p.shape[-1]
+        a, b = p[..., 0:n - 1:2], p[..., 1::2]
+        q = np.empty(p.shape[:-1] + ((n + 1) // 2,))
+        for i in range(2):
+            for k in range(2):
+                np.multiply(a[i, 0], b[0, k], out=q[i, k, ..., :n // 2])
+                q[i, k, ..., :n // 2] += a[i, 1] * b[1, k]
+        if n % 2:
+            q[..., -1] = p[..., -1]
+        p = q
+    return p[..., 0]
+
+
+def _chunks(grid, values, E, hbar, mu):
+    """Walk the cells right to left in chunks: yield (start, end, w, h).
+
+    A chunk [start, end) holds at most _CHUNK cells and ends early where its
+    integrated kappa passes _GROWTH_BOUND; w = 2*mu*(V - E)/hbar^2 uses the
+    mean of each cell's endpoint samples and h is the cell width.
+    """
+    end = grid.size - 1
+    while end > 0:
+        lo = max(end - _CHUNK, 0)
+        h = np.diff(grid[lo:end + 1])
+        cell_v = 0.5 * (values[lo + 1:end + 1] + values[lo:end])
+        w = 2.0 * mu * (cell_v - E) / hbar**2
+        growth = np.cumsum((np.sqrt(np.maximum(w, 0.0)) * h)[::-1])
+        cells = max(int(np.searchsorted(growth, _GROWTH_BOUND, side="right")), 1)
+        start = end - cells
+        yield start, end, w[-cells:], h[-cells:]
+        end = start
+
+
+def _chunk_products(chunks, cells):
+    """The total propagator of each chunk, in walk order.
+
+    Up to _BATCH chunks fill one identity-padded (2, 2, rows, width) buffer,
+    sized to the walk's cells, and one pairwise reduction multiplies them
+    all; the exact identity padding leaves each product unchanged.
+    """
+    rows = min(_BATCH, -(-cells // _CHUNK))
+    buf = np.empty((2, 2, rows, min(_CHUNK, cells)))
+    filled = 0
+    for _, _, w, h in chunks:
+        buf[:, :, filled, :w.size] = _cell_propagators(w, h)
+        buf[:, :, filled, w.size:] = _IDENTITY
+        filled += 1
+        if filled == rows:
+            yield from np.moveaxis(_products(buf), -1, 0)
+            filled = 0
+    if filled:
+        yield from np.moveaxis(_products(buf[:, :, :filled]), -1, 0)
+
+
+def _carry(p, psi, dpsi, log_scale):
+    """Carry (psi, psi') across one chunk and renormalise into the log-scale."""
+    psi, dpsi = (p[0, 0] * psi + p[0, 1] * dpsi,
+                 p[1, 0] * psi + p[1, 1] * dpsi)
+    m = max(abs(psi), abs(dpsi))
+    return psi / m, dpsi / m, log_scale + math.log(m)
+
+
 def _propagate(grid, values, E, hbar, mu, keep_psi=False):
     """Propagate (psi, psi') from the right edge to the left edge.
 
     Starts from a pure outgoing wave psi = 1, psi' = i*k_R and walks left
     using the exact constant-potential propagator per cell (the cell value
-    is the mean of its endpoint samples).  The cells are taken in chunks of
-    at most _CHUNK cells and _GROWTH_BOUND of integrated kappa: one suffix
-    scan gives every partial product of a chunk, its first element carries
-    (psi, psi') across the chunk, and the carried pair is then renormalised
-    into the returned log-scale.  With keep_psi the last item holds psi on
-    the grid as mantissas and their log-scales, psi = m * exp(scale).
+    is the mean of its endpoint samples), in the chunks of _chunks.  Each
+    chunk's total product carries (psi, psi') across it, and the carried
+    pair is then renormalised into the returned log-scale.  The products
+    come from batched pairwise reductions; with keep_psi a suffix scan
+    gives every partial product of a chunk instead, its first element is
+    the same product bit for bit, and the last item holds psi on the grid
+    as mantissas and their log-scales, psi = m * exp(scale).
     """
     k_left_sq = 2.0 * mu * (E - values[0]) / hbar**2
     k_right_sq = 2.0 * mu * (E - values[-1]) / hbar**2
@@ -153,36 +229,21 @@ def _propagate(grid, values, E, hbar, mu, keep_psi=False):
     psi = 1.0 + 0.0j
     dpsi = 1j * k_right
     log_scale = 0.0
-    if keep_psi:
-        samples = np.empty(grid.size, dtype=complex)
-        scales = np.empty(grid.size)
-        samples[-1], scales[-1] = psi, log_scale
+    chunks = _chunks(grid, values, E, hbar, mu)
+    if not keep_psi:
+        for p in _chunk_products(chunks, grid.size - 1):
+            psi, dpsi, log_scale = _carry(p, psi, dpsi, log_scale)
+        return psi, dpsi, log_scale, k_left, k_right, None
 
-    # walk chunks of cells [start, end) right-to-left
-    end = grid.size - 1
-    while end > 0:
-        lo = max(end - _CHUNK, 0)
-        h = np.diff(grid[lo:end + 1])
-        cell_v = 0.5 * (values[lo + 1:end + 1] + values[lo:end])
-        w = 2.0 * mu * (cell_v - E) / hbar**2
-        # end the chunk early where the integrated kappa passes the bound
-        growth = np.cumsum((np.sqrt(np.maximum(w, 0.0)) * h)[::-1])
-        cells = max(int(np.searchsorted(growth, _GROWTH_BOUND, side="right")), 1)
-        start = end - cells
-        p = _suffix_products(_cell_propagators(w[-cells:], h[-cells:]))
-        if keep_psi:
-            samples[start:end] = p[0, 0] * psi + p[0, 1] * dpsi
-            scales[start:end] = log_scale
-        psi, dpsi = (p[0, 0, 0] * psi + p[0, 1, 0] * dpsi,
-                     p[1, 0, 0] * psi + p[1, 1, 0] * dpsi)
-        m = max(abs(psi), abs(dpsi))
-        psi /= m
-        dpsi /= m
-        log_scale += math.log(m)
-        end = start
-
-    history = (samples, scales) if keep_psi else None
-    return psi, dpsi, log_scale, k_left, k_right, history
+    samples = np.empty(grid.size, dtype=complex)
+    scales = np.empty(grid.size)
+    samples[-1], scales[-1] = psi, log_scale
+    for start, end, w, h in chunks:
+        p = _suffix_products(_cell_propagators(w, h))
+        samples[start:end] = p[0, 0] * psi + p[0, 1] * dpsi
+        scales[start:end] = log_scale
+        psi, dpsi, log_scale = _carry(p[..., 0], psi, dpsi, log_scale)
+    return psi, dpsi, log_scale, k_left, k_right, (samples, scales)
 
 
 def _transmission_once(pot: PiecewisePotential, E, hbar, mu) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiq import (
     ClockModel,
@@ -189,3 +190,57 @@ def test_dominant_pair_three_levels():
     system = QuantumSystem([0.0, 1.0, 2.5], 1.0, rho)
     traj = evolve_analytic(system, ClockModel(1.0, 0.1), steps=5)
     assert traj.dominant_pair() == (0, 1)
+
+
+# --------------------------------------------------------------------------
+# properties
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def systems(draw, max_levels=4):
+    """Random distinct levels in a pure state with random nonzero weights."""
+    d = draw(st.integers(2, max_levels))
+    gaps = draw(st.lists(st.floats(0.5, 2.0), min_size=d - 1, max_size=d - 1))
+    energies = np.concatenate(([0.0], np.cumsum(gaps))) - draw(st.floats(-2.0, 2.0))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=d,
+                                     max_size=d)))
+    phases = np.array(draw(st.lists(st.floats(0.0, 2.0 * math.pi),
+                                    min_size=d, max_size=d)))
+    amps = np.sqrt(weights / weights.sum()) * np.exp(1j * phases)
+    return QuantumSystem(energies, 1.0, np.outer(amps, amps.conj()))
+
+
+@PROPERTY
+@given(systems(), st.floats(0.5, 2.0), st.floats(0.1, 0.5),
+       st.floats(0.1, 10.0), st.booleans())
+def test_rescale_class_keeps_retention_and_profile(system, mu0, sigma, lam,
+                                                   schedule):
+    # (E, mu, sigma) -> (lam E, mu/lam, sigma/lam) keeps every w*mu and
+    # w*sigma, so the retention step and the normalised damping profile
+    # are unchanged
+    if schedule:
+        clock = ClockModel(lambda k: mu0 * (1.0 + 0.01 * k), sigma)
+    else:
+        clock = ClockModel(mu0, sigma)
+    s2, c2 = rescale_class(system, clock, lam)
+    base = retention_time(evolve_analytic(system, clock, steps=300))
+    other = retention_time(evolve_analytic(s2, c2, steps=300))
+    assert other.retention_time_steps == base.retention_time_steps
+    np.testing.assert_allclose(other.dimensionless_profile,
+                               base.dimensionless_profile, rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(systems(), st.floats(0.5, 2.0), st.floats(0.0, 1.0),
+       st.integers(1, 50), st.integers(0, 2**32 - 1))
+def test_monte_carlo_keeps_populations_and_trace_exactly(system, mu0, sigma,
+                                                        samples, seed):
+    traj = evolve_monte_carlo(system, ClockModel(mu0, sigma), steps=20,
+                              samples=samples, seed=seed)
+    rho0 = system.initial_density
+    assert np.array_equal(traj.populations,
+                          np.broadcast_to(np.diag(rho0).real,
+                                          traj.populations.shape))
+    assert np.all(np.trace(traj.rhos, axis1=1, axis2=2) == np.trace(rho0))

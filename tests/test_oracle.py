@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from semiq import (
     scattering_wavefunction,
     transfer_matrix_transmission,
 )
-from semiq.oracle import _CHUNK
+from semiq.oracle import _BATCH, _CHUNK, _chunks, _propagate
 
 # exact reference for the full inverted parabola at E = 0
 def parabola_T(bp):
@@ -160,10 +161,12 @@ def test_residual_plane_wave_truncation_order():
 # golden values: (name, hbar, mu, h0, cells, T_numeric, richardson_error) at
 # j0 = 1, E = 0 on cap_barrier's default cap.  Generated with the per-cell
 # Python loop (one math.cosh/sinh step per cell, rescaled past 1e120) that
-# preceded the chunked scan, so they pin the walk's output, not its speed.
-# The rows are the criterion-11 point, the corners of the h0 x mu benchmark
-# sweep, two deep barriers (the second integrates kappa past one chunk's
-# bound) and cell counts around the chunk length and around 16 chunks.
+# preceded the chunked scan, so they pin the walk's output, not its speed;
+# the two rows around _BATCH chunks came from that scan, before the batched
+# chunk products.  The rows are the criterion-11 point, the corners of the
+# h0 x mu benchmark sweep, two deep barriers (the second integrates kappa
+# past one chunk's bound) and cell counts around the chunk length and
+# around _BATCH chunks.
 GOLDEN = [
     ("criterion_11", 1.0, 1.0, 1.0, 20000,
      0.01219146915978628, 1.923401121243599e-09),
@@ -195,7 +198,7 @@ GOLDEN = [
 def test_golden_rows_straddle_the_chunk():
     cells = {row[4] for row in GOLDEN}
     assert {_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1,
-            16 * _CHUNK - 1, 16 * _CHUNK + 1} <= cells
+            _BATCH * _CHUNK - 1, _BATCH * _CHUNK + 1} <= cells
 
 
 @pytest.mark.filterwarnings("ignore:odd cell count")
@@ -231,6 +234,20 @@ def test_deep_barrier_underflows_without_fp_errors():
                                            hbar=0.002, mu=1.0)
     assert est.T_numeric == 0.0
     assert est.richardson_error == 0.0
+
+
+def test_transmission_memory_stays_bounded():
+    # the walk streams its chunks: 4.3 MiB at 10^6 cells, where a single
+    # (2, 2, cells) array of propagators would take 32 MB
+    bp = BarrierProblem(hbar=0.05, mu=1.0, j0=1.0, h0=1.0)
+    pot = cap_barrier(bp, n=1_000_000)
+    tracemalloc.start()
+    try:
+        transfer_matrix_transmission(pot, E=0.0, hbar=0.05, mu=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_scattering_wavefunction_deep_barrier_is_finite():
@@ -332,3 +349,32 @@ def test_matches_per_cell_loop(case):
     pot, hbar, mu = case
     ref = loop_transmission(pot.grid, pot.values, 0.0, hbar, mu)
     assert _T(pot, hbar, mu) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def assert_walks_agree(pot, hbar, mu):
+    """The batched transmission walk and the suffix scan agree bit for bit."""
+    args = (pot.grid, pot.values, 0.0, hbar, mu)
+    with np.errstate(all="raise"):
+        products = _propagate(*args)
+        scan = _propagate(*args, keep_psi=True)
+    assert products[:3] == scan[:3]      # psi, dpsi, log_scale
+
+
+@PROPERTY
+@given(potentials(cells=st.one_of(
+    st.integers(1, 300), st.integers(_CHUNK - 3, _CHUNK + 3),
+    st.integers(_BATCH * _CHUNK - 3, _BATCH * _CHUNK + 3))))
+def test_chunk_products_match_the_scan(case):
+    assert_walks_agree(*case)
+
+
+@pytest.mark.parametrize("cells", [20000, _BATCH * _CHUNK + 1])
+def test_chunk_products_match_the_scan_on_a_deep_barrier(cells):
+    # Lambda ~ 1270: the growth bound ends chunks short of _CHUNK cells, so
+    # their products are reduced together with identity padding
+    bp = BarrierProblem(hbar=0.007, mu=1.0, j0=1.0, h0=4.0)
+    pot = cap_barrier(bp, n=cells)
+    sizes = [end - start for start, end, _, _ in
+             _chunks(pot.grid, pot.values, 0.0, 0.007, 1.0)]
+    assert min(sizes[:-1]) < _CHUNK
+    assert_walks_agree(pot, 0.007, 1.0)
