@@ -6,7 +6,9 @@ that the columnar tables replaced; the ek files (N = 4 and N = 32) by the
 dense expm of the (nN) x (nN) ring operator that the site-Fourier closed
 form replaced; the deep tunnel at 10^6 cells and the 20 x 20 oracle sweep
 by the chunked suffix-scan walk, before the transmission walk reduced each
-chunk to its one product.  Every column must match its text exactly, except:
+chunk to its one product; the 30-level clock by the csv.writer table
+writer, before each row came from one % template.  Every column must match
+its text exactly, except:
 
 - T_current_ratio, a ratio of finite-difference currents whose last digits
   depend on how the WKB phases are evaluated: 1e-11 relative;
@@ -32,6 +34,7 @@ TOLERANCE = {"T_current_ratio": 1e-11, "coherence": 1e-12,
 
 CLOCK = ["clock", "--energies", "0,0.5,1.3", "--sigma", "0.5", "--steps", "40"]
 CLOCK_MC = [*CLOCK, "--samples", "50", "--seed", "1"]
+CLOCK30 = ["clock", "--energies", ",".join(map(str, range(30))), "--steps", "2"]
 EK = ["network", "--mode", "ek", "--n", "3", "--N", "4", "--draws", "4",
       "--samples", "100", "--seed", "3"]
 EK32 = ["network", "--mode", "ek", "--n", "4", "--N", "32", "--draws", "8",
@@ -57,6 +60,8 @@ CASES = [
     ("clock_3level_summary.csv", "clock_summary.csv", CLOCK),
     ("clock_3level_mc_trajectory.csv", "clock_trajectory.csv", CLOCK_MC),
     ("clock_3level_mc_summary.csv", "clock_summary.csv", CLOCK_MC),
+    ("clock_30level_trajectory.csv", "clock_trajectory.csv", CLOCK30),
+    ("clock_30level_summary.csv", "clock_summary.csv", CLOCK30),
     ("network_gauge_check.csv", "network_gauge_check.csv",
      ["network", "--mode", "gauge-check", "--n", "4", "--N", "3",
       "--draws", "5", "--seed", "2"]),
