@@ -22,14 +22,31 @@ MANIFEST_FORMAT = "1"
 _BLOCK_ROWS = 8192
 
 
-def _formatter(kind: str):
-    """The one value-formatting rule, chosen by numpy dtype kind."""
-    return {"b": lambda v: "1" if v else "0", "f": "{:.17g}".format}.get(kind, str)
+#: printf spec per numpy dtype kind of a number, whose text never needs
+#: quotes; every other kind is written as str and may need them
+_SPEC = {"f": "%.17g", "b": "%d", "i": "%s", "u": "%s"}
+
+#: characters that make csv.QUOTE_MINIMAL quote a field
+_SPECIAL = (",", '"', "\r", "\n")
 
 
 def fmt_value(v) -> str:
     """Bools as 1/0, floats at 17 significant digits, anything else str."""
-    return _formatter(np.asarray(v).dtype.kind)(v)
+    return _SPEC.get(np.asarray(v).dtype.kind, "%s") % (v,)
+
+
+def _needs_quotes(text: str) -> bool:
+    return any(c in text for c in _SPECIAL)
+
+
+def _quote(value, alone: bool) -> str:
+    """``value`` as one CSV field, quoted as csv.QUOTE_MINIMAL quotes it:
+    when it holds a delimiter, a quote or a line break, or when it is the
+    empty only field of its row (``alone``), which would read as no row."""
+    s = str(value)
+    if _needs_quotes(s) or (alone and not s):
+        return '"' + s.replace('"', '""') + '"'
+    return s
 
 
 class _Rows(Sequence):
@@ -66,17 +83,25 @@ class ResultTable:
 
 
 def write_csv(table: ResultTable, path) -> None:
-    """Stream the rows to ``path`` in blocks of ``_BLOCK_ROWS``; array columns
-    are formatted from ``tolist``, as Python scalars format faster."""
+    """Stream the rows to ``path`` in blocks of ``_BLOCK_ROWS``, each row from
+    one ``%`` template of the column specs; array columns are formatted from
+    ``tolist``, as Python scalars format faster.  Only a block's columns of
+    non-numbers can need quotes; each is checked once and quoted value by
+    value only if some value needs it (or it is a table's only column)."""
     cols = list(map(table.column, table.columns))
-    fmts = [_formatter(np.asarray(col).dtype.kind) for col in cols]
+    alone = len(cols) == 1
+    kinds = [np.asarray(col).dtype.kind for col in cols]
+    template = ",".join(_SPEC.get(k, "%s") for k in kinds) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\r\n")
-        w.writerow(table.columns)
+        fh.write(",".join(_quote(name, alone) for name in table.columns) + "\r\n")
         for lo in range(0, len(table.rows), _BLOCK_ROWS):
             block = [col[lo:lo + _BLOCK_ROWS] for col in cols]
             block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
-            w.writerows(zip(*(map(f, b) for f, b in zip(fmts, block))))
+            for i, kind in enumerate(kinds):
+                if kind not in _SPEC and (
+                        alone or _needs_quotes("".join(map(str, block[i])))):
+                    block[i] = [_quote(v, alone) for v in block[i]]
+            fh.write("".join(map(template.__mod__, zip(*block))))
 
 
 def read_csv(path) -> ResultTable:

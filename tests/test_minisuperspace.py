@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semiq import (
     MiniSuperspaceModel,
@@ -99,6 +100,24 @@ def test_matter_norm_preserved():
     assert traj.max_norm_drift < 1e-12
     norms = np.linalg.norm(traj.chis, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.integers(1, 300),
+       st.floats(0.01, 0.5), st.floats(0.1, 3.0))
+def test_matter_steps_are_unitary(dim, seed, steps, t_max, hbar):
+    # a random Hermitian H0 scaled by a(t), over a random increasing grid
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h0 = 0.5 * (g + g.conj().T)
+    m = MiniSuperspaceModel(potential_u=lambda a: 4.0 * a * a, hbar=hbar,
+                            matter_hamiltonian=lambda a: a * h0)
+    cm = clock_map(m, a0=1.0, t_span=(0.0, t_max))
+    t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, steps))))
+    chi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    traj = evolve_matter(m, cm, chi / np.linalg.norm(chi), t * (t_max / t[-1]))
+    assert np.max(np.abs(np.linalg.norm(traj.chis, axis=1) - 1.0)) < 1e-12
+    assert traj.max_norm_drift < 1e-12
 
 
 def test_matter_lapse_covariance():

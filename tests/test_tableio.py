@@ -1,9 +1,13 @@
+import csv
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from semiq import tableio
+from semiq import cli, tableio
 from semiq.svgplot import LinePlot
 from semiq.tableio import (
     ResultTable,
@@ -26,6 +30,15 @@ def test_fmt_value_special():
     assert fmt_value(float("nan")) == "nan"
     assert fmt_value(-1) == "-1"
     assert fmt_value("abc") == "abc"
+
+
+@pytest.mark.parametrize("value, text", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-0.0, "-0"),
+    (5e-324, "4.9406564584124654e-324"), (np.float64(-math.inf), "-inf"),
+    (np.float32(0.1), "0.10000000149011612")])
+def test_fmt_value_pins_float_edges(value, text):
+    # the spec of float columns, which "{:.17g}" must agree with here
+    assert fmt_value(value) == text == "{:.17g}".format(value)
 
 
 def test_table_rejects_unequal_column_lengths():
@@ -79,6 +92,113 @@ def test_csv_spans_several_row_blocks(tmp_path):
     write_csv(t, tmp_path / "t.csv")
     back = read_csv(tmp_path / "t.csv")
     assert list(back.rows) == [tuple(map(fmt_value, row)) for row in t.rows]
+
+
+def _reference_write_csv(table, path):
+    """The csv.writer table writer that the row template replaced: every value
+    formatted on its own, quoting left to csv.QUOTE_MINIMAL."""
+    def formatter(kind):
+        return {"b": lambda v: "1" if v else "0", "f": "{:.17g}".format}.get(kind, str)
+
+    cols = list(map(table.column, table.columns))
+    fmts = [formatter(np.asarray(col).dtype.kind) for col in cols]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\r\n")
+        w.writerow(table.columns)
+        for lo in range(0, len(table.rows), tableio._BLOCK_ROWS):
+            block = [col[lo:lo + tableio._BLOCK_ROWS] for col in cols]
+            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+            w.writerows(zip(*(map(f, b) for f, b in zip(fmts, block))))
+
+
+def _written(writer, table) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.csv")
+        writer(table, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+TWO_BLOCKS = 2 * tableio._BLOCK_ROWS
+FLOAT_EDGES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]
+F32 = np.finfo(np.float32)
+FLOAT32_EDGES = np.array([math.nan, math.inf, -math.inf, -0.0,
+                          F32.smallest_subnormal, F32.max, 0.1], dtype=np.float32)
+TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "0",
+                                "é", "-", "'"]), max_size=4)
+
+#: (strategy of one value, how a list of them becomes a column)
+COLUMN_KINDS = [
+    (st.one_of(st.floats(), st.sampled_from(FLOAT_EDGES)), np.array),
+    (st.floats(width=32), lambda v: np.array(v, dtype=np.float32)),
+    (st.floats(width=32).map(np.float32), list),           # np.float32 scalars
+    (st.one_of(st.floats(), st.integers(-3, 3)), list),    # Python floats and ints
+    (st.booleans(), np.array),
+    (st.booleans(), list),
+    (st.booleans().map(np.bool_), list),
+    (st.integers(-2**63, 2**63 - 1), lambda v: np.array(v, dtype=np.int64)),
+    (st.integers(0, 2**70), list),                         # kind u or O
+    (st.one_of(st.booleans(), st.integers(-3, 3)), list),  # kind i: True stays True
+    (TEXT, list),
+    (TEXT, np.array),
+]
+
+
+@st.composite
+def tables(draw):
+    """Tables of 1-4 columns, each of one of COLUMN_KINDS.  A column is one
+    fill value with up to three others at drawn rows, so a value that needs
+    quotes can sit in one row block and not in the next."""
+    rows = draw(st.one_of(st.integers(0, 5),
+                          st.sampled_from([TWO_BLOCKS - 1, TWO_BLOCKS + 1])))
+    names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    data = {}
+    for name in names:
+        value, make = draw(st.sampled_from(COLUMN_KINDS))
+        col = [draw(value)] * rows
+        for _ in range(draw(st.integers(0, 3)) if rows else 0):
+            col[draw(st.integers(0, rows - 1))] = draw(value)
+        data[name] = make(col)
+    return ResultTable(data)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tables())
+@example(ResultTable({"x": np.array(FLOAT_EDGES),
+                      "x32": FLOAT32_EDGES, "s32": list(FLOAT32_EDGES)}))
+@example(ResultTable({"flag": np.array([True, False]), "py": [False, True],
+                      "np": [np.True_, np.False_], "mixed": [True, 2],
+                      "big": [2**63, 2**64 + 1]}))
+@example(ResultTable({"a,b": ["x,y", 'say "hi"', "l\r\nf", " lead", ""],
+                      '"q"': ["cr\r", "lf\n", "", '""', "plain"]}))
+@example(ResultTable({"": ["", "a", ""]}))
+@example(ResultTable({"only": []}))
+@example(ResultTable({"": []}))
+@example(ResultTable({"x": np.arange(TWO_BLOCKS + 1) * 0.5,
+                      "s": ["p"] * TWO_BLOCKS + ["p,q"]}))
+def test_write_csv_bytes_match_csv_writer(table):
+    assert _written(write_csv, table) == _written(_reference_write_csv, table)
+
+
+@pytest.mark.parametrize("argv", [
+    ["clock", "--energies", ",".join(map(str, range(30))), "--steps", "400"],
+    ["cosmo", "--potential", "quadratic:4", "--hbar-list", "0.1,0.05,0.025",
+     "--t-max", "0.3", "--t-points", "20001", "--matter", "twolevel:5"],
+], ids=["clock_30level_400step", "cosmo_matter"])
+def test_cli_tables_match_csv_writer_bytes(tmp_path, monkeypatch, argv):
+    # the golden tests compare cells after read_csv, which a changed line
+    # terminator or quoting would pass
+    kept = {}
+
+    def keep(table, path):
+        kept[os.path.basename(path)] = table
+        write_csv(table, path)
+
+    monkeypatch.setattr(cli, "write_csv", keep)
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == cli.EXIT_OK
+    assert len(kept) == 2
+    for name, table in kept.items():
+        assert (tmp_path / name).read_bytes() == _written(_reference_write_csv, table), name
 
 
 def test_read_csv_rejects_ragged_rows(tmp_path):
