@@ -56,6 +56,8 @@ CASES = [
     ("sweep_hbar_h0_oracle_20x20.csv", "sweep.csv",
      ["sweep", "--axis", "hbar=0.3:2.0:20", "--axis", "h0=0.5:2.0:20",
       "--oracle", "--points", "8194"]),
+    ("sweep_hbar_h0_40x40.csv", "sweep.csv",
+     ["sweep", "--axis", "hbar=0.2:2.0:40", "--axis", "h0=0.5:2.0:40"]),
     ("clock_3level_trajectory.csv", "clock_trajectory.csv", CLOCK),
     ("clock_3level_summary.csv", "clock_summary.csv", CLOCK),
     ("clock_3level_mc_trajectory.csv", "clock_trajectory.csv", CLOCK_MC),
