@@ -72,16 +72,22 @@ from .oracle import (
     transfer_matrix_transmission,
 )
 from .wkb import (
+    BarrierColumns,
     BarrierProblem,
     WkbSolution,
     activation_rate,
     barrier_exponent,
     barrier_exponent_closed,
+    barrier_exponents,
+    barrier_exponents_closed,
     current_ratio,
+    current_ratios,
     momenta,
     solve_barrier,
+    transmissions,
     turning_points,
     wkb_wavefunction,
+    wkb_wavefunctions,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +102,9 @@ __all__ = [
     # wkb
     "BarrierProblem", "turning_points", "momenta", "barrier_exponent",
     "barrier_exponent_closed", "activation_rate", "WkbSolution",
-    "solve_barrier", "wkb_wavefunction", "current_ratio",
+    "solve_barrier", "wkb_wavefunction", "current_ratio", "BarrierColumns",
+    "barrier_exponents", "barrier_exponents_closed", "transmissions",
+    "wkb_wavefunctions", "current_ratios",
     # oracle
     "PiecewisePotential", "TransmissionEstimate", "cap_barrier",
     "transfer_matrix_transmission", "scattering_wavefunction",

@@ -405,25 +405,29 @@ def _run_sweep(cfg: RunConfig):
     if p["cap"] < 0:
         raise ValidationError("cap must be positive (or 0 for the default)")
 
-    rows = []
     # Cartesian product, first axis outermost: lexicographic in axis indices
-    for idx in np.ndindex(*(len(vals) for _, vals in axes)):
-        row = {k: p[k] for k in _SWEEP_AXES}
-        for (name, vals), k in zip(axes, idx):
-            row[name] = float(vals[k])
-        bp = wkb.BarrierProblem(**row)
-        lam = wkb.barrier_exponent_closed(bp)
-        row.update({"lambda": lam, "T_closed": math.exp(-2.0 * lam),
-                    "T_quadrature": math.exp(-2.0 * wkb.barrier_exponent(bp)),
-                    "T_current_ratio": wkb.current_ratio(wkb.solve_barrier(bp))})
-        if p["oracle"]:
+    cols = {k: np.full(total, p[k]) for k in _SWEEP_AXES}
+    for (name, _), grid in zip(axes, np.meshgrid(*(v for _, v in axes),
+                                                 indexing="ij")):
+        cols[name] = grid.ravel()
+    bars = wkb.BarrierColumns(**cols)
+    lam = wkb.barrier_exponents_closed(bars)
+    lam_q = wkb.barrier_exponents(bars)
+    cols.update({"lambda": lam, "T_closed": wkb.transmissions(lam),
+                 "T_quadrature": wkb.transmissions(lam_q),
+                 "T_current_ratio": wkb.current_ratios(bars, lam_q)})
+    if p["oracle"]:
+        est_cols = {"T_numeric": [], "richardson_error": [], "L": []}
+        for point in zip(*(cols[k].tolist() for k in _SWEEP_AXES)):
+            bp = wkb.BarrierProblem(*point)
             pot = oracle.cap_barrier(bp, L=p["cap"] or None, n=p["points"])
             est = oracle.transfer_matrix_transmission(
                 pot, E=0.0, hbar=bp.hbar, mu=bp.mu)
-            row.update(T_numeric=est.T_numeric, richardson_error=est.richardson_error,
-                       L=0.5 * (pot.grid[-1] - pot.grid[0]), n=p["points"])
-        rows.append(row)
-    table = ResultTable({k: [r[k] for r in rows] for k in rows[0]})
+            est_cols["T_numeric"].append(est.T_numeric)
+            est_cols["richardson_error"].append(est.richardson_error)
+            est_cols["L"].append(0.5 * (pot.grid[-1] - pot.grid[0]))
+        cols.update(est_cols, n=[p["points"]] * total)
+    table = ResultTable(cols)
 
     def plots():
         ys = ["T_closed", "T_quadrature"] + (["T_numeric"] if p["oracle"] else [])

@@ -11,23 +11,37 @@ standard connection formulas give a transmission probability
     T = exp(-2*Lambda),   Lambda = (1/hbar) * integral_a^b sqrt(2*mu*H_int),
 
 with the closed form Lambda = (pi*H0 / (2*hbar)) * sqrt(2*mu/J0).
+
+Every evaluation runs on columns: a BarrierColumns holds (hbar, mu, j0, h0)
+as equal-length arrays, one entry per point, and the kernels
+(barrier_exponents_closed, barrier_exponents, wkb_wavefunctions,
+current_ratios) evaluate all points in one numpy pass.  The scalar
+functions on a BarrierProblem are one-element calls of the same kernels.
+The quadrature is the fixed 21-point Gauss-Kronrod rule of QUADPACK's
+qk21, the one pass QUADPACK's adaptive driver takes on this integrand.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from scipy.integrate import quad
+import numpy as np
 
 __all__ = [
     "BarrierProblem",
+    "BarrierColumns",
     "Momenta",
     "WkbSolution",
     "turning_points",
     "momenta",
+    "barrier_exponents_closed",
+    "barrier_exponents",
+    "transmissions",
+    "wkb_wavefunctions",
+    "current_ratios",
     "barrier_exponent",
     "barrier_exponent_closed",
     "activation_rate",
@@ -40,12 +54,38 @@ __all__ = [
 #: 1/sqrt(p) prefactors blow up and evaluation is refused
 TURNING_POINT_EXCLUSION = 1e-3
 
-#: current_ratio samples the currents CURRENT_OFFSET barrier widths outside
+#: current_ratios samples the currents CURRENT_OFFSET barrier widths outside
 #: the turning points, with a step of CURRENT_REL_STEP wavelengths hbar/p
 CURRENT_OFFSET = 0.5
 CURRENT_REL_STEP = 1e-4
 
 _REGIONS = ("incoming", "under_barrier", "outgoing")
+
+
+def _strict(kernel):
+    """Run ``kernel`` with numpy's overflow, invalid and divide errors
+    raised: exp(2*Lambda) past the float range raises FloatingPointError
+    instead of turning a current into inf or nan with only a warning."""
+    @functools.wraps(kernel)
+    def wrapper(*args, **kwargs):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return kernel(*args, **kwargs)
+    return wrapper
+
+
+def _interaction(phi, j0, h0):
+    """-j0*phi^2 + h0, squared as phi*phi on floats and arrays alike (a
+    Python float's **2 goes through libm pow, which may round differently)."""
+    return -j0 * (phi * phi) + h0
+
+
+def _validate(hbar, mu, j0, h0):
+    """The checks of every barrier, on floats or on whole columns."""
+    for name, v in (("hbar", hbar), ("mu", mu), ("j0", j0)):
+        if not np.all((v > 0) & np.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite")
+    if not np.all((h0 >= 0) & np.isfinite(h0)):
+        raise ValueError("h0 must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -58,18 +98,48 @@ class BarrierProblem:
     h0: float
 
     def __post_init__(self):
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
-            raise ValueError("hbar must be positive and finite")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ValueError("mu must be positive and finite")
-        if not (self.j0 > 0 and math.isfinite(self.j0)):
-            raise ValueError("j0 must be positive and finite")
-        if not (self.h0 >= 0 and math.isfinite(self.h0)):
-            raise ValueError("h0 must be non-negative and finite")
+        _validate(self.hbar, self.mu, self.j0, self.h0)
 
     def interaction_energy(self, phi):
         """Barrier profile -j0*phi**2 + h0 (works on scalars and arrays)."""
-        return -self.j0 * phi**2 + self.h0
+        return _interaction(phi, self.j0, self.h0)
+
+    def columns(self) -> BarrierColumns:
+        """This problem as one-point columns."""
+        return BarrierColumns(self.hbar, self.mu, self.j0, self.h0)
+
+
+@dataclass(frozen=True)
+class BarrierColumns:
+    """Barrier parameters as equal-length float arrays, one entry per point.
+
+    Scalars broadcast against the arrays; the same checks as BarrierProblem
+    apply to every entry.
+    """
+
+    hbar: np.ndarray
+    mu: np.ndarray
+    j0: np.ndarray
+    h0: np.ndarray
+
+    def __post_init__(self):
+        cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                     for v in (self.hbar, self.mu, self.j0, self.h0)))
+        if cols[0].ndim != 1:
+            raise ValueError("barrier columns must be one-dimensional")
+        _validate(*cols)
+        for name, col in zip(("hbar", "mu", "j0", "h0"), cols):
+            object.__setattr__(self, name, col)
+
+    def point(self, i: int) -> str:
+        """Point i's parameters, for error messages."""
+        return (f"point {i} (hbar={self.hbar[i]}, mu={self.mu[i]}, "
+                f"j0={self.j0[i]}, h0={self.h0[i]})")
+
+    @property
+    def b(self) -> np.ndarray:
+        """Outer turning points sqrt(h0/j0); the inner ones are -b."""
+        return np.sqrt(self.h0 / self.j0)
 
 
 class Momenta(NamedTuple):
@@ -100,30 +170,237 @@ def momenta(bp: BarrierProblem, phi: float) -> Momenta:
     return Momenta(None, math.sqrt(2.0 * bp.mu * h))
 
 
+# --------------------------------------------------------------------------
+# array kernels
+
+
+def _qk21_nodes():
+    """QUADPACK's qk21 on [-pi/2, pi/2]: the centre as (sin, cos) and its
+    Kronrod weight, the (Kronrod weight, (sin, cos) left, (sin, cos) right)
+    of the node pairs in the order qk21 sums them, and the half-length.
+
+    The nodes and weights are qk21's xgk and wgk; the Gauss-node pairs come
+    first, then the Kronrod-only pairs.  sin and cos are libm's, as in a
+    scalar integrand.
+    """
+    xgk = (0.995657163025808080735527280689003,
+           0.973906528517171720077964012084452,
+           0.930157491355708226001207180059508,
+           0.865063366688984510732096688423493,
+           0.780817726586416897063717578345042,
+           0.679409568299024406234327365114874,
+           0.562757134668604683339000099272694,
+           0.433395394129247190799265943165784,
+           0.294392862701460198131126603103866,
+           0.148874338981631210884826001129720)
+    wgk = (0.011694638867371874278064396062192,
+           0.032558162307964727478818972459390,
+           0.054755896574351996031381300244580,
+           0.075039674810919952767043140916190,
+           0.093125454583697605535065465083366,
+           0.109387158802297641899210590325805,
+           0.123491976262065851077958109831074,
+           0.134709217311473325928054001771707,
+           0.142775938577060080797094273138717,
+           0.147739104901338491374841515972068,
+           0.149445554002916905664936468389821)
+    lo, hi = -math.pi / 2.0, math.pi / 2.0
+    centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def node(theta):
+        return math.sin(theta), math.cos(theta)
+
+    pairs = [(wgk[j], node(centr - hlgth * xgk[j]), node(centr + hlgth * xgk[j]))
+             for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)]   # qk21's jtw, then jtwm1
+    return node(centr), wgk[10], pairs, hlgth
+
+
+_QK21_CENTRE, _QK21_CENTRE_WEIGHT, _QK21_PAIRS, _QK21_HALF = _qk21_nodes()
+
+
+def barrier_exponents_closed(cols: BarrierColumns) -> np.ndarray:
+    """Closed-form exponents Lambda = (pi*h0 / (2*hbar)) * sqrt(2*mu/j0)."""
+    return (math.pi * cols.h0 / (2.0 * cols.hbar)) * np.sqrt(2.0 * cols.mu / cols.j0)
+
+
+@_strict
+def barrier_exponents(cols: BarrierColumns) -> np.ndarray:
+    """Quadrature exponents Lambda = (1/hbar) * integral_a^b rho(phi) dphi.
+
+    The integrand has square-root zeros at both endpoints, so it is taken
+    in the angle variable phi = b*sin(theta), where it is smooth:
+    rho(b*sin t)*b*cos t = b*sqrt(2*mu*h0)*cos^2 t on [-pi/2, pi/2].  The
+    rule is QUADPACK's 21-point Gauss-Kronrod qk21, summed in qk21's order
+    and scaled by the half-length, so each value equals the one pass that
+    scipy.integrate.quad takes on this integrand; each node is evaluated
+    for all points at once.  A flat top (h0 = 0, b = 0) gives 0.
+    """
+    b = cols.b
+
+    def f(node):
+        """The integrand at one node, for every point."""
+        sin, cos = node
+        h = _interaction(b * sin, cols.j0, cols.h0)
+        # clip tiny negatives from roundoff near the endpoints
+        return np.sqrt(np.maximum(2.0 * cols.mu * h, 0.0)) * b * cos
+
+    resk = _QK21_CENTRE_WEIGHT * f(_QK21_CENTRE)
+    for w, left, right in _QK21_PAIRS:
+        resk = resk + w * (f(left) + f(right))
+    return resk * _QK21_HALF / cols.hbar
+
+
+def transmissions(lam) -> list[float]:
+    """exp(-2*Lambda) for each exponent, by libm's exp.
+
+    numpy's vectorised exp differs from libm's in the last bit on a few
+    percent of arguments; libm keeps a sweep's T columns the bits that
+    activation_rate and solve_barrier give for one point.
+    """
+    return [math.exp(-2.0 * x) for x in np.asarray(lam, dtype=float).tolist()]
+
+
+def _allowed_action(x, b, k):
+    """(integral_b^x p, p(x)) for x > b, in closed form.
+
+    With p = k*sqrt(x^2 - b^2) and k = sqrt(2*mu*j0) the antiderivative is
+    (k/2)*(x*sqrt(x^2 - b^2) - b^2*arcosh(x/b)), the arcosh written as
+    arsinh(sqrt(x^2 - b^2)/b) so that it stays accurate near the turning
+    point; the term vanishes with b.
+    """
+    s = np.sqrt((x - b) * (x + b))
+    arc = b * b * np.arcsinh(s / np.where(b > 0.0, b, 1.0))
+    return 0.5 * k * (x * s - arc), k * s
+
+
+def _forbidden_action(x, b, k):
+    """(integral_x^b rho, rho(x)) for |x| < b, in closed form.
+
+    With rho = k*sqrt(b^2 - x^2) the antiderivative is
+    (k/2)*(b^2*arccos(x/b) - x*sqrt(b^2 - x^2)), the arccos written as
+    atan2(sqrt(b^2 - x^2), x); at x = a it is hbar*Lambda.
+    """
+    s = np.sqrt((b - x) * (b + x))
+    return 0.5 * k * (b * b * np.arctan2(s, x) - x * s), k * s
+
+
+def _refuse(bad, message):
+    """Raise ValueError naming the first point where ``bad`` holds."""
+    if np.any(bad):
+        raise ValueError(message(int(np.argmax(bad))))
+
+
+@_strict
+def wkb_wavefunctions(cols: BarrierColumns, lam, region: str, phi,
+                      c=1.0 + 0.0j) -> np.ndarray:
+    """Evaluate the three-region wavefunction at phi, one value per point.
+
+    incoming  (phi < a): exp(L) * (-i c)/sqrt(p) * exp(i*(FI - pi/4)),
+                         FI = (1/hbar) * integral_phi^a p
+    under     (a<phi<b): (-i c)/sqrt(rho) * exp((1/hbar) * integral_phi^b rho)
+    outgoing  (phi > b): c/sqrt(p) * exp(i*(FO - pi/4)),
+                         FO = (1/hbar) * integral_b^phi p
+
+    lam is each point's exponent Lambda and c the outgoing amplitude (a
+    scalar or one per point).  The barrier is symmetric, so FI at phi is FO
+    at -phi; all three integrals have closed forms (_allowed_action,
+    _forbidden_action).  Evaluation within TURNING_POINT_EXCLUSION*(b - a)
+    of a turning point is refused: the 1/sqrt prefactor is meaningless
+    there.
+    """
+    if region not in _REGIONS:
+        raise ValueError(f"region must be one of {_REGIONS}, got {region!r}")
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), cols.hbar.shape)
+    b = cols.b
+    a = -b
+    guard = TURNING_POINT_EXCLUSION * (b - a)
+    _refuse(np.minimum(abs(phi - a), abs(phi - b)) <= guard, lambda i: (
+        f"phi={phi[i]} is within the exclusion zone {guard[i]} of a turning point"))
+
+    k = np.sqrt(2.0 * cols.mu * cols.j0)
+    c = np.asarray(c, dtype=complex)
+    if region == "incoming":
+        _refuse(~(phi < a), lambda i: (
+            f"phi={phi[i]} is not in the incoming region (phi < {a[i]})"))
+        action, p = _allowed_action(-phi, b, k)
+        return (np.exp(lam) * (-1j) * c / np.sqrt(p)
+                * np.exp(1j * (action / cols.hbar - math.pi / 4.0)))
+    if region == "under_barrier":
+        _refuse(~((a < phi) & (phi < b)), lambda i: (
+            f"phi={phi[i]} is not under the barrier ({a[i]}, {b[i]})"))
+        # the amplitude grows towards the entrance face
+        action, rho = _forbidden_action(phi, b, k)
+        return (-1j) * c / np.sqrt(rho) * np.exp(action / cols.hbar)
+    _refuse(~(phi > b), lambda i: (
+        f"phi={phi[i]} is not in the outgoing region (phi > {b[i]})"))
+    action, p = _allowed_action(phi, b, k)
+    return c / np.sqrt(p) * np.exp(1j * (action / cols.hbar - math.pi / 4.0))
+
+
+def _fd_currents(cols, lam, c, region, phi, h):
+    """Probability currents j = (hbar/mu)*Im(psi* dpsi/dphi), central differences."""
+    psi = wkb_wavefunctions(cols, lam, region, phi, c)
+    dpsi = (wkb_wavefunctions(cols, lam, region, phi + h, c)
+            - wkb_wavefunctions(cols, lam, region, phi - h, c)) / (2.0 * h)
+    return cols.hbar / cols.mu * (psi.conjugate() * dpsi).imag
+
+
+@_strict
+def current_ratios(cols: BarrierColumns, lam, c=1.0 + 0.0j) -> np.ndarray:
+    """|j_outgoing| / |j_incoming| from finite-difference currents, per point.
+
+    lam is each point's exponent Lambda, c the outgoing amplitude.  Both
+    currents are checked against their closed-form values (|c|^2/mu
+    outgoing, exp(2*Lambda)*|c|^2/mu incoming); a deviation beyond 1e-4
+    means the finite-difference step is too coarse and is reported as an
+    error naming the first such point.  exp(2*Lambda) past the float range
+    (Lambda > 354) raises FloatingPointError.  The ratio is independent of c.
+    """
+    lam = np.asarray(lam, dtype=float)
+    b = cols.b
+    a = -b
+    scale = np.where(b > a, b - a, 1.0)
+    phi_in = a - CURRENT_OFFSET * scale
+    phi_out = b + CURRENT_OFFSET * scale
+    # a fixed phase step k*h keeps the rounding that 1/(k*h) amplifies the
+    # same at any wavelength; a quarter width stays clear of the exclusion zone
+    p_out = np.sqrt(-2.0 * cols.mu * _interaction(phi_out, cols.j0, cols.h0))
+    h = np.minimum(CURRENT_REL_STEP * cols.hbar / p_out, 0.25 * scale)
+
+    j_in = _fd_currents(cols, lam, c, "incoming", phi_in, h)
+    j_out = _fd_currents(cols, lam, c, "outgoing", phi_out, h)
+
+    c2 = abs(np.asarray(c, dtype=complex)) ** 2
+    j_out_exact = c2 / cols.mu
+    j_in_exact = np.exp(2.0 * lam) * c2 / cols.mu
+    for name, got, want in (("outgoing", abs(j_out), j_out_exact),
+                            ("incoming", abs(j_in), j_in_exact)):
+        dev = abs(got - want) / want
+        bad = ~(dev <= 1e-4)           # a nan deviation fails too
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise RuntimeError(
+                f"finite-difference {name} current off by {dev[i]:.3e} at "
+                f"{cols.point(i)} (step too coarse?)")
+    return abs(j_out) / abs(j_in)
+
+
+# --------------------------------------------------------------------------
+# one-point calls
+
+
 def barrier_exponent_closed(bp: BarrierProblem) -> float:
     """Closed-form exponent Lambda = (pi*h0 / (2*hbar)) * sqrt(2*mu/j0)."""
-    return (math.pi * bp.h0 / (2.0 * bp.hbar)) * math.sqrt(2.0 * bp.mu / bp.j0)
+    return float(barrier_exponents_closed(bp.columns())[0])
 
 
 def barrier_exponent(bp: BarrierProblem) -> float:
     """Quadrature value of Lambda = (1/hbar) * integral_a^b rho(phi) dphi.
 
-    The integrand has square-root zeros at both endpoints, so integrate in
-    the angle variable phi = b*sin(theta) where it is smooth:
-    rho(b*sin t)*b*cos t = b*sqrt(2*mu*h0)*cos^2 t.
+    A one-point barrier_exponents: QUADPACK's 21-point Gauss-Kronrod rule
+    in the angle variable phi = b*sin(theta).
     """
-    a, b = turning_points(bp)
-    if b == 0.0:
-        return 0.0
-
-    def integrand(theta: float) -> float:
-        phi = b * math.sin(theta)
-        h = bp.interaction_energy(phi)
-        # clip tiny negatives from roundoff at the endpoints
-        return math.sqrt(max(2.0 * bp.mu * h, 0.0)) * b * math.cos(theta)
-
-    val, _ = quad(integrand, -math.pi / 2.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-12)
-    return val / bp.hbar
+    return float(barrier_exponents(bp.columns())[0])
 
 
 def activation_rate(bp: BarrierProblem) -> float:
@@ -156,114 +433,16 @@ def solve_barrier(bp: BarrierProblem, c: complex = 1.0 + 0.0j) -> WkbSolution:
                        transmission=math.exp(-2.0 * lam), c=c)
 
 
-def _allowed_action(bp: BarrierProblem, x: float) -> tuple[float, float]:
-    """(integral_b^x p, p(x)) for x > b, in closed form.
-
-    With p = k*sqrt(x^2 - b^2) and k = sqrt(2*mu*j0) the antiderivative is
-    (k/2)*(x*sqrt(x^2 - b^2) - b^2*arcosh(x/b)), the arcosh written as
-    arsinh(sqrt(x^2 - b^2)/b) so that it stays accurate near the turning
-    point; the term vanishes with b.
-    """
-    _, b = turning_points(bp)
-    k = math.sqrt(2.0 * bp.mu * bp.j0)
-    s = math.sqrt((x - b) * (x + b))
-    arc = b * b * math.asinh(s / b) if b > 0.0 else 0.0
-    return 0.5 * k * (x * s - arc), k * s
-
-
-def _forbidden_action(bp: BarrierProblem, x: float) -> tuple[float, float]:
-    """(integral_x^b rho, rho(x)) for |x| < b, in closed form.
-
-    With rho = k*sqrt(b^2 - x^2) the antiderivative is
-    (k/2)*(b^2*arccos(x/b) - x*sqrt(b^2 - x^2)), the arccos written as
-    atan2(sqrt(b^2 - x^2), x); at x = a it is hbar*Lambda.
-    """
-    _, b = turning_points(bp)
-    k = math.sqrt(2.0 * bp.mu * bp.j0)
-    s = math.sqrt((b - x) * (b + x))
-    return 0.5 * k * (b * b * math.atan2(s, x) - x * s), k * s
-
-
 def wkb_wavefunction(sol: WkbSolution, region: str, phi: float) -> complex:
-    """Evaluate the three-region wavefunction at phi.
-
-    incoming  (phi < a): exp(L) * (-i c)/sqrt(p) * exp(i*(FI - pi/4)),
-                         FI = (1/hbar) * integral_phi^a p
-    under     (a<phi<b): (-i c)/sqrt(rho) * exp((1/hbar) * integral_phi^b rho)
-    outgoing  (phi > b): c/sqrt(p) * exp(i*(FO - pi/4)),
-                         FO = (1/hbar) * integral_b^phi p
-
-    The barrier is symmetric, so FI at phi is FO at -phi; all three
-    integrals have closed forms (_allowed_action, _forbidden_action).
-    Evaluation within TURNING_POINT_EXCLUSION*(b - a) of a turning point is
-    refused: the 1/sqrt prefactor is meaningless there.
-    """
-    if region not in _REGIONS:
-        raise ValueError(f"region must be one of {_REGIONS}, got {region!r}")
-    bp = sol.problem
-    a, b = turning_points(bp)
-    guard = TURNING_POINT_EXCLUSION * (b - a)
-    if min(abs(phi - a), abs(phi - b)) <= guard:
-        raise ValueError(
-            f"phi={phi} is within the exclusion zone {guard} of a turning point")
-
-    c = complex(sol.c)
-    if region == "incoming":
-        if not phi < a:
-            raise ValueError(f"phi={phi} is not in the incoming region (phi < {a})")
-        action, p = _allowed_action(bp, -phi)
-        return (math.exp(sol.barrier_exponent) * (-1j) * c / math.sqrt(p)
-                * cmath.exp(1j * (action / bp.hbar - math.pi / 4.0)))
-    if region == "under_barrier":
-        if not a < phi < b:
-            raise ValueError(f"phi={phi} is not under the barrier ({a}, {b})")
-        # the amplitude grows towards the entrance face
-        action, rho = _forbidden_action(bp, phi)
-        return (-1j) * c / math.sqrt(rho) * math.exp(action / bp.hbar)
-    # outgoing
-    if not phi > b:
-        raise ValueError(f"phi={phi} is not in the outgoing region (phi > {b})")
-    action, p = _allowed_action(bp, phi)
-    return c / math.sqrt(p) * cmath.exp(1j * (action / bp.hbar - math.pi / 4.0))
-
-
-def _fd_current(sol: WkbSolution, region: str, phi: float, h: float) -> float:
-    """Probability current j = (hbar/mu)*Im(psi* dpsi/dphi), central differences."""
-    bp = sol.problem
-    psi = wkb_wavefunction(sol, region, phi)
-    dpsi = (wkb_wavefunction(sol, region, phi + h)
-            - wkb_wavefunction(sol, region, phi - h)) / (2.0 * h)
-    return bp.hbar / bp.mu * (psi.conjugate() * dpsi).imag
+    """The three-region wavefunction at phi: a one-point wkb_wavefunctions."""
+    return complex(wkb_wavefunctions(sol.problem.columns(), sol.barrier_exponent,
+                                     region, phi, sol.c)[0])
 
 
 def current_ratio(sol: WkbSolution, bp: BarrierProblem | None = None) -> float:
-    """|j_outgoing| / |j_incoming| from finite-difference currents.
-
-    Both currents are checked against their closed-form values
-    (|c|^2/mu outgoing, exp(2*Lambda)*|c|^2/mu incoming); a deviation
-    beyond 1e-4 means the finite-difference step is too coarse and is
-    reported as an error.  The ratio is independent of c.
-    """
-    if bp is None:
-        bp = sol.problem
-    a, b = turning_points(bp)
-    scale = (b - a) if b > a else 1.0
-    phi_in = a - CURRENT_OFFSET * scale
-    phi_out = b + CURRENT_OFFSET * scale
-    # a fixed phase step k*h keeps the rounding that 1/(k*h) amplifies the
-    # same at any wavelength; a quarter width stays clear of the exclusion zone
-    h = min(CURRENT_REL_STEP * bp.hbar / momenta(bp, phi_out).p, 0.25 * scale)
-
-    j_in = _fd_current(sol, "incoming", phi_in, h)
-    j_out = _fd_current(sol, "outgoing", phi_out, h)
-
-    c2 = abs(sol.c) ** 2
-    j_out_exact = c2 / bp.mu
-    j_in_exact = math.exp(2.0 * sol.barrier_exponent) * c2 / bp.mu
-    for name, got, want in (("outgoing", abs(j_out), j_out_exact),
-                            ("incoming", abs(j_in), j_in_exact)):
-        if abs(got - want) > 1e-4 * want:
-            raise RuntimeError(
-                f"finite-difference {name} current off by "
-                f"{abs(got - want) / want:.3e} (step too coarse?)")
-    return abs(j_out) / abs(j_in)
+    """|j_outgoing| / |j_incoming| of one solution: a one-point current_ratios
+    (bp, if given, must be the solution's problem)."""
+    if bp is not None and bp != sol.problem:
+        raise ValueError("bp must be the problem the solution solves")
+    return float(current_ratios(sol.problem.columns(), sol.barrier_exponent,
+                                sol.c)[0])

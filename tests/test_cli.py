@@ -392,6 +392,18 @@ def test_deep_semiclassical_current_ratio(tmp_path, args):
         assert float(ratio) == pytest.approx(float(closed), rel=1e-4)
 
 
+@pytest.mark.parametrize("args", [
+    ["tunnel", "--hbar", "0.005"],
+    ["sweep", "--axis", "hbar=0.005:1:3"],
+])
+def test_deep_semiclassical_overflow_exits_3(tmp_path, capsys, args):
+    # exp(2*Lambda) at hbar 0.005 (Lambda = 444) is past the float range; an
+    # overflow to inf must fail the run, not write a current ratio of 0
+    assert run_cli(args, tmp_path) == EXIT_NUMERICAL
+    assert "overflow" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_manifest_with_unknown_key_rejected(tmp_path):
     from semiq.cli import RunConfig, ValidationError
 

@@ -1,25 +1,33 @@
 """Inverted-parabola barrier: exponent, wavefunctions, current ratio."""
 
+import ast
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from semiq import (
+    BarrierColumns,
     BarrierProblem,
     activation_rate,
     barrier_exponent,
     barrier_exponent_closed,
+    barrier_exponents,
+    barrier_exponents_closed,
     current_ratio,
+    current_ratios,
     momenta,
     solve_barrier,
     turning_points,
     wkb_wavefunction,
+    wkb_wavefunctions,
 )
+from semiq import wkb
 from semiq.wkb import TURNING_POINT_EXCLUSION, _allowed_action, _forbidden_action
 
 # frozen oracle at hbar = mu = j0 = h0 = 1:
@@ -175,11 +183,13 @@ def quad_action(bp, region, phi):
 
 
 def closed_action(bp, region, phi):
+    _, b = turning_points(bp)
+    k = math.sqrt(2.0 * bp.mu * bp.j0)
     if region == "incoming":
-        return _allowed_action(bp, -phi)[0]
+        return float(_allowed_action(-phi, b, k)[0])
     if region == "under_barrier":
-        return _forbidden_action(bp, phi)[0]
-    return _allowed_action(bp, phi)[0]
+        return float(_forbidden_action(phi, b, k)[0])
+    return float(_allowed_action(phi, b, k)[0])
 
 
 #: just outside the exclusion zone, in units of the half-width b
@@ -202,3 +212,132 @@ def test_closed_form_actions_match_quadrature(hbar, mu, j0, h0, region, u):
     want = quad_action(bp, region, phi)
     assert closed_action(bp, region, phi) == pytest.approx(want, rel=1e-11,
                                                            abs=0.0)
+
+
+# --------------------------------------------------------------------------
+# array kernels against scipy's QUADPACK and against their one-point calls
+
+#: barriers with Lambda < 180, whose exp(2*Lambda) stays in the float
+#: range, and flat tops; h0 >= 0.05 keeps out barriers so narrow that the
+#: current step is capped at a quarter width, where the finite-difference
+#: current is about 1.1e-4 off and current_ratios refuses them
+POINTS = st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 4.0),
+                            st.floats(0.25, 10.0),
+                            st.just(0.0) | st.floats(0.05, 2.0)),
+                  min_size=1, max_size=12)
+J0 = st.floats(0.1, 10.0)
+
+
+def quad_exponent(bp):
+    """Lambda by scipy.integrate.quad of the angle-variable integrand that
+    barrier_exponent handed to it before the fixed rule, and quad's count
+    of integrand evaluations."""
+    _, b = turning_points(bp)
+
+    def integrand(theta):
+        phi = b * math.sin(theta)
+        h = bp.interaction_energy(phi)
+        return math.sqrt(max(2.0 * bp.mu * h, 0.0)) * b * math.cos(theta)
+
+    val, _, info = quad(integrand, -math.pi / 2.0, math.pi / 2.0,
+                        epsabs=1e-14, epsrel=1e-12, full_output=1)
+    return val / bp.hbar, info["neval"]
+
+
+def columns(points):
+    return BarrierColumns(*np.array(points, dtype=float).T)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(points=POINTS)
+def test_quadrature_kernel_matches_quadpack(points):
+    # QUADPACK stops after its first 21-point Gauss-Kronrod pass on this
+    # integrand, so the fixed rule is the same sum
+    lam = barrier_exponents(columns(points))
+    for got, point in zip(lam.tolist(), points):
+        want, neval = quad_exponent(BarrierProblem(*point))
+        assert neval == 21
+        assert abs(got - want) <= 2.0 * math.ulp(want), (got, want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(points=POINTS, u=st.floats(0.0, 1.0))
+def test_kernels_equal_one_point_calls(points, u):
+    cols = columns(points)
+    lam_c = barrier_exponents_closed(cols)
+    lam_q = barrier_exponents(cols)
+    ratio = current_ratios(cols, lam_q)
+    b = cols.b
+    # outside the barrier and clear of the exclusion zone, b = 0 included
+    phi_out = b * (1.0 + 2.0 * TURNING_POINT_EXCLUSION) + 0.01 + 2.0 * u
+    psi_in = wkb_wavefunctions(cols, lam_q, "incoming", -phi_out)
+    psi_out = wkb_wavefunctions(cols, lam_q, "outgoing", phi_out)
+    barrier = b > 0.0
+    phi_mid = b[barrier] * (1.0 - 4.0 * TURNING_POINT_EXCLUSION) * (2.0 * u - 1.0)
+    psi_mid = wkb_wavefunctions(columns(np.array(points)[barrier]),
+                                lam_q[barrier], "under_barrier", phi_mid)
+    mid = iter(zip(psi_mid.tolist(), phi_mid.tolist()))
+    for i, point in enumerate(points):
+        bp = BarrierProblem(*point)
+        sol = solve_barrier(bp)
+        assert lam_c[i] == barrier_exponent_closed(bp)
+        assert lam_q[i] == barrier_exponent(bp) == sol.barrier_exponent
+        assert ratio[i] == current_ratio(sol)
+        assert psi_in[i] == wkb_wavefunction(sol, "incoming", -phi_out[i])
+        assert psi_out[i] == wkb_wavefunction(sol, "outgoing", phi_out[i])
+        if barrier[i]:
+            psi, phi = next(mid)
+            assert psi == wkb_wavefunction(sol, "under_barrier", phi)
+
+
+def test_flat_top_exponents_are_zero_without_warnings():
+    cols = BarrierColumns(hbar=[0.05, 1.0, 2.0], mu=[0.5, 1.0, 3.0],
+                          j0=[0.1, 1.0, 10.0], h0=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = barrier_exponents(cols)
+        assert lam.tolist() == [0.0, 0.0, 0.0]
+        assert barrier_exponents_closed(cols).tolist() == [0.0, 0.0, 0.0]
+        np.testing.assert_allclose(current_ratios(cols, lam), 1.0, rtol=1e-12)
+
+
+def test_failing_current_names_its_point(monkeypatch):
+    # a step of 0.026 wavelengths takes a current about 1e-4 off: just
+    # inside the bound at hbar 2, just outside at hbar 0.05 and 0.3
+    monkeypatch.setattr(wkb, "CURRENT_REL_STEP", 0.026)
+    cols = BarrierColumns(hbar=[2.0, 0.05, 0.3], mu=1.0, j0=1.0, h0=1.0)
+    with pytest.raises(RuntimeError, match=r"current off by .* at point 1 "
+                                           r"\(hbar=0\.05, mu=1\.0, j0=1\.0, h0=1\.0\)"):
+        current_ratios(cols, barrier_exponents(cols))
+
+
+def test_columns_are_validated():
+    with pytest.raises(ValueError, match="hbar"):
+        BarrierColumns(hbar=[1.0, 0.0], mu=1.0, j0=1.0, h0=1.0)
+    with pytest.raises(ValueError, match="h0"):
+        BarrierColumns(hbar=1.0, mu=1.0, j0=1.0, h0=[1.0, math.nan])
+    with pytest.raises(ValueError, match="under the barrier"):
+        wkb_wavefunctions(BarrierColumns(1.0, 1.0, 1.0, [1.0, 1.0]), [1.0, 1.0],
+                          "under_barrier", [0.0, 2.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(phi=st.floats(-1e3, 1e3), j0=J0, h0=st.floats(0.0, 5.0))
+@example(phi=-0.2044005530144144, j0=1.0, h0=0.0)   # where phi**2 != phi*phi
+def test_interaction_energy_scalar_equals_array(phi, j0, h0):
+    # a float's **2 goes through libm pow and an array's through a multiply
+    # (as in cap_barrier, the oracle's input); phi*phi makes them agree
+    bp = BarrierProblem(hbar=1.0, mu=1.0, j0=j0, h0=h0)
+    scalar = bp.interaction_energy(phi)
+    assert isinstance(scalar, float)
+    assert scalar.hex() == float(bp.interaction_energy(np.array([phi]))[0]).hex()
+
+
+def test_wkb_imports_no_scipy():
+    with open(wkb.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+             for a in n.names]
+    names += [n.module for n in ast.walk(tree)
+              if isinstance(n, ast.ImportFrom) and n.module]
+    assert not [m for m in names if m.split(".")[0] == "scipy"]
