@@ -81,6 +81,35 @@ def test_clock_map_truncation_event():
     assert cm.truncated_at == pytest.approx(math.log(10.0) / 4.0, rel=1e-8)
 
 
+def sine_lapse(t):
+    return 1.0 + 0.5 * math.sin(7.0 * t)
+
+
+def power_law_clock(c, p, a0, tau):
+    """a(tau) for U = c a^p: G(a) = (a^q - a0^q) / (2 sqrt(c) q), q = 1 - p/2."""
+    q = 1.0 - 0.5 * p
+    return (a0**q + 2.0 * math.sqrt(c) * q * tau) ** (1.0 / q)
+
+
+CLOCK_RTOL = 1e-9
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.9), st.floats(0.5, 8.0), st.floats(0.5, 2.0),
+       st.floats(0.05, 1.0), st.booleans())
+def test_clock_map_inverts_power_law_primitive(p, c, a0, t_max, sine):
+    # da/dt = 2 N sqrt(c a^p) separates into G(a) = tau(t); at the sine
+    # lapse tau = t + (1 - cos 7t)/14, at unit lapse tau = t
+    kw = {"lapse": sine_lapse} if sine else {}
+    m = MiniSuperspaceModel(potential_u=lambda a: c * np.asarray(a) ** p,
+                            hbar=1.0, **kw)
+    cm = clock_map(m, a0=a0, t_span=(0.0, t_max))
+    t = np.linspace(0.0, t_max, 65)
+    tau = t + (1.0 - np.cos(7.0 * t)) / 14.0 if sine else t
+    want = power_law_clock(c, p, a0, tau)
+    assert np.max(np.abs(cm(t) / want - 1.0)) < CLOCK_RTOL
+
+
 def test_constant_potential_linear_growth():
     m = MiniSuperspaceModel(potential_u=lambda a: 9.0 + 0.0 * np.asarray(a),
                             hbar=1.0)
