@@ -601,13 +601,13 @@ def _parse_potential(spec: str):
         if np.any(u_vals <= 0):
             raise ValidationError(f"{arg}: potential values must be positive")
 
-        # imported here: scipy.interpolate adds ~50 ms to every CLI start
+        # imported here: scipy.interpolate takes about 0.6 s to import
         from scipy.interpolate import CubicSpline
 
         # a spline, so U'' is a function and not a sum of delta functions;
-        # the clip extends it as a constant outside the tabulated range,
-        # which keeps the ODE right-hand side defined while the solver
-        # brackets its events
+        # the clip extends it as a constant outside the tabulated range, so
+        # U stays positive on the clock's last G panel, which reaches past
+        # the table's end when a(t) is truncated there
         spline = CubicSpline(a_vals, u_vals)
 
         def u_of(a, _lo=a_vals[0], _hi=a_vals[-1]):
@@ -685,11 +685,14 @@ def _run_cosmo(cfg: RunConfig):
         if t_grid.size < 2:
             raise ValidationError("a_max truncates the run immediately")
 
-    a_vals = np.atleast_1d(cm(t_grid))
-    cols = {"t": t_grid, "a": a_vals}
+    traj = None
     if matter is not None:
         chi0 = np.array([1.0, 0.0], dtype=complex)
         traj = minisuperspace.evolve_matter(model, cm, chi0, t_grid)
+    # evolve_matter has evaluated the clock on t_grid already
+    a_vals = cm(t_grid) if traj is None else traj.a_values
+    cols = {"t": t_grid, "a": a_vals}
+    if traj is not None:
         re, im = traj.chis.real, traj.chis.imag
         cols.update({f"re_chi_{k}": re[:, k] for k in range(chi0.size)})
         cols.update({f"im_chi_{k}": im[:, k] for k in range(chi0.size)})

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "ClockModel",
@@ -406,10 +405,6 @@ class Reparametrization:
 
     def __call__(self, t):
         return self.fn(t)
-
-    def inverse(self, y: float) -> float:
-        lo, hi = self.domain
-        return brentq(lambda t: self.fn(t) - y, lo, hi, xtol=1e-13, rtol=1e-14)
 
 
 def reparametrize_events(traj: CoherenceTrajectory,

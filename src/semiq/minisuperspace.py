@@ -11,6 +11,9 @@ is solved order by order in hbar with the ansatz Psi = A(a) e^{iS/hbar} chi:
                                        branch only, U >= 0)
   *  A = (dS/da)^(-1/2), A(a0) = 1    (amplitude transport, A^2 S' const)
   *  da/dt = 2 N(t) dS/da             (the emergent clock; N is the lapse)
+                                       separable: G(a) = tau(t), with
+                                       G = integral da/(2 sqrt(U)) and
+                                       tau = integral N dt
   *  i hbar dchi/dt = N H_q(a(t)) chi (unitary matter evolution)
 
 What the truncation discards is exactly -hbar**2 A'' e^{iS/hbar}, which
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+
+from . import quadrature
 
 __all__ = [
     "MiniSuperspaceModel",
@@ -44,12 +48,16 @@ __all__ = [
 
 
 def _unit_lapse(t):
-    return 1.0
+    return np.ones_like(t, dtype=float)
 
 
 @dataclass(frozen=True)
 class MiniSuperspaceModel:
-    """Potential U(a), hbar, lapse N(t) and an optional matter sector."""
+    """Potential U(a), hbar, lapse N(t) and an optional matter sector.
+
+    U and N are called on arrays; one that takes only floats is called
+    point by point instead.
+    """
 
     potential_u: Callable[[float], float]
     hbar: float
@@ -79,15 +87,15 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _u_values(model: MiniSuperspaceModel, x: np.ndarray) -> np.ndarray:
-    """Evaluate U on an array, tolerating non-vectorized callables."""
+def _values(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """Evaluate fn on an array, tolerating non-vectorized callables."""
     try:
-        u = np.asarray(model.u(x), dtype=float)
-        if u.shape != np.shape(x):
+        y = np.asarray(fn(x), dtype=float)
+        if y.shape != np.shape(x):
             raise TypeError
     except (TypeError, ValueError):
-        u = np.vectorize(lambda a: float(model.u(a)))(x)
-    return u
+        y = np.vectorize(lambda v: float(fn(v)), otypes=[float])(x)
+    return y
 
 
 def hamilton_jacobi_phase(model: MiniSuperspaceModel, a_grid: np.ndarray) -> np.ndarray:
@@ -100,10 +108,14 @@ def hamilton_jacobi_phase(model: MiniSuperspaceModel, a_grid: np.ndarray) -> np.
     if a.ndim != 1 or a.size < 2 or not np.all(np.diff(a) > 0):
         raise ValueError("a_grid must be strictly increasing with >= 2 points")
     probe = np.unique(np.concatenate([a, 0.5 * (a[1:] + a[:-1])]))
-    u = _u_values(model, probe)
+    u = _values(model.u, probe)
     if np.any(u < 0.0):
         raise ValueError(f"U({probe[np.argmin(u)]}) < 0: Euclidean region, "
                          "no Lorentzian branch here")
+
+    # imported here: scipy.integrate takes about 0.6 s to import, and the
+    # CLI never calls this
+    from scipy.integrate import quad
 
     def integrand(x):
         return math.sqrt(max(model.u(x), 0.0))
@@ -130,59 +142,178 @@ def amplitude_transport(a_grid: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.sqrt(ds[0] / ds)
 
 
-class ClockMap:
-    """Dense solution a(t) of da/dt = 2 N(t) sqrt(U(a))."""
+#: qk21 on [-1, 1]: the 21 Kronrod nodes and weights, and the 10 Gauss ones
+_KRONROD_X = np.array([-x for x in quadrature.XGK] + [0.0] + list(quadrature.XGK[::-1]))
+_KRONROD_W = np.array(quadrature.WGK[:10] + quadrature.WGK[10:] + quadrature.WGK[9::-1])
+_GAUSS_X = np.array([-x for x in quadrature.XGK[1::2]] + list(quadrature.XGK[9::-2]))
+_GAUSS_W = np.array(quadrature.WG + quadrature.WG[::-1])
 
-    def __init__(self, ivp_solution, t_span: tuple[float, float],
-                 truncated_at: float | None = None):
-        self._sol = ivp_solution
+#: uniform panels of the lapse-time table tau(t) on t_span
+LAPSE_PANELS = 64
+
+#: ratio of neighbouring edges of the G(a) table.  On U = c a^p a panel then
+#: spans ln(17/16) = 0.061 in ln a, where the cubic Hermite guess for a(G)
+#: is good to about 4e-8 relative and one Newton step to roundoff
+SCALE_RATIO = 17.0 / 16.0
+
+
+def _panel(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Index k of the panel [edges[k], edges[k+1]] holding each v."""
+    return np.clip(np.searchsorted(edges, v, side="right") - 1, 0, edges.size - 2)
+
+
+class _Primitive:
+    """F(x) = integral_{x_0}^{x} f of a positive f, tabulated at panel edges.
+
+    F at the edges x_0 < x_1 < ... sums qk21 over each panel; between edges
+    F is the edge value plus qk21's 10-point Gauss rule on the partial
+    panel.  The inverse takes a cubic Hermite guess between the edges, where
+    dx/dF = 1/f is exact, and one Newton step.  f maps arrays to arrays.
+    Where the tabulated f is not positive and finite it is stored as nan,
+    and F is nan from that panel on.
+    """
+
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray):
+        x = np.asarray(edges, dtype=float)
+        mid, half = 0.5 * (x[1:] + x[:-1]), 0.5 * (x[1:] - x[:-1])
+        with np.errstate(all="ignore"):
+            vals = f(np.concatenate((x, (_KRONROD_X[:, None] * half + mid).ravel())))
+        vals = np.where((vals > 0.0) & (vals < math.inf), vals, np.nan)
+        self.f, self.x, self.fx = f, x, vals[:x.size]
+        panels = (_KRONROD_W @ vals[x.size:].reshape(_KRONROD_X.size, -1)) * half
+        self.F = np.concatenate(([0.0], np.cumsum(panels)))
+
+    def head(self, panels: int) -> None:
+        """Keep the first ``panels`` panels."""
+        self.x, self.fx, self.F = (v[:panels + 1] for v in (self.x, self.fx, self.F))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self._from_edge(_panel(self.x, x), x)
+
+    def _from_edge(self, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """F(x) for x in panel k: F at its left edge plus the partial panel."""
+        half = 0.5 * (x - self.x[k])
+        nodes = _GAUSS_X[:, None] * half + (self.x[k] + half)
+        return self.F[k] + (_GAUSS_W @ self.f(nodes)) * half
+
+    def inverse(self, y: np.ndarray) -> np.ndarray:
+        k = _panel(self.F, y)
+        x0, x1, f0, f1 = self.x[k], self.x[k + 1], self.fx[k], self.fx[k + 1]
+        d = self.F[k + 1] - self.F[k]
+        s = (y - self.F[k]) / d
+        guess = np.clip(x0 + s * s * (3.0 - 2.0 * s) * (x1 - x0)
+                        + s * (1.0 - s) * d * ((1.0 - s) / f0 - s / f1), x0, x1)
+        return guess - (self._from_edge(k, guess) - y) / self.f(guess)
+
+
+class ClockMap:
+    """a(t) = G^-1(tau(t)), the solution of da/dt = 2 N(t) sqrt(U(a)).
+
+    G(a) = integral_{a0}^{a} da'/(2 sqrt(U)) and the lapse time
+    tau(t) = integral_{t0}^{t} N are tabulated primitives; see clock_map.
+    """
+
+    def __init__(self, scale: _Primitive, lapse_time: _Primitive,
+                 t_span: tuple[float, float], truncated_at: float | None = None):
+        self._scale = scale
+        self._lapse_time = lapse_time
         self.t_span = t_span
         self.truncated_at = truncated_at
 
     def __call__(self, t):
-        out = self._sol.sol(np.asarray(t, dtype=float))[0]
+        tt = np.asarray(t, dtype=float)
+        out = self._scale.inverse(self._lapse_time(tt.ravel())).reshape(tt.shape)
         return float(out) if np.isscalar(t) else out
 
 
 def clock_map(model: MiniSuperspaceModel, a0: float,
               t_span: tuple[float, float], a_max: float | None = None) -> ClockMap:
-    """Integrate the emergent-clock equation da/dt = 2 N(t) sqrt(U(a)).
+    """The emergent clock: a(t) with da/dt = 2 N(t) sqrt(U(a)), a(t0) = a0.
 
-    Tight tolerances (rtol 1e-11) so downstream 1e-8 comparisons are not
-    limited by the integrator.  If a(t) reaches a_max the map is truncated
-    there with a warning.
+    The equation separates into G(a) = tau(t), G(a) = integral_{a0}^{a}
+    da'/(2 sqrt(U)) and tau(t) = integral_{t0}^{t} N, so a(t) = G^-1(tau(t))
+    needs no ODE solver.  tau is tabulated on LAPSE_PANELS uniform panels of
+    t_span.  G is tabulated on panels whose edges grow by SCALE_RATIO from
+    a0, their number doubled until G reaches tau(t1) or a reaches a_max;
+    towards a zero of U the panels halve.  If a(t) reaches a_max the map is
+    truncated at t* = tau^-1(G(a_max)) with a warning.
+
+    A lapse that is not positive, or a U that is not positive before t1,
+    raises ValueError; a U that overflows before t1 raises OverflowError.
     """
-    if model.u(a0) < 0.0:
-        raise ValueError("U(a0) < 0: Euclidean region")
-    if model.lapse(t_span[0]) <= 0.0:
-        raise ValueError("lapse must be positive")
+    t0, t1 = (float(t) for t in t_span)
+    if not t1 > t0:
+        raise ValueError("t_span must be increasing")
+    if not (a0 > 0.0 and math.isfinite(a0)):
+        raise ValueError("a0 must be positive and finite")
+    if not model.u(a0) > 0.0:
+        raise ValueError("U(a0) <= 0: Euclidean region or turning point")
 
-    def rhs(t, y):
-        u = model.u(y[0])
-        if u < 0.0:
-            raise ValueError(f"U({y[0]}) < 0 during clock integration")
-        n = model.lapse(t)
-        if n <= 0.0:
-            raise ValueError(f"lapse N({t}) <= 0")
-        return [2.0 * n * math.sqrt(u)]
+    def pace(a):
+        """dG/da = 1/(2 sqrt(U))."""
+        return 0.5 / np.sqrt(_values(model.u, a))
 
-    events = None
-    if a_max is not None:
-        def hit(t, y):
-            return y[0] - a_max
-        hit.terminal = True
-        hit.direction = 1.0
-        events = [hit]
+    tau = _Primitive(lambda t: _values(model.lapse, t),
+                     np.linspace(t0, t1, LAPSE_PANELS + 1))
+    if not np.all(np.isfinite(tau.F) & np.isfinite(tau.fx)):
+        raise ValueError(f"lapse N(t) must be positive and finite on [{t0}, {t1}]")
+    tau_end = tau.F[-1]
+    a_stop = a_max if a_max is not None and a_max > a0 else math.inf
 
-    sol = solve_ivp(rhs, t_span, [a0], rtol=1e-11, atol=1e-13,
-                    dense_output=True, events=events, method="RK45")
-    if not sol.success:
-        raise RuntimeError(f"clock integration failed: {sol.message}")
+    edges = a0 * SCALE_RATIO ** np.arange(65.0)
+    zero = None                        # where U stops being positive, if met
+    while True:
+        g = _Primitive(pace, edges)
+        good = np.isfinite(g.F) & np.isfinite(g.fx)
+        last = edges.size - 1 if good.all() else int(np.argmin(good)) - 1
+        if g.F[last] >= tau_end or edges[last] >= a_stop:
+            break
+        if zero is not None:
+            raise ValueError(f"U <= 0 beyond a = {zero:.17g}, which a(t) reaches "
+                             f"before t={t1}: turning point or Euclidean region")
+        if last == edges.size - 1:
+            with np.errstate(over="ignore"):
+                edges = a0 * SCALE_RATIO ** np.arange(2.0 * edges.size - 1.0)
+            continue
+        # panels halving towards a zero of U resolve the square-root pole
+        # of 1/(2 sqrt(U)), so a(t) may come arbitrarily close to it
+        zero = _last_positive(model, edges[last], edges[last + 1], t1)
+        keep = max(last - 1, 0)
+        lo = edges[keep]
+        sub = np.unique(zero - (zero - lo) * 0.5 ** np.arange(1.0, 53.0))
+        edges = np.concatenate((edges[:keep + 1], sub[(sub > lo) & (sub < zero)], [zero]))
+    g.head(last)
+
     truncated_at = None
-    if events is not None and sol.t_events[0].size:
-        truncated_at = float(sol.t_events[0][0])
-        warnings.warn(f"clock map truncated at t={truncated_at}: a reached {a_max}")
-    return ClockMap(sol, t_span, truncated_at)
+    if g.x[-1] >= a_stop:
+        g_stop = g(np.array([a_stop]))
+        if g_stop[0] < tau_end:
+            truncated_at = float(tau.inverse(g_stop)[0])
+            warnings.warn(f"clock map truncated at t={truncated_at}: a reached {a_max}")
+    return ClockMap(g, tau, (t0, t1), truncated_at)
+
+
+def _last_positive(model: MiniSuperspaceModel, lo: float, hi: float,
+                   t1: float) -> float:
+    """The largest a in [lo, hi] before which U stays positive, by bisection.
+
+    U is positive at lo and, somewhere on the G panel [lo, hi], not positive
+    or not finite; the latter raises OverflowError.
+    """
+    a = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.concatenate(([-1.0], _KRONROD_X, [1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _values(model.u, a)
+    first = int(np.argmin((u > 0.0) & (u < math.inf)))
+    if not u[first] <= 0.0:
+        raise OverflowError(f"U is not finite at a = {a[first]:.6g}, which a(t) "
+                            f"reaches before t={t1}")
+    good, bad = a[first - 1], a[first]
+    while good < (mid := 0.5 * (good + bad)) < bad:
+        if model.u(mid) > 0.0:
+            good = mid
+        else:
+            bad = mid
+    return float(good)
 
 
 @dataclass
@@ -214,7 +345,7 @@ def evolve_matter(model: MiniSuperspaceModel, clock: ClockMap,
 
     a_vals = clock(t)
     t_mid = 0.5 * (t[:-1] + t[1:])
-    weights = np.array([model.lapse(tm) for tm in t_mid]) * np.diff(t)
+    weights = _values(model.lapse, t_mid) * np.diff(t)
     # one (steps, d, d) buffer: the Hamiltonians, then their propagators
     ops = np.empty((t_mid.size, chi.size, chi.size), dtype=complex)
     for k, a in enumerate(clock(t_mid).tolist()):
@@ -309,7 +440,7 @@ def wdw_residual(model: MiniSuperspaceModel, a_span: tuple[float, float],
     if hbars.size < 2 or np.any(hbars <= 0):
         raise ValueError("need at least two positive hbar values")
     a = np.linspace(a_span[0], a_span[1], RESIDUAL_POINTS)
-    u = _u_values(model, a)
+    u = _values(model.u, a)
     if np.any(u <= 0.0):
         raise ValueError(f"U({a[np.argmin(u)]}) <= 0 on the residual span: "
                          "Euclidean region or turning point")

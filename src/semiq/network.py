@@ -43,7 +43,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "NeuralState",
@@ -204,6 +203,10 @@ def hamiltonian_full(state: NeuralState, g, h0: float = 0.0) -> float:
     op = difference_operator(g)
     if state.n * state.N != op.shape[0]:
         raise ValueError("state and connection dimensions disagree")
+    # imported here: scipy.linalg takes about 0.3 s to import, and only
+    # gauge-check calls this
+    from scipy.linalg import expm
+
     v = state.phi.ravel()
     return float(-(v @ expm(op) @ v) / (2.0 * state.N) + h0)
 

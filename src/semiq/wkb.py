@@ -30,6 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import quadrature
+
 __all__ = [
     "BarrierProblem",
     "BarrierColumns",
@@ -183,27 +185,7 @@ def _qk21_nodes():
     first, then the Kronrod-only pairs.  sin and cos are libm's, as in a
     scalar integrand.
     """
-    xgk = (0.995657163025808080735527280689003,
-           0.973906528517171720077964012084452,
-           0.930157491355708226001207180059508,
-           0.865063366688984510732096688423493,
-           0.780817726586416897063717578345042,
-           0.679409568299024406234327365114874,
-           0.562757134668604683339000099272694,
-           0.433395394129247190799265943165784,
-           0.294392862701460198131126603103866,
-           0.148874338981631210884826001129720)
-    wgk = (0.011694638867371874278064396062192,
-           0.032558162307964727478818972459390,
-           0.054755896574351996031381300244580,
-           0.075039674810919952767043140916190,
-           0.093125454583697605535065465083366,
-           0.109387158802297641899210590325805,
-           0.123491976262065851077958109831074,
-           0.134709217311473325928054001771707,
-           0.142775938577060080797094273138717,
-           0.147739104901338491374841515972068,
-           0.149445554002916905664936468389821)
+    xgk, wgk = quadrature.XGK, quadrature.WGK
     lo, hi = -math.pi / 2.0, math.pi / 2.0
     centr, hlgth = 0.5 * (lo + hi), 0.5 * (hi - lo)
 

@@ -419,10 +419,14 @@ def test_manifest_with_unknown_key_rejected(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about half a second of import time and nothing uses
-    # it; scipy.interpolate costs about 50 ms and only table: potentials do
+    # each of these takes 0.3-1.1 s to import on its own: nothing on the
+    # CLI's main path uses scipy.stats or scipy.optimize, and only
+    # gauge-check (expm), hamilton_jacobi_phase (quad) and table: potentials
+    # (CubicSpline) use the others.  Bare scipy stays, for the manifest's
+    # version key.
     code = ("import sys, semiq.cli; print([m for m in "
-            "('scipy.stats', 'scipy.interpolate') if m in sys.modules])")
+            "('scipy.stats', 'scipy.optimize', 'scipy.integrate', "
+            "'scipy.linalg', 'scipy.interpolate') if m in sys.modules])")
     src = os.path.dirname(os.path.dirname(semiq.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -7,8 +7,11 @@ dense expm of the (nN) x (nN) ring operator that the site-Fourier closed
 form replaced; the deep tunnel at 10^6 cells and the 20 x 20 oracle sweep
 by the chunked suffix-scan walk, before the transmission walk reduced each
 chunk to its one product; the 30-level clock by the csv.writer table
-writer, before each row came from one % template.  Every column must match
-its text exactly, except:
+writer, before each row came from one % template.  The two cosmo files come
+from the clock map as the tabulated inverse of G(a) = integral da/(2 sqrt U),
+whose a column is exp(4t) to 8e-16 relative (the adaptive ODE solve it
+replaced was off by 4.5e-12).  Every column must match its text exactly,
+except:
 
 - T_current_ratio, a ratio of finite-difference currents whose last digits
   depend on how the WKB phases are evaluated: 1e-11 relative;

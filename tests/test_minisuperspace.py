@@ -76,9 +76,42 @@ def test_clock_map_respects_lapse():
 
 
 def test_clock_map_truncation_event():
-    with pytest.warns(UserWarning, match="truncated"):
-        cm = clock_map(quad_model(), a0=1.0, t_span=(0.0, 2.0), a_max=10.0)
-    assert cm.truncated_at == pytest.approx(math.log(10.0) / 4.0, rel=1e-8)
+    # a = a0 exp(4t) reaches a_max at t* = ln(a_max/a0)/4
+    for a0 in (1.0, 0.5, 3.0):
+        with pytest.warns(UserWarning, match="truncated"):
+            cm = clock_map(quad_model(), a0=a0, t_span=(0.0, 2.0), a_max=10.0)
+        assert cm.truncated_at == pytest.approx(math.log(10.0 / a0) / 4.0,
+                                                rel=1e-12)
+        assert cm(cm.truncated_at) == pytest.approx(10.0, rel=1e-12)
+
+
+def test_clock_map_refuses_turning_points_and_bad_lapses():
+    # U = 3 - a vanishes at a = 3, which a(t) = 3 - (sqrt(2) - t)^2 reaches
+    # at t = sqrt(2); up to there the map holds, also within 1e-6 of it
+    m = MiniSuperspaceModel(potential_u=lambda a: 3.0 - a, hbar=1.0)
+    for t_max in (1.0, 1.4142):
+        t = np.linspace(0.0, t_max, 33)
+        got = clock_map(m, a0=1.0, t_span=(0.0, t_max))(t)
+        assert np.max(np.abs(got / (3.0 - (math.sqrt(2.0) - t) ** 2) - 1.0)) < 1e-12
+    with pytest.raises(ValueError, match="turning point"):
+        clock_map(m, a0=1.0, t_span=(0.0, 2.0))
+    with pytest.raises(ValueError, match="U\\(a0\\) <= 0"):
+        clock_map(m, a0=3.0, t_span=(0.0, 1.0))
+    for lapse in (lambda t: 1.0 - t, lambda t: math.nan):
+        bad = MiniSuperspaceModel(potential_u=lambda a: 4.0 * a * a, hbar=1.0,
+                                  lapse=lapse)
+        with pytest.raises(ValueError, match="lapse"):
+            clock_map(bad, a0=1.0, t_span=(0.0, 2.0))
+
+
+@pytest.mark.parametrize("u", [lambda a: 4.0 * a * a, lambda a: a**4])
+def test_clock_map_overflow_raises(u):
+    # a = exp(4t) leaves the float range near t = 177; a^4 blows up at t = 1/2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="not finite"):
+            clock_map(MiniSuperspaceModel(potential_u=u, hbar=1.0), a0=1.0,
+                      t_span=(0.0, 200.0))
 
 
 def sine_lapse(t):
@@ -91,7 +124,8 @@ def power_law_clock(c, p, a0, tau):
     return (a0**q + 2.0 * math.sqrt(c) * q * tau) ** (1.0 / q)
 
 
-CLOCK_RTOL = 1e-9
+#: float64 roundoff, amplified up to 1/q = 20-fold by the closed form itself
+CLOCK_RTOL = 1e-12
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
