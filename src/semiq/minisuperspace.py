@@ -142,19 +142,34 @@ def amplitude_transport(a_grid: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.sqrt(ds[0] / ds)
 
 
-#: qk21 on [-1, 1]: the 21 Kronrod nodes and weights, and the 10 Gauss ones
-_KRONROD_X = np.array([-x for x in quadrature.XGK] + [0.0] + list(quadrature.XGK[::-1]))
-_KRONROD_W = np.array(quadrature.WGK[:10] + quadrature.WGK[10:] + quadrature.WGK[9::-1])
-_GAUSS_X = np.array([-x for x in quadrature.XGK[1::2]] + list(quadrature.XGK[9::-2]))
-_GAUSS_W = np.array(quadrature.WG + quadrature.WG[::-1])
-
-#: uniform panels of the lapse-time table tau(t) on t_span
+#: uniform panels the lapse-time table tau(t) starts from on t_span
 LAPSE_PANELS = 64
 
-#: ratio of neighbouring edges of the G(a) table.  On U = c a^p a panel then
-#: spans ln(17/16) = 0.061 in ln a, where the cubic Hermite guess for a(G)
-#: is good to about 4e-8 relative and one Newton step to roundoff
+#: ratio of neighbouring edges the G(a) table starts from.  On U = c a^p a
+#: panel then spans ln(17/16) = 0.061 in ln a, where the cubic Hermite
+#: guess for a(G) is good to about 4e-8 relative and one Newton step to
+#: roundoff
 SCALE_RATIO = 17.0 / 16.0
+
+#: a panel is accepted once its Kronrod and Gauss sums agree to this,
+#: relative; otherwise it is bisected
+PANEL_RTOL = 1e-13
+
+#: a panel no wider than this many units in the last place of its edges is
+#: not bisected further
+NARROW_ULPS = 1024.0
+
+#: a panel on which f is monotone is also accepted once |Kronrod - Gauss|
+#: moves F^-1 by at most this many units in the last place: the rounding of
+#: the nodes themselves, near a zero of U, sets that floor
+NOISE_ULPS = 8.0
+
+#: most panels a table may hold
+MAX_PANELS = 1 << 15
+
+#: Newton steps of the inverse continue while the next one is predicted
+#: to move x by more than this, relative
+NEWTON_RTOL = 1e-15
 
 
 def _panel(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -162,30 +177,105 @@ def _panel(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.clip(np.searchsorted(edges, v, side="right") - 1, 0, edges.size - 2)
 
 
+def _positive(v: np.ndarray) -> np.ndarray:
+    return (v > 0.0) & (v < math.inf)
+
+
+def _qk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """qk21 on each panel [lo, hi]: the Kronrod sums, their distance from
+    the 10-point Gauss sums, whether f is positive and finite at all 21
+    nodes, and whether it is monotone across them."""
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    with np.errstate(all="ignore"):
+        vals = f((quadrature.KRONROD_X[:, None] * half + mid).ravel())
+    vals = vals.reshape(quadrature.KRONROD_X.size, lo.size)
+    kron = (quadrature.KRONROD_W @ vals) * half
+    gauss = (quadrature.GAUSS_W @ vals[1::2]) * half
+    rise = np.diff(vals, axis=0)
+    return (kron, np.abs(kron - gauss), np.all(_positive(vals), axis=0),
+            np.all(rise >= 0.0, axis=0) | np.all(rise <= 0.0, axis=0))
+
+
 class _Primitive:
     """F(x) = integral_{x_0}^{x} f of a positive f, tabulated at panel edges.
 
-    F at the edges x_0 < x_1 < ... sums qk21 over each panel; between edges
-    F is the edge value plus qk21's 10-point Gauss rule on the partial
-    panel.  The inverse takes a cubic Hermite guess between the edges, where
-    dx/dF = 1/f is exact, and one Newton step.  f maps arrays to arrays.
-    Where the tabulated f is not positive and finite it is stored as nan,
-    and F is nan from that panel on.
+    The table starts from the given edges and bisects every panel whose
+    qk21 Kronrod and Gauss sums differ by more than PANEL_RTOL, relative,
+    until it reaches F = f_end or x = x_end.  Near a zero of U, where the
+    nodes' own rounding limits that agreement, a monotone panel also passes
+    once the difference moves F^-1 by NOISE_ULPS or less.  The table stops
+    short at the first panel it cannot resolve before NARROW_ULPS wide:
+    where f is not positive and finite or not integrable.  That panel is
+    kept as ``gap``.
+
+    Between edges F is the edge value plus qk21's 10-point Gauss rule on
+    the partial panel.  The inverse takes a cubic Hermite guess between the
+    edges, where dx/dF = 1/f is exact, and Newton steps.  f maps arrays to
+    arrays.
     """
 
-    def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray):
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
+                 f_end: float = math.inf, x_end: float = math.inf):
         x = np.asarray(edges, dtype=float)
-        mid, half = 0.5 * (x[1:] + x[:-1]), 0.5 * (x[1:] - x[:-1])
+        lo, hi = x[:-1], x[1:]
+        kron, err, ok, mono = _qk21(f, lo, hi)
+        self.gap = None
+        while True:
+            width = hi - lo
+            ulp = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+            wide = width > NARROW_ULPS * ulp
+            # A pole of f inside a panel breaks monotony, so only the first
+            # test could accept it: a scan of pole positions found
+            # |Kronrod - Gauss| nowhere below 1e-8 of the Kronrod sum.  A
+            # jump of f is accepted once the panel holding it is narrow; a
+            # narrow panel next to a pole still adds order 1 to F.
+            good = ok & ((err <= PANEL_RTOL * kron)
+                         | (mono & wide & (err * width <= NOISE_ULPS * ulp * kron))
+                         | (~wide & (err <= PANEL_RTOL * np.cumsum(kron))))
+            n = int(np.argmin(good)) if not good.all() else lo.size
+            reached = np.flatnonzero((np.cumsum(kron[:n]) >= f_end) | (hi[:n] >= x_end))
+            if reached.size:
+                lo, hi, kron = (v[:reached[0] + 1] for v in (lo, hi, kron))
+                break
+            # panels past the first one where f is not positive and finite
+            # wait until it is resolved; the table ends at the first panel
+            # too narrow to bisect
+            first = lo.size if ok.all() else int(np.argmin(ok)) + 1
+            bad = ~good
+            bad[first:] = False
+            narrow = np.flatnonzero(bad & ~wide)
+            if narrow.size:
+                last = narrow[0]
+                self.gap = (float(lo[last]), float(hi[last]))
+                lo, hi, kron, err, ok, mono, bad = (
+                    v[:last] for v in (lo, hi, kron, err, ok, mono, bad))
+            if not bad.any():
+                break
+            if lo.size + bad.sum() > MAX_PANELS:
+                raise ValueError(f"qk21 needs more than {MAX_PANELS} panels on "
+                                 f"[{lo[0]:.6g}, {hi[-1]:.6g}]: the integrand "
+                                 "is too rough")
+            mid = 0.5 * (lo[bad] + hi[bad])
+            halves = np.concatenate((lo[bad], mid)), np.concatenate((mid, hi[bad]))
+            lo, hi, kron, err, ok, mono = (
+                np.concatenate((v[~bad], w)) for v, w in
+                zip((lo, hi, kron, err, ok, mono), halves + _qk21(f, *halves)))
+            order = np.argsort(lo)
+            lo, hi, kron, err, ok, mono = (v[order] for v in (lo, hi, kron, err, ok, mono))
+        x = np.concatenate((x[:1], hi))
         with np.errstate(all="ignore"):
-            vals = f(np.concatenate((x, (_KRONROD_X[:, None] * half + mid).ravel())))
-        vals = np.where((vals > 0.0) & (vals < math.inf), vals, np.nan)
-        self.f, self.x, self.fx = f, x, vals[:x.size]
-        panels = (_KRONROD_W @ vals[x.size:].reshape(_KRONROD_X.size, -1)) * half
-        self.F = np.concatenate(([0.0], np.cumsum(panels)))
-
-    def head(self, panels: int) -> None:
-        """Keep the first ``panels`` panels."""
-        self.x, self.fx, self.F = (v[:panels + 1] for v in (self.x, self.fx, self.F))
+            fx = f(x)
+        if not _positive(fx).all():
+            cut = int(np.argmin(_positive(fx)))
+            keep = max(cut, 1)
+            self.gap = (float(x[keep - 1]), float(x[cut]))
+            x, fx, kron = x[:keep], fx[:keep], kron[:keep - 1]
+        self.f, self.x, self.fx = f, x, fx
+        self.F = np.concatenate(([0.0], np.cumsum(kron)))
+        # per panel: |f'/(2f)|, which scales the error a Newton step
+        # leaves, and the error at which the steps stop
+        self.kappa = np.abs(np.log(fx[1:] / fx[:-1])) / (2.0 * np.diff(x))
+        self.newton_tol = NEWTON_RTOL * np.maximum(np.abs(x[1:]), np.abs(x[:-1]))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self._from_edge(_panel(self.x, x), x)
@@ -193,17 +283,32 @@ class _Primitive:
     def _from_edge(self, k: np.ndarray, x: np.ndarray) -> np.ndarray:
         """F(x) for x in panel k: F at its left edge plus the partial panel."""
         half = 0.5 * (x - self.x[k])
-        nodes = _GAUSS_X[:, None] * half + (self.x[k] + half)
-        return self.F[k] + (_GAUSS_W @ self.f(nodes)) * half
+        nodes = quadrature.GAUSS_X[:, None] * half + (self.x[k] + half)
+        return self.F[k] + (quadrature.GAUSS_W @ self.f(nodes)) * half
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
+        """x with F(x) = y: the Hermite guess, then Newton steps until the
+        next one is predicted below NEWTON_RTOL, at most eight."""
         k = _panel(self.F, y)
         x0, x1, f0, f1 = self.x[k], self.x[k + 1], self.fx[k], self.fx[k + 1]
         d = self.F[k + 1] - self.F[k]
         s = (y - self.F[k]) / d
-        guess = np.clip(x0 + s * s * (3.0 - 2.0 * s) * (x1 - x0)
-                        + s * (1.0 - s) * d * ((1.0 - s) / f0 - s / f1), x0, x1)
-        return guess - (self._from_edge(k, guess) - y) / self.f(guess)
+        x = np.clip(x0 + s * s * (3.0 - 2.0 * s) * (x1 - x0)
+                    + s * (1.0 - s) * d * ((1.0 - s) / f0 - s / f1), x0, x1)
+        todo = None                    # every point, then those still moving
+        for _ in range(8):
+            kt, xt, yt = (k, x, y) if todo is None else (k[todo], x[todo], y[todo])
+            step = (self._from_edge(kt, xt) - yt) / self.f(xt)
+            if todo is None:
+                x = xt - step
+            else:
+                x[todo] = xt - step
+            # Newton's error after a step is about |f'/(2f)| * step**2
+            more = self.kappa[kt] * (step * step) > self.newton_tol[kt]
+            if not more.any():
+                break
+            todo = np.flatnonzero(more) if todo is None else todo[more]
+        return x
 
 
 class ClockMap:
@@ -232,14 +337,18 @@ def clock_map(model: MiniSuperspaceModel, a0: float,
 
     The equation separates into G(a) = tau(t), G(a) = integral_{a0}^{a}
     da'/(2 sqrt(U)) and tau(t) = integral_{t0}^{t} N, so a(t) = G^-1(tau(t))
-    needs no ODE solver.  tau is tabulated on LAPSE_PANELS uniform panels of
-    t_span.  G is tabulated on panels whose edges grow by SCALE_RATIO from
-    a0, their number doubled until G reaches tau(t1) or a reaches a_max;
-    towards a zero of U the panels halve.  If a(t) reaches a_max the map is
-    truncated at t* = tau^-1(G(a_max)) with a warning.
+    needs no ODE solver.  tau is tabulated from LAPSE_PANELS uniform panels
+    of t_span.  G is tabulated from panels whose edges grow by SCALE_RATIO
+    from a0, their number doubled until G reaches tau(t1) or a reaches
+    a_max.  Both tables bisect their panels until qk21's Kronrod and Gauss
+    sums agree to PANEL_RTOL, so a(t) may come as close to a zero of U as
+    the floats near it allow, and a zero between the samples of U is found.
+    If a(t) reaches a_max the map is truncated at t* = tau^-1(G(a_max))
+    with a warning.
 
-    A lapse that is not positive, or a U that is not positive before t1,
-    raises ValueError; a U that overflows before t1 raises OverflowError.
+    A lapse that is not positive, or a U that a(t) would take to 0 or
+    below before t1, raises ValueError; a U that overflows before t1
+    raises OverflowError.
     """
     t0, t1 = (float(t) for t in t_span)
     if not t1 > t0:
@@ -255,34 +364,20 @@ def clock_map(model: MiniSuperspaceModel, a0: float,
 
     tau = _Primitive(lambda t: _values(model.lapse, t),
                      np.linspace(t0, t1, LAPSE_PANELS + 1))
-    if not np.all(np.isfinite(tau.F) & np.isfinite(tau.fx)):
+    if tau.gap is not None:
         raise ValueError(f"lapse N(t) must be positive and finite on [{t0}, {t1}]")
     tau_end = tau.F[-1]
     a_stop = a_max if a_max is not None and a_max > a0 else math.inf
 
     edges = a0 * SCALE_RATIO ** np.arange(65.0)
-    zero = None                        # where U stops being positive, if met
     while True:
-        g = _Primitive(pace, edges)
-        good = np.isfinite(g.F) & np.isfinite(g.fx)
-        last = edges.size - 1 if good.all() else int(np.argmin(good)) - 1
-        if g.F[last] >= tau_end or edges[last] >= a_stop:
+        g = _Primitive(pace, edges, tau_end, a_stop)
+        if g.F[-1] >= tau_end or g.x[-1] >= a_stop:
             break
-        if zero is not None:
-            raise ValueError(f"U <= 0 beyond a = {zero:.17g}, which a(t) reaches "
-                             f"before t={t1}: turning point or Euclidean region")
-        if last == edges.size - 1:
-            with np.errstate(over="ignore"):
-                edges = a0 * SCALE_RATIO ** np.arange(2.0 * edges.size - 1.0)
-            continue
-        # panels halving towards a zero of U resolve the square-root pole
-        # of 1/(2 sqrt(U)), so a(t) may come arbitrarily close to it
-        zero = _last_positive(model, edges[last], edges[last + 1], t1)
-        keep = max(last - 1, 0)
-        lo = edges[keep]
-        sub = np.unique(zero - (zero - lo) * 0.5 ** np.arange(1.0, 53.0))
-        edges = np.concatenate((edges[:keep + 1], sub[(sub > lo) & (sub < zero)], [zero]))
-    g.head(last)
+        if g.gap is not None:
+            _refuse(model, *g.gap, t1)
+        with np.errstate(over="ignore"):
+            edges = a0 * SCALE_RATIO ** np.arange(2.0 * edges.size - 1.0)
 
     truncated_at = None
     if g.x[-1] >= a_stop:
@@ -293,27 +388,32 @@ def clock_map(model: MiniSuperspaceModel, a0: float,
     return ClockMap(g, tau, (t0, t1), truncated_at)
 
 
-def _last_positive(model: MiniSuperspaceModel, lo: float, hi: float,
-                   t1: float) -> float:
-    """The largest a in [lo, hi] before which U stays positive, by bisection.
+def _refuse(model: MiniSuperspaceModel, lo: float, hi: float, t1: float) -> None:
+    """Raise for the G panel [lo, hi] the table could not pass before t1.
 
-    U is positive at lo and, somewhere on the G panel [lo, hi], not positive
-    or not finite; the latter raises OverflowError.
+    U is sampled at the panel's ends and qk21 nodes.  The first value that
+    is not positive and finite decides: U <= 0 is a turning point or a
+    Euclidean region (ValueError), an infinite or nan U an overflow
+    (OverflowError).  If U is positive throughout, 1/sqrt(U) is not
+    integrable across the panel: U vanishes there to second order or more,
+    or has a root between the samples.
     """
-    a = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.concatenate(([-1.0], _KRONROD_X, [1.0]))
-    with np.errstate(over="ignore", invalid="ignore"):
+    if not math.isfinite(hi):
+        raise OverflowError(f"a is not finite beyond a = {lo:.6g}, which a(t) "
+                            f"reaches before t={t1}")
+    a = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.concatenate(
+        ([-1.0], quadrature.KRONROD_X, [1.0]))
+    with np.errstate(all="ignore"):
         u = _values(model.u, a)
-    first = int(np.argmin((u > 0.0) & (u < math.inf)))
-    if not u[first] <= 0.0:
+    first = int(np.argmin(_positive(u)))
+    if not (_positive(u[first]) or u[first] <= 0.0):
         raise OverflowError(f"U is not finite at a = {a[first]:.6g}, which a(t) "
                             f"reaches before t={t1}")
-    good, bad = a[first - 1], a[first]
-    while good < (mid := 0.5 * (good + bad)) < bad:
-        if model.u(mid) > 0.0:
-            good = mid
-        else:
-            bad = mid
-    return float(good)
+    if u[first] <= 0.0:
+        raise ValueError(f"U <= 0 beyond a = {lo:.17g}, which a(t) reaches "
+                         f"before t={t1}: turning point or Euclidean region")
+    raise ValueError(f"U vanishes near a = {lo:.17g}, which a(t) reaches "
+                     f"before t={t1}: turning point")
 
 
 @dataclass

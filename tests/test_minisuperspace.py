@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from semiq import (
     MiniSuperspaceModel,
@@ -142,6 +144,108 @@ def test_clock_map_inverts_power_law_primitive(p, c, a0, t_max, sine):
     tau = t + (1.0 - np.cos(7.0 * t)) / 14.0 if sine else t
     want = power_law_clock(c, p, a0, tau)
     assert np.max(np.abs(cm(t) / want - 1.0)) < CLOCK_RTOL
+
+
+def test_clock_map_approaches_a_double_zero():
+    # U = (a - 2)^2 vanishes to second order at a = 2, which
+    # a(t) = 2 - exp(-2t) approaches and never reaches.  No sample of U
+    # lands on a = 2: only the Kronrod-Gauss estimate sees the pole of
+    # 1/(2 sqrt(U)) there
+    m = MiniSuperspaceModel(potential_u=lambda a: (np.asarray(a) - 2.0) ** 2,
+                            hbar=1.0)
+    t = np.linspace(0.0, 3.0, 301)
+    got = clock_map(m, a0=1.0, t_span=(0.0, 3.0))(t)
+    assert np.max(np.abs(got - (2.0 - np.exp(-2.0 * t)))) < 1e-12
+    assert np.all(got < 2.0)
+    # by t = 30, 2 - a(t) = 1e-26 is far below the float grid near 2
+    with pytest.raises(ValueError, match="turning point"):
+        clock_map(m, a0=1.0, t_span=(0.0, 30.0))
+
+
+@pytest.mark.parametrize("splined", [False, True])
+def test_clock_map_finds_a_dip_below_zero_between_samples(splined):
+    # U = (a - 2)^2 - 1e-8 is negative only within 1e-4 of a = 2.  a(t)
+    # reaches its root 2 - 1e-4 at t = acosh(1e4)/2 = 4.95; before, it is
+    # 2 - 1e-4 cosh(acosh(1e4) - 2t).  The not-a-knot spline through knots
+    # where U > 0, as `cosmo --potential table:` builds it, is the same
+    # quadratic
+    eps = 1e-8
+    knots = np.array([1.0, 1.5, 2.5, 3.0, 3.5])
+    u = (CubicSpline(knots, (knots - 2.0) ** 2 - eps) if splined
+         else lambda a: (np.asarray(a) - 2.0) ** 2 - eps)
+    m = MiniSuperspaceModel(potential_u=u, hbar=1.0)
+    t = np.linspace(0.0, 4.0, 41)
+    want = 2.0 - math.sqrt(eps) * np.cosh(math.acosh(1.0 / math.sqrt(eps)) - 2.0 * t)
+    assert np.max(np.abs(clock_map(m, a0=1.0, t_span=(0.0, 4.0))(t) - want)) < 1e-12
+    with pytest.raises(ValueError, match="turning point"):
+        clock_map(m, a0=1.0, t_span=(0.0, 6.0))
+
+
+def test_clock_map_on_a_splined_table_matches_adaptive_quadrature():
+    # a coarse spline of U = 4a^2 + a^3, whose U''' jumps at every knot;
+    # the reference G is QUADPACK's adaptive quad, split at the knots, and
+    # a G mismatch dG moves a by 2 sqrt(U) dG
+    knots = np.linspace(1.0, 4.0, 13)
+    spline = CubicSpline(knots, 4.0 * knots**2 + knots**3)
+
+    def g_ref(a):
+        inner = knots[(knots > 1.0) & (knots < a)]
+        return quad(lambda x: 0.5 / math.sqrt(spline(x)), 1.0, a,
+                    points=inner if inner.size else None,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    t_max = 0.999 * g_ref(4.0)
+    t = np.linspace(0.0, t_max, 31)
+    m = MiniSuperspaceModel(potential_u=spline, hbar=1.0)
+    a = clock_map(m, a0=1.0, t_span=(0.0, t_max))(t)
+    da = (np.array([g_ref(x) for x in a]) - t) * 2.0 * np.sqrt(spline(a))
+    assert np.max(np.abs(da / a)) < 1e-12
+
+
+@pytest.mark.parametrize("omega", [7.0, 40.0])
+def test_clock_map_sine_lapse_over_a_long_span(omega):
+    # on [0, 50] the lapse 1 + 0.5 sin(omega t) runs 56 or 318 periods;
+    # tau = t + (1 - cos(omega t))/(2 omega), and U = a gives a = (1 + tau)^2
+    m = MiniSuperspaceModel(potential_u=lambda a: np.asarray(a, dtype=float),
+                            hbar=1.0, lapse=lambda t: 1.0 + 0.5 * math.sin(omega * t))
+    t = np.linspace(0.0, 50.0, 2001)
+    tau = t + (1.0 - np.cos(omega * t)) / (2.0 * omega)
+    got = clock_map(m, a0=1.0, t_span=(0.0, 50.0))(t)
+    assert np.max(np.abs(got / (1.0 + tau) ** 2 - 1.0)) < CLOCK_RTOL
+
+
+def test_clock_map_truncation_under_a_sine_lapse():
+    # a = (1 + tau)^2 reaches a_max = 100 at tau = 9, so t* solves
+    # t + (1 - cos 7t)/14 = 9
+    m = MiniSuperspaceModel(potential_u=lambda a: np.asarray(a, dtype=float),
+                            hbar=1.0, lapse=sine_lapse)
+    with pytest.warns(UserWarning, match="truncated"):
+        cm = clock_map(m, a0=1.0, t_span=(0.0, 50.0), a_max=100.0)
+    ts = cm.truncated_at
+    assert ts + (1.0 - math.cos(7.0 * ts)) / 14.0 == pytest.approx(9.0, abs=1e-13)
+    assert cm(ts) == pytest.approx(100.0, rel=1e-13)
+
+
+def test_clock_map_steps_over_a_jump_in_the_lapse():
+    # N = 1, then 2 from t = 0.31, inside a panel: tau = t, then 2t - 0.31
+    m = MiniSuperspaceModel(potential_u=lambda a: 4.0 * np.asarray(a) ** 2,
+                            hbar=1.0, lapse=lambda t: 1.0 if t < 0.31 else 2.0)
+    t = np.linspace(0.0, 0.6, 61)
+    got = clock_map(m, a0=1.0, t_span=(0.0, 0.6))(t)
+    tau = np.where(t < 0.31, t, 2.0 * t - 0.31)
+    assert np.max(np.abs(got / np.exp(4.0 * tau) - 1.0)) < 1e-12
+
+
+def test_clock_map_refuses_a_potential_too_rough_to_tabulate():
+    # a relative wiggle of 1e-9 at wavelength 6e-9 keeps the Kronrod and
+    # Gauss sums apart on every panel, however narrow
+    def u(a):
+        a = np.asarray(a)
+        return 4.0 * a**2 * (1.0 + 1e-9 * np.sin(1e9 * a))
+
+    m = MiniSuperspaceModel(potential_u=u, hbar=1.0)
+    with pytest.raises(ValueError, match="too rough"):
+        clock_map(m, a0=1.0, t_span=(0.0, 1.0))
 
 
 def test_constant_potential_linear_growth():

@@ -24,7 +24,7 @@ from semiq import (
 )
 from semiq import ClockModel, evolve_analytic
 from semiq import QuantumSystem
-from semiq.network import _uniform_ring_energies
+from semiq.network import _median, _uniform_ring_energies
 
 SEED = 1123
 
@@ -304,3 +304,11 @@ def test_gauge_transformation_is_scipy_haar_draw():
     rng = np.random.default_rng(5)
     ref = np.stack([ortho_group.rvs(3, random_state=rng) for _ in range(4)])
     assert np.array_equal(GaugeTransformation.random(4, 3, seed=5).matrices, ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
+def test_median_equals_numpy_median(values):
+    # ek_comparison's median, which avoids np.median's import of numpy.ma
+    x = np.array(values)
+    assert _median(x) == float(np.median(x))

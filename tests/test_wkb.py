@@ -27,7 +27,7 @@ from semiq import (
     wkb_wavefunction,
     wkb_wavefunctions,
 )
-from semiq import quadrature, wkb
+from semiq import wkb
 from semiq.wkb import TURNING_POINT_EXCLUSION, _allowed_action, _forbidden_action
 
 # frozen oracle at hbar = mu = j0 = h0 = 1:
@@ -258,16 +258,6 @@ def test_quadrature_kernel_matches_quadpack(points):
         want, neval = quad_exponent(BarrierProblem(*point))
         assert neval == 21
         assert abs(got - want) <= 2.0 * math.ulp(want), (got, want)
-
-
-def test_qk21_table_holds_the_gauss_legendre_rule():
-    # qk21's wg and its xgk at odd positions are the 10-point Gauss rule,
-    # which the clock's partial panels use; the Kronrod weights sum to 2
-    x, w = np.polynomial.legendre.leggauss(10)
-    np.testing.assert_allclose(quadrature.XGK[1::2], x[:4:-1], rtol=1e-15)
-    np.testing.assert_allclose(quadrature.WG, w[:4:-1], rtol=1e-14)
-    assert 2.0 * sum(quadrature.WGK[:10]) + quadrature.WGK[10] == pytest.approx(
-        2.0, rel=1e-15)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
