@@ -626,8 +626,12 @@ def _parse_matter(spec: str):
 
         def h_of(a, _w=omega):
             # fixed splitting, transverse drive fading as 1/a
-            return 0.5 * _w * np.array([[1.0, 1.0 / a], [1.0 / a, -1.0]],
-                                       dtype=complex)
+            drive = 1.0 / np.asarray(a, dtype=float)
+            h = np.empty(drive.shape + (2, 2), dtype=complex)
+            h[..., 0, 0], h[..., 1, 1] = 1.0, -1.0
+            h[..., 0, 1] = h[..., 1, 0] = drive
+            h *= 0.5 * _w
+            return h
 
         return h_of
     if kind == "file":
@@ -648,11 +652,14 @@ def _parse_matter(spec: str):
             raise ValidationError(f"{arg}: column a must be strictly increasing")
 
         def h_of(a, _c=cols, _a=a_vals):
-            h00 = np.interp(a, _a, _c["h00"])
-            h11 = np.interp(a, _a, _c["h11"])
-            off = (np.interp(a, _a, _c["h01re"])
-                   + 1j * np.interp(a, _a, _c["h01im"]))
-            return np.array([[h00, off], [np.conj(off), h11]], dtype=complex)
+            # np.interp holds the table constant outside its range
+            h = np.empty(np.shape(a) + (2, 2), dtype=complex)
+            h[..., 0, 0] = np.interp(a, _a, _c["h00"])
+            h[..., 1, 1] = np.interp(a, _a, _c["h11"])
+            h[..., 0, 1] = (np.interp(a, _a, _c["h01re"])
+                            + 1j * np.interp(a, _a, _c["h01im"]))
+            h[..., 1, 0] = np.conj(h[..., 0, 1])
+            return h
 
         return h_of
     raise ValidationError(f"unknown matter spec {spec!r}")

@@ -55,14 +55,17 @@ def _unit_lapse(t):
 class MiniSuperspaceModel:
     """Potential U(a), hbar, lapse N(t) and an optional matter sector.
 
-    U and N are called on arrays; one that takes only floats is called
-    point by point instead.
+    U, N and the matter Hamiltonian H_q are called on arrays: U and N
+    return an array of the same shape, H_q on the (steps,) array of step
+    midpoints a stack of shape (steps, d, d).  One that takes only floats
+    is called point by point instead, H_q then returning one (d, d) matrix
+    per call.
     """
 
-    potential_u: Callable[[float], float]
+    potential_u: Callable[[np.ndarray], np.ndarray]
     hbar: float
-    lapse: Callable[[float], float] = _unit_lapse
-    matter_hamiltonian: Callable[[float], np.ndarray] | None = None
+    lapse: Callable[[np.ndarray], np.ndarray] = _unit_lapse
+    matter_hamiltonian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not (self.hbar > 0 and math.isfinite(self.hbar)):
@@ -87,14 +90,21 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _values(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array, tolerating non-vectorized callables."""
+def _values(fn: Callable, x: np.ndarray, shape: tuple = (),
+            dtype: type = float) -> np.ndarray:
+    """fn on the array x, as an array of shape x.shape + shape.
+
+    A callable that takes only floats, or that returns another shape for
+    an array, is called point by point instead; its values are then
+    stacked as they come, so the caller checks their trailing shape.
+    """
     try:
-        y = np.asarray(fn(x), dtype=float)
-        if y.shape != np.shape(x):
+        y = np.asarray(fn(x), dtype=dtype)
+        if y.shape != np.shape(x) + shape:
             raise TypeError
     except (TypeError, ValueError):
-        y = np.vectorize(lambda v: float(fn(v)), otypes=[float])(x)
+        y = np.array([fn(v) for v in np.ravel(x).tolist()], dtype=dtype)
+        y = y.reshape(np.shape(x) + y.shape[1:])
     return y
 
 
@@ -447,13 +457,11 @@ def evolve_matter(model: MiniSuperspaceModel, clock: ClockMap,
     t_mid = 0.5 * (t[:-1] + t[1:])
     weights = _values(model.lapse, t_mid) * np.diff(t)
     # one (steps, d, d) buffer: the Hamiltonians, then their propagators
-    ops = np.empty((t_mid.size, chi.size, chi.size), dtype=complex)
-    for k, a in enumerate(clock(t_mid).tolist()):
-        h = model.matter_hamiltonian(a)
-        if np.shape(h) != ops.shape[1:]:
-            raise ValueError("matter Hamiltonian must be a square matrix "
-                             f"of chi0's dimension {chi.size}")
-        ops[k] = h
+    dim = (chi.size, chi.size)
+    ops = _values(model.matter_hamiltonian, clock(t_mid), dim, complex)
+    if ops.shape[1:] != dim:
+        raise ValueError("matter Hamiltonian must be a square matrix "
+                         f"of chi0's dimension {chi.size}")
     vals, vecs = np.linalg.eigh(_check_hermitian(ops))
     # exp(-1j * weight * H / hbar) per step
     phases = np.exp(-1j * weights[:, None] * vals / model.hbar)

@@ -9,9 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import semiq
-from semiq.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from semiq import MiniSuperspaceModel, clock_map, evolve_matter
+from semiq.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
+                       _parse_matter, main)
 from semiq.tableio import read_csv, read_manifest
 
 
@@ -279,6 +282,70 @@ def test_cosmo_table_potential_is_splined(tmp_path):
         assert got == pytest.approx(want, rel=1e-9)
     for _, residual, slope in residual_rows(tmp_path / "flat"):
         assert residual == 0.0 and math.isnan(slope)
+
+
+def write_matter_table(path, rows):
+    path.write_text("a,h00,h01re,h01im,h11\n"
+                    + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+
+
+def per_point_twolevel(a, w):
+    return 0.5 * w * np.array([[1.0, 1.0 / a], [1.0 / a, -1.0]], dtype=complex)
+
+
+def per_point_file(a, rows):
+    grid, h00, re, im, h11 = (np.array(c) for c in zip(*rows))
+    off = np.interp(a, grid, re) + 1j * np.interp(a, grid, im)
+    return np.array([[np.interp(a, grid, h00), off],
+                     [np.conj(off), np.interp(a, grid, h11)]], dtype=complex)
+
+
+entries = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(w=st.floats(-10.0, 10.0).filter(lambda w: w != 0.0),
+       scale=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=40),
+       table=st.lists(st.tuples(entries, entries, entries, entries),
+                      min_size=2, max_size=8))
+@example(w=1.3, scale=[1.0, 1.5], table=[(0.5, 0.25, 0.0, -0.5)] * 2)
+def test_batched_matter_hamiltonians_equal_per_point_matrices(
+        tmp_path_factory, w, scale, table):
+    # the CLI's H_q take the array of step midpoints and return the
+    # (steps, 2, 2) stack; each matrix must be the one a float call gave,
+    # bit for bit, also at 2 steps, where (2, 2, n) would pass for it
+    a = np.array(scale)
+    twolevel = _parse_matter(f"twolevel:{w!r}")(a)
+    want = np.array([per_point_twolevel(v, w) for v in a.tolist()])
+    assert twolevel.shape == want.shape and twolevel.tobytes() == want.tobytes()
+
+    rows = [(0.1 + 0.7 * k, *r) for k, r in enumerate(table)]
+    path = tmp_path_factory.mktemp("matter") / "h.csv"
+    write_matter_table(path, rows)
+    stack = _parse_matter(f"file:{path}")(a)
+    want = np.array([per_point_file(v, rows) for v in a.tolist()])
+    assert stack.shape == want.shape and stack.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["twolevel:1.3", "file"])
+def test_evolve_matter_calls_cli_hamiltonian_once(tmp_path, spec):
+    if spec == "file":
+        path = tmp_path / "h.csv"
+        write_matter_table(path, [(0.5 + 0.25 * k, 0.5, 0.5 / (0.5 + 0.25 * k),
+                                   0.1, -0.5) for k in range(21)])
+        spec = f"file:{path}"
+    h_of = _parse_matter(spec)
+    shapes = []
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return h_of(a)
+
+    m = MiniSuperspaceModel(potential_u=lambda a: 4.0 * a * a, hbar=1.0,
+                            matter_hamiltonian=counted)
+    evolve_matter(m, clock_map(m, 1.0, (0.0, 0.3)),
+                  np.array([1.0, 0.0], dtype=complex), np.linspace(0.0, 0.3, 1001))
+    assert shapes == [(1000,)]
 
 
 def test_cosmo_rejects_non_finite_matter_table(tmp_path):
