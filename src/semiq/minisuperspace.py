@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
+from .scan import suffix_products
 
 __all__ = [
     "MiniSuperspaceModel",
@@ -439,9 +440,14 @@ def evolve_matter(model: MiniSuperspaceModel, clock: ClockMap,
     """Unitary matter evolution i hbar dchi/dt = N(t) H_q(a(t)) chi.
 
     One midpoint-sampled exponential per step of the supplied grid (which
-    need not be uniform), all from one batched eigendecomposition.  Each
-    propagator is unitary to roundoff; a per-step norm drift above 1e-12
-    rejects the run at that step.
+    need not be uniform).  H_q is called once, on the (steps,) array of
+    step midpoints a(t_mid), and returns the (steps, d, d) stack of their
+    Hamiltonians; one that takes only floats is called point by point.  The
+    propagators U_k come from one batched eigendecomposition, and one
+    suffix scan of the reversed stack gives every product U_k ... U_0,
+    which carries chi0 to chi at t[k + 1].  Each propagator is unitary to
+    roundoff; a per-step norm drift above 1e-12 rejects the run at that
+    step.
     """
     if model.matter_hamiltonian is None:
         raise ValueError("model has no matter sector")
@@ -467,11 +473,16 @@ def evolve_matter(model: MiniSuperspaceModel, clock: ClockMap,
     phases = np.exp(-1j * weights[:, None] * vals / model.hbar)
     np.matmul(vecs * phases[:, None, :], vecs.conj().swapaxes(1, 2), out=ops)
 
+    # U_k - I in the scan's (d, d, steps) layout, last step first: its
+    # element steps - 1 - k becomes U_k ... U_0 - I
+    chain = np.ascontiguousarray(ops[::-1].transpose(1, 2, 0))
+    diag = np.arange(chi.size)
+    chain[diag, diag] -= 1.0
+    suffix_products(chain, minus_identity=True)
     chis = np.empty((t.size, chi.size), dtype=complex)
     chis[0] = chi
-    for k in range(t_mid.size):
-        chi = ops[k] @ chi
-        chis[k + 1] = chi
+    np.einsum("ijn,j->ni", chain[..., ::-1], chi, out=chis[1:])
+    chis[1:] += chi
     re, im = chis[1:].real, chis[1:].imag
     # vecdot sums like np.linalg.norm of one row; a norm along axis=1 does not
     norms = np.concatenate(([norm0], np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))))

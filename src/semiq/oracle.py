@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scan import products, suffix_products
 from .wkb import BarrierProblem, turning_points
 
 __all__ = [
@@ -122,40 +123,6 @@ def _cell_propagators(w, h):
     return np.array([[diag, -s_over_q], [-np.sign(w) * q * s, diag]])
 
 
-def _suffix_products(p):
-    """Scan over the last axis: p[:, :, i] becomes p_i @ p_{i+1} @ ... @ p_last.
-
-    Hillis-Steele doubling, so log2(n) array steps replace n matrix products.
-    """
-    step = 1
-    while step < p.shape[-1]:
-        p[..., :-step] = np.einsum("ijn,jkn->ikn", p[..., :-step], p[..., step:])
-        step *= 2
-    return p
-
-
-def _products(p):
-    """Reduce over the last axis: p_0 @ p_1 @ ... @ p_last.
-
-    Pairwise: each level multiplies neighbours (2k, 2k+1) and carries an odd
-    last matrix up unchanged.  These are the blocks, in the same order, of
-    the first element of _suffix_products, and the component arithmetic
-    rounds as its einsum does, so the two agree bit for bit.
-    """
-    while p.shape[-1] > 1:
-        n = p.shape[-1]
-        a, b = p[..., 0:n - 1:2], p[..., 1::2]
-        q = np.empty(p.shape[:-1] + ((n + 1) // 2,))
-        for i in range(2):
-            for k in range(2):
-                np.multiply(a[i, 0], b[0, k], out=q[i, k, ..., :n // 2])
-                q[i, k, ..., :n // 2] += a[i, 1] * b[1, k]
-        if n % 2:
-            q[..., -1] = p[..., -1]
-        p = q
-    return p[..., 0]
-
-
 def _chunks(grid, values, E, hbar, mu):
     """Walk the cells right to left in chunks: yield (start, end, w, h).
 
@@ -191,10 +158,10 @@ def _chunk_products(chunks, cells):
         buf[:, :, filled, w.size:] = _IDENTITY
         filled += 1
         if filled == rows:
-            yield from np.moveaxis(_products(buf), -1, 0)
+            yield from np.moveaxis(products(buf), -1, 0)
             filled = 0
     if filled:
-        yield from np.moveaxis(_products(buf[:, :, :filled]), -1, 0)
+        yield from np.moveaxis(products(buf[:, :, :filled]), -1, 0)
 
 
 def _carry(p, psi, dpsi, log_scale):
@@ -239,7 +206,7 @@ def _propagate(grid, values, E, hbar, mu, keep_psi=False):
     scales = np.empty(grid.size)
     samples[-1], scales[-1] = psi, log_scale
     for start, end, w, h in chunks:
-        p = _suffix_products(_cell_propagators(w, h))
+        p = suffix_products(_cell_propagators(w, h))
         samples[start:end] = p[0, 0] * psi + p[0, 1] * dpsi
         scales[start:end] = log_scale
         psi, dpsi, log_scale = _carry(p[..., 0], psi, dpsi, log_scale)

@@ -19,6 +19,8 @@ from semiq import (
     hamilton_jacobi_phase,
     wdw_residual,
 )
+from semiq.cli import _parse_matter
+from semiq.minisuperspace import _unit_lapse
 
 
 def quad_model(**kw):
@@ -427,6 +429,55 @@ def test_matter_matches_per_step_reference():
         ref.append(u @ ref[-1])
     assert np.max(np.abs(traj.chis - np.array(ref))) < 1e-14
     assert traj.max_norm_drift < 1e-14
+
+
+#: grid points of the cosmo_matter benchmark workload: 20 000 steps
+WORKLOAD_POINTS = 20001
+
+
+@pytest.mark.parametrize("h, bound", [
+    (np.diag([0.7, -0.7]).astype(complex), 1e-12),
+    # eigh's eigenvectors are orthonormal only to roundoff; with a constant
+    # H every propagator repeats that roundoff, and it adds up over the
+    # 20 000 steps: 1.3e-12 here, as for a step-by-step product
+    (np.array([[0.7, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]]), 1e-11),
+])
+def test_matter_constant_hamiltonian_at_workload_size(h, bound):
+    # chi(t) = exp(-i H t) chi0 at every one of the 20 001 grid points
+    m = quad_model(matter_hamiltonian=lambda a: h)
+    cm = clock_map(m, a0=1.0, t_span=(0.0, 0.4))
+    t = np.linspace(0.0, 0.4, WORKLOAD_POINTS)
+    chi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+    traj = evolve_matter(m, cm, chi0, t)
+    vals, vecs = np.linalg.eigh(h)
+    exact = (np.exp(-1j * np.outer(t, vals)) * (vecs.conj().T @ chi0)) @ vecs.T
+    assert np.max(np.abs(traj.chis - exact)) < bound
+
+
+@pytest.mark.parametrize("hbar, w, lapse", [
+    (0.1, 5.0, _unit_lapse),          # the cosmo_matter workload
+    (1.0, 1.3, _unit_lapse),
+    (0.3, 1.3, lambda t: 1.0 + 0.5 * np.sin(7.0 * t)),
+])
+def test_matter_scan_matches_sequential_product(hbar, w, lapse):
+    # the suffix scan against chi <- U_k chi, one step at a time.  Near
+    # the identity a scan of the U_k themselves rounds neighbouring,
+    # nearly equal products alike, and was 4e-13 off at hbar 1; the scan
+    # of U_k - I is within 1.2e-14 in all three cases
+    m = MiniSuperspaceModel(potential_u=lambda a: 4.0 * a * a, hbar=hbar,
+                            lapse=lapse, matter_hamiltonian=_parse_matter(f"twolevel:{w}"))
+    cm = clock_map(m, a0=1.0, t_span=(0.0, 0.3))
+    t = np.linspace(0.0, 0.3, WORKLOAD_POINTS)
+    chi = np.array([1.0, 0.0], dtype=complex)
+    traj = evolve_matter(m, cm, chi, t)
+    t_mid = 0.5 * (t[:-1] + t[1:])
+    weights = (lapse(t_mid) * np.diff(t)).tolist()
+    ref = [chi]
+    for a, weight in zip(cm(t_mid).tolist(), weights):
+        vals, vecs = np.linalg.eigh(two_level(a, w))
+        u = (vecs * np.exp(-1j * weight * vals / hbar)) @ vecs.conj().T
+        ref.append(u @ ref[-1])
+    assert np.max(np.abs(traj.chis - np.array(ref))) < 1e-13
 
 
 def test_matter_rejects_hamiltonian_turning_non_hermitian():

@@ -1,0 +1,35 @@
+"""The shared suffix scan against products taken one matrix at a time."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from semiq.scan import suffix_products
+
+
+def sequential_suffixes(m):
+    """m is (n, d, d); returns out[i] = m[i] @ m[i + 1] @ ... @ m[n - 1]."""
+    out = np.empty_like(m)
+    out[-1] = m[-1]
+    for i in range(m.shape[0] - 2, -1, -1):
+        out[i] = m[i] @ out[i + 1]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]), st.integers(1, 70), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-6, 0.3, 1.0]))
+def test_suffix_scan_matches_sequential_products(dim, n, seed, size):
+    # unitary steps exp(-i H) from random Hermitian H of the given size,
+    # near the identity and far from it
+    rng = np.random.default_rng(seed)
+    g = size * (rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim)))
+    vals, vecs = np.linalg.eigh(0.5 * (g + g.conj().swapaxes(1, 2)))
+    steps = (vecs * np.exp(-1j * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    want = sequential_suffixes(steps)
+
+    plain = suffix_products(np.ascontiguousarray(steps.transpose(1, 2, 0)))
+    assert np.max(np.abs(plain.transpose(2, 0, 1) - want)) < 1e-13
+
+    offset = np.ascontiguousarray((steps - np.eye(dim)).transpose(1, 2, 0))
+    suffix_products(offset, minus_identity=True)
+    assert np.max(np.abs(offset.transpose(2, 0, 1) + np.eye(dim) - want)) < 1e-13
