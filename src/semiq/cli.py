@@ -601,20 +601,80 @@ def _parse_potential(spec: str):
         if np.any(u_vals <= 0):
             raise ValidationError(f"{arg}: potential values must be positive")
 
-        # imported here: scipy.interpolate takes about 0.6 s to import
-        from scipy.interpolate import CubicSpline
-
-        # a spline, so U'' is a function and not a sum of delta functions;
-        # the clip extends it as a constant outside the tabulated range, so
-        # U stays positive on the clock's last G panel, which reaches past
-        # the table's end when a(t) is truncated there
-        spline = CubicSpline(a_vals, u_vals)
-
-        def u_of(a, _lo=a_vals[0], _hi=a_vals[-1]):
-            return spline(np.clip(np.asarray(a, dtype=float), _lo, _hi))
-
-        return u_of, (float(a_vals[0]), float(a_vals[-1]))
+        # a spline, so U'' is a function and not a sum of delta functions
+        return _spline(a_vals, u_vals), (float(a_vals[0]), float(a_vals[-1]))
     raise ValidationError(f"unknown potential {spec!r}")
+
+
+def _spline(x, y):
+    """The not-a-knot cubic spline through (x, y), as scipy's CubicSpline.
+
+    The slopes at the knots solve scipy's tridiagonal system, and each
+    interval is the cubic Hermite piece between its knots; two knots give
+    the line and three the parabola through them.  Outside [x[0], x[-1]]
+    the spline is held constant, so U stays positive on the clock's last G
+    panel, which reaches past the table's end when a(t) is truncated there.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    if x.size == 2:
+        s = np.full(2, slope[0])
+    elif x.size == 3:
+        mid = (dx[0] * slope[1] + dx[1] * slope[0]) / (dx[0] + dx[1])
+        s = np.array([2.0 * slope[0] - mid, mid, 2.0 * slope[1] - mid])
+    else:
+        # not-a-knot end rows in scipy's form, which keeps the system
+        # tridiagonal
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        s = _solve_tridiagonal(
+            np.append(dx[1:], d1),
+            np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]])),
+            np.append(d0, dx[:-1]),
+            np.concatenate((
+                [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0],
+                3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+                [(dx[-1]**2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1])
+                 / d1])))
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+    def spline(a):
+        a = np.clip(np.asarray(a, dtype=float), x[0], x[-1])
+        k = np.clip(np.searchsorted(x, a, side="right") - 1, 0, x.size - 2)
+        h = a - x[k]
+        h2 = h * h
+        # scipy's order of the terms, not Horner's, so both round alike
+        return c0[k] + c1[k] * h + c2[k] * h2 + c3[k] * (h2 * h)
+
+    return spline
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs):
+    """x with A x = rhs for a tridiagonal A given by its three bands.
+
+    Gaussian elimination with partial pivoting, step for step as LAPACK's
+    gtsv, which scipy's banded solve calls for such a system.
+    """
+    dl, d, du, b = (v.tolist() for v in (lower, diag, upper, rhs))
+    n = len(d)
+    du2 = [0.0] * n                    # fill-in from row interchanges
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            f = dl[i] / d[i]
+            d[i + 1] -= f * du[i]
+            b[i + 1] -= f * b[i]
+        else:                          # interchange rows i and i + 1
+            f = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - f * d[i + 1], d[i + 1]
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -f * du2[i]
+            b[i], b[i + 1] = b[i + 1], b[i] - f * b[i + 1]
+    b[n - 1] /= d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+    return np.array(b)
 
 
 def _parse_matter(spec: str):

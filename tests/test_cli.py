@@ -485,17 +485,49 @@ def test_manifest_with_unknown_key_rejected(tmp_path):
             RunConfig.from_manifest(path)
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def test_cli_import_leaves_out_scipy_stats(tmp_path):
     # each of these takes 0.3-1.1 s to import on its own: nothing on the
     # CLI's main path uses scipy.stats or scipy.optimize, and only
-    # gauge-check (expm), hamilton_jacobi_phase (quad) and table: potentials
-    # (CubicSpline) use the others.  Bare scipy stays, for the manifest's
-    # version key.
-    code = ("import sys, semiq.cli; print([m for m in "
-            "('scipy.stats', 'scipy.optimize', 'scipy.integrate', "
-            "'scipy.linalg', 'scipy.interpolate') if m in sys.modules])")
+    # gauge-check (expm) and hamilton_jacobi_phase (quad) use the others,
+    # not even a run with a table: potential.  Bare scipy stays, for the
+    # manifest's version key.
+    pot = tmp_path / "u.csv"
+    pot.write_text("a,u\n" + "".join(f"{a!r},{4 * a * a + a**3!r}\n"
+                                     for a in np.linspace(0.5, 3.0, 26).tolist()))
+    run = f"semiq.cli.main(['cosmo', '--potential', 'table:{pot}', " \
+          f"'--output-dir', '{tmp_path / 'out'}'])"
     src = os.path.dirname(os.path.dirname(semiq.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    for step in ("", f"assert {run} == 0; "):
+        code = ("import sys, semiq.cli; " + step + "print([m for m in "
+                "('scipy.stats', 'scipy.optimize', 'scipy.integrate', "
+                "'scipy.linalg', 'scipy.interpolate') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(knots=st.lists(st.tuples(st.floats(1e-6, 10.0), st.floats(0.1, 100.0)),
+                      min_size=2, max_size=40),
+       where=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=50))
+@example(knots=[(1.0, 4.0), (0.5, 9.0)], where=[-1.0, 0.5, 1.0])
+@example(knots=[(1.0, 4.0), (0.5, 9.0), (2.0, 1.0)], where=[0.0, 0.3])
+# a short gap between long ones: the elimination needs a row interchange,
+# and without one the spline is 1e-4 off
+@example(knots=[(0.5, 7.88), (1.23759966, 81.55), (1.62e-06, 15.29),
+                (5.12891682, 70.59)], where=[-0.3, 0.0, 0.2, 0.6])
+def test_table_spline_matches_scipy_cubic_spline(knots, where):
+    # knot gaps from 1e-6 to 10 and positive values, as in a table:
+    # potential; the spline is compared inside and outside the table, where
+    # both are held at their end values
+    from scipy.interpolate import CubicSpline
+
+    from semiq.cli import _spline
+
+    x = np.cumsum([g for g, _ in knots])
+    y = np.array([u for _, u in knots])
+    a = np.concatenate((x, x[0] + (np.array(where) * 1.2 + 0.5) * (x[-1] - x[0])))
+    want = CubicSpline(x, y)(np.clip(a, x[0], x[-1]))
+    got = _spline(x, y)(a)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
