@@ -678,6 +678,10 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
 
 
 def _parse_matter(spec: str):
+    """H_q for --matter: a function of an array of scale factors a that
+    returns the a.shape + (2, 2) stack of Hamiltonians.  A file: table is
+    interpolated linearly in a and, like a table: potential, held constant
+    outside its range."""
     kind, _, arg = spec.partition(":")
     if kind in ("none", ""):
         return None
@@ -712,7 +716,6 @@ def _parse_matter(spec: str):
             raise ValidationError(f"{arg}: column a must be strictly increasing")
 
         def h_of(a, _c=cols, _a=a_vals):
-            # np.interp holds the table constant outside its range
             h = np.empty(np.shape(a) + (2, 2), dtype=complex)
             h[..., 0, 0] = np.interp(a, _a, _c["h00"])
             h[..., 1, 1] = np.interp(a, _a, _c["h11"])
