@@ -462,16 +462,15 @@ def evolve_matter(model: MiniSuperspaceModel, clock: ClockMap,
     a_vals = clock(t)
     t_mid = 0.5 * (t[:-1] + t[1:])
     weights = _values(model.lapse, t_mid) * np.diff(t)
-    # one (steps, d, d) buffer: the Hamiltonians, then their propagators
     dim = (chi.size, chi.size)
-    ops = _values(model.matter_hamiltonian, clock(t_mid), dim, complex)
-    if ops.shape[1:] != dim:
+    h = _values(model.matter_hamiltonian, clock(t_mid), dim, complex)
+    if h.shape[1:] != dim:
         raise ValueError("matter Hamiltonian must be a square matrix "
                          f"of chi0's dimension {chi.size}")
-    vals, vecs = np.linalg.eigh(_check_hermitian(ops))
+    vals, vecs = np.linalg.eigh(_check_hermitian(h))
     # exp(-1j * weight * H / hbar) per step
     phases = np.exp(-1j * weights[:, None] * vals / model.hbar)
-    np.matmul(vecs * phases[:, None, :], vecs.conj().swapaxes(1, 2), out=ops)
+    ops = np.matmul(vecs * phases[:, None, :], vecs.conj().swapaxes(1, 2))
 
     # U_k - I in the scan's (d, d, steps) layout, last step first: its
     # element steps - 1 - k becomes U_k ... U_0 - I

@@ -512,6 +512,20 @@ def test_matter_norm_drift_names_first_bad_step(monkeypatch):
                       np.linspace(0.0, 0.3, 31))
 
 
+def test_matter_leaves_the_hamiltonian_stack_alone():
+    # a vectorised H_q may hand back an array it keeps; evolve_matter must
+    # not write its propagators into it
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(30, 2, 2)) + 1j * rng.normal(size=(30, 2, 2))
+    stack = 0.5 * (g + g.conj().swapaxes(1, 2))
+    kept = stack.copy()
+    m = quad_model(matter_hamiltonian=lambda a: stack)
+    cm = clock_map(m, a0=1.0, t_span=(0.0, 0.3))
+    evolve_matter(m, cm, np.array([1.0, 0.0], dtype=complex),
+                  np.linspace(0.0, 0.3, 31))
+    assert np.array_equal(stack, kept)
+
+
 def test_matter_rejects_hamiltonian_of_wrong_size():
     m = quad_model(matter_hamiltonian=lambda a: np.eye(3, dtype=complex))
     cm = clock_map(m, a0=1.0, t_span=(0.0, 0.3))
