@@ -10,11 +10,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 import semiq
 from semiq import MiniSuperspaceModel, clock_map, evolve_matter
 from semiq.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                       _parse_matter, main)
+                       _parse_matter, _spline, main)
 from semiq.tableio import read_csv, read_manifest
 
 
@@ -521,10 +522,6 @@ def test_table_spline_matches_scipy_cubic_spline(knots, where):
     # knot gaps from 1e-6 to 10 and positive values, as in a table:
     # potential; the spline is compared inside and outside the table, where
     # both are held at their end values
-    from scipy.interpolate import CubicSpline
-
-    from semiq.cli import _spline
-
     x = np.cumsum([g for g, _ in knots])
     y = np.array([u for _, u in knots])
     a = np.concatenate((x, x[0] + (np.array(where) * 1.2 + 0.5) * (x[-1] - x[0])))
