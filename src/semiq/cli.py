@@ -12,6 +12,7 @@ Subcommands map one-to-one onto the physics modules:
 tunnel is the sweep over no axes: both share one runner, the barrier flags
 and the CSV columns, and a tunnel row equals the row of a one-point sweep.
 Only clock and network draw random numbers, so only they take --seed.
+A run accepts only the parameters it reads, a network run those of its mode.
 
 Every run resolves its configuration from defaults, then an optional flat
 key = value config file, then command-line flags (highest precedence),
@@ -130,20 +131,21 @@ _SCHEMAS: dict[str, dict[str, Param]] = {
         "threshold": Param(_as_float, math.exp(-1.0), "retention threshold"),
     },
     "tunnel": dict(_BARRIER_PARAMS),
+    # every mode's parameters; each mode reads the ones _NETWORK_MODES names
     "network": {
         "mode": Param(_as_str, "gauge-check",
                       "gauge-check | ek | rolldown | entropy"),
         "n": Param(_as_int, 4, "number of sites / units"),
         "N": Param(_as_int, 4, "components per site"),
-        "beta": Param(_as_float, 1.0, "inverse temperature (ek)"),
-        "draws": Param(_as_int, 8, "quenched draws (ek) or trials (gauge-check)"),
-        "samples": Param(_as_int, 2000, "states per partition estimate (ek)"),
+        "beta": Param(_as_float, 1.0, "inverse temperature"),
+        "draws": Param(_as_int, 8, "quenched draws or trials"),
+        "samples": Param(_as_int, 2000, "states per partition estimate"),
         "g_scale": Param(_as_float, 1.0, "connection magnitude scale"),
-        "patterns": Param(_as_int, 1, "stored patterns (rolldown)"),
-        "flips": Param(_as_int, 1, "corrupted bits in the start state (rolldown)"),
-        "steps": Param(_as_int, 400, "history length (entropy)"),
-        "flip_prob": Param(_as_float, 0.1, "per-spin flip probability (entropy)"),
-        "window": Param(_as_int, 4, "max window length (entropy)"),
+        "patterns": Param(_as_int, 1, "stored patterns"),
+        "flips": Param(_as_int, 1, "corrupted bits in the start state"),
+        "steps": Param(_as_int, 400, "history length"),
+        "flip_prob": Param(_as_float, 0.1, "per-spin flip probability"),
+        "window": Param(_as_int, 4, "max window length"),
         "seed": Param(_as_int, 0, "RNG seed"),
     },
     "cosmo": {
@@ -168,6 +170,26 @@ _MANIFEST_HEADER = ("format", "tool", "version", "numpy", "scipy",
                     "subcommand", "outputs")
 
 
+def _schema(subcommand, mode=None) -> dict[str, Param]:
+    """The parameters a run reads, in manifest order: its subcommand's, or
+    for network the mode (None: the default mode) and those it names in
+    _NETWORK_MODES."""
+    if subcommand not in _SCHEMAS:
+        raise ValidationError(f"unknown subcommand {subcommand!r}")
+    schema = _SCHEMAS[subcommand]
+    if subcommand != "network":
+        return schema
+    mode = schema["mode"].default if mode is None else mode
+    if mode not in _NETWORK_MODES:
+        raise ValidationError(f"unknown mode {mode!r}; "
+                              f"choose from {sorted(_NETWORK_MODES)}")
+    return {k: schema[k] for k in ("mode", *_NETWORK_MODES[mode][1])}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 @dataclass
 class RunConfig:
     """Fully resolved run: subcommand, coerced parameters, output dir."""
@@ -183,15 +205,12 @@ class RunConfig:
                 plot: bool = False) -> "RunConfig":
         if subcommand not in _SCHEMAS:
             raise ValidationError(f"unknown subcommand {subcommand!r}")
-        schema = _SCHEMAS[subcommand]
         raw: dict = {}
         if config_path is not None:
-            raw.update(_read_config_file(config_path, schema))
-        for key, val in cli_values.items():
-            if key not in schema:
-                raise ValidationError(f"unknown parameter {key!r}")
-            if val is not None and val != []:
-                raw[key] = val
+            raw.update(_read_config_file(config_path, _SCHEMAS[subcommand]))
+        raw.update((key, val) for key, val in cli_values.items()
+                   if val is not None and val != [])
+        schema = _schema(subcommand, raw.get("mode"))
         params = {}
         for name, spec in schema.items():
             if name not in raw:
@@ -202,6 +221,12 @@ class RunConfig:
                 params[name] = [spec.coerce(raw[name])]
             else:
                 params[name] = spec.coerce(raw[name])
+        unread = [_flag(key) for key in raw if key not in schema]
+        if unread:
+            run = (f"{subcommand} --mode {params['mode']}" if "mode" in params
+                   else subcommand)
+            raise ValidationError(f"{run} reads only {' '.join(map(_flag, schema))}"
+                                  f"; drop {' '.join(unread)}")
         out = output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
         return cls(subcommand=subcommand, parameters=params,
                    output_dir=out, plot=plot)
@@ -211,9 +236,10 @@ class RunConfig:
         """Rebuild the config that produced a manifest (reproducibility)."""
         entries = read_manifest(path)
         sub = entries.get("subcommand")
-        if sub not in _SCHEMAS:
-            raise ValidationError(f"{path}: unknown subcommand {sub!r}")
-        schema = _SCHEMAS[sub]
+        try:
+            schema = _schema(sub, entries.get("mode"))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
         for name in entries:
             if name not in schema and name not in _MANIFEST_HEADER:
                 raise ValidationError(f"{path}: unknown key {name!r}")
@@ -238,7 +264,8 @@ class RunConfig:
             "scipy": scipy.__version__,
             "subcommand": self.subcommand,
         }
-        for name, spec in _SCHEMAS[self.subcommand].items():
+        for name, spec in _schema(self.subcommand,
+                                  self.parameters.get("mode")).items():
             v = self.parameters[name]
             if spec.repeat:
                 out[name] = ";".join(str(p) for p in v)
@@ -311,6 +338,8 @@ def _run_clock(cfg: RunConfig):
         raise ValidationError("steps must be >= 1")
     if p["samples"] < 0:
         raise ValidationError("samples must be >= 0")
+    if p["samples"] == 0 and p["seed"] != _SCHEMAS["clock"]["seed"].default:
+        raise ValidationError("--seed needs --samples")
     if not (0 < p["threshold"] < 1):
         raise ValidationError("threshold must be in (0, 1)")
     system = clock.QuantumSystem.uniform_superposition(energies, hbar=p["hbar"])
@@ -395,7 +424,10 @@ def _run_sweep(cfg: RunConfig):
                               f"{_MAX_SWEEP_POINTS}")
     axis_names = [name for name, _ in axes]
     for key in _SWEEP_AXES:
-        if key not in axis_names and p[key] <= 0:
+        # a swept parameter keeps its default, which is positive
+        if key in axis_names and p[key] != _BARRIER_PARAMS[key].default:
+            raise ValidationError(f"{key} is swept by --axis; drop {_flag(key)}")
+        if p[key] <= 0:
             raise ValidationError(f"{key} must be positive")
     for _, vals in axes:
         if np.any(vals <= 0):
@@ -404,6 +436,9 @@ def _run_sweep(cfg: RunConfig):
         raise ValidationError("points must be >= 100")
     if p["cap"] < 0:
         raise ValidationError("cap must be positive (or 0 for the default)")
+    for key in ("cap", "points"):
+        if not p["oracle"] and p[key] != _BARRIER_PARAMS[key].default:
+            raise ValidationError(f"{_flag(key)} needs --oracle")
 
     # Cartesian product, first axis outermost: lexicographic in axis indices
     cols = {k: np.full(total, p[k]) for k in _SWEEP_AXES}
@@ -431,8 +466,7 @@ def _run_sweep(cfg: RunConfig):
 
     def plots():
         ys = ["T_closed", "T_quadrature"] + (["T_numeric"] if p["oracle"] else [])
-        x = axes[0][0] if axes else "hbar"      # one tunnel row: render_plot rejects it
-        svg = render_plot(table, x, ys, logy=True, title="transmission")
+        svg = render_plot(table, axes[0][0], ys, logy=True, title="transmission")
         return [(f"{cfg.subcommand}.svg", svg)]
 
     return {f"{cfg.subcommand}.csv": table}, plots
@@ -443,15 +477,9 @@ def _run_sweep(cfg: RunConfig):
 
 def _run_network(cfg: RunConfig):
     p = cfg.parameters
-    mode = p["mode"]
-    handlers = {"gauge-check": _network_gauge, "ek": _network_ek,
-                "rolldown": _network_rolldown, "entropy": _network_entropy}
-    if mode not in handlers:
-        raise ValidationError(f"unknown mode {mode!r}; "
-                              f"choose from {sorted(handlers)}")
-    if p["n"] < 1 or p["N"] < 1:
+    if p["n"] < 1 or p.get("N", 1) < 1:
         raise ValidationError("n and N must be >= 1")
-    return handlers[mode](p)
+    return _NETWORK_MODES[p["mode"]][0](p)
 
 
 def _network_gauge(p):
@@ -494,7 +522,7 @@ def _network_ek(p):
                            "discrepancy": comp.discrepancies,
                            "std_error": comp.std_errors})
     t_sum = ResultTable({
-        **{k: [p[k]] for k in ("n", "N", "beta", "draws", "samples", "g_scale")},
+        **{k: [v] for k, v in p.items() if k not in ("mode", "seed")},
         "median_abs_discrepancy": [comp.median_abs_discrepancy],
         "se": [comp.se], "starved": [comp.starved]})
 
@@ -525,7 +553,7 @@ def _network_rolldown(p):
                           "overlap": np.array(result.states) @ pats[0] / p["n"]})
     recovered = bool(np.array_equal(result.final_state, pats[0]))
     t_sum = ResultTable({
-        **{k: [p[k]] for k in ("n", "patterns", "flips")},
+        **{k: [v] for k, v in p.items() if k not in ("mode", "seed")},
         "sweeps": [result.sweeps], "converged": [result.converged],
         "recovered": [recovered], "final_energy": [energies[-1]]})
 
@@ -568,6 +596,15 @@ def _network_entropy(p):
         return [("network_entropy.svg", svg)]
 
     return {"network_entropy.csv": table}, plots
+
+
+#: mode -> (runner, the parameters it reads); the order is manifest order
+_NETWORK_MODES = {
+    "gauge-check": (_network_gauge, ("n", "N", "draws", "g_scale", "seed")),
+    "ek": (_network_ek, ("n", "N", "beta", "draws", "samples", "g_scale", "seed")),
+    "rolldown": (_network_rolldown, ("n", "patterns", "flips", "seed")),
+    "entropy": (_network_entropy, ("n", "steps", "flip_prob", "window", "seed")),
+}
 
 
 # --------------------------------------------------------------------------
@@ -850,7 +887,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for sub, schema in _SCHEMAS.items():
         sp = subs.add_parser(sub, help=help_hdr[sub])
         for name, spec in schema.items():
-            flag = "--" + name.replace("_", "-")
+            flag = _flag(name)
             if spec.coerce is _as_bool:
                 sp.add_argument(flag, dest=name, nargs="?", const="1",
                                 default=None, help=spec.help)
@@ -863,7 +900,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="flat key = value config file")
         sp.add_argument("--output-dir", default=None,
                         help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
-        sp.add_argument("--plot", action="store_true", help="also write SVG plots")
+        if sub != "tunnel":         # one row: nothing to plot
+            sp.add_argument("--plot", action="store_true", help="also write SVG plots")
     return ap
 
 
@@ -878,7 +916,7 @@ def main(argv=None) -> int:
     cli_values = {name: getattr(ns, name) for name in _SCHEMAS[ns.subcommand]}
     try:
         cfg = RunConfig.resolve(ns.subcommand, cli_values, ns.config,
-                                ns.output_dir, ns.plot)
+                                ns.output_dir, getattr(ns, "plot", False))
         tables = run(cfg)
     except ValidationError as exc:
         print(f"semiq: {exc}", file=sys.stderr)

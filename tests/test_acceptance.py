@@ -350,8 +350,7 @@ def test_criterion_11_cli_determinism(tmp_path):
                           "--seed", "3"], tmp_path)
     ok &= same
     _, same = _run_twice(["network", "--mode", "gauge-check", "--n", "4",
-                          "--N", "4", "--samples", "10", "--seed", "0"],
-                         tmp_path)
+                          "--N", "4", "--seed", "0"], tmp_path)
     ok &= same
     _, same = _run_twice(["cosmo", "--t-max", "0.2", "--t-points", "51"],
                          tmp_path)

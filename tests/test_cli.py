@@ -14,6 +14,7 @@ from scipy.interpolate import CubicSpline
 
 import semiq
 from semiq import MiniSuperspaceModel, clock_map, evolve_matter
+from semiq import cli
 from semiq.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                        _parse_matter, _spline, main)
 from semiq.tableio import read_csv, read_manifest
@@ -72,20 +73,74 @@ def test_rerun_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_manifest_reproduces_run(tmp_path):
+NETWORK_RUNS = {
+    "gauge-check": ["--n", "3", "--N", "2", "--draws", "3", "--g-scale", "0.5",
+                    "--seed", "4"],
+    "ek": ["--n", "3", "--N", "4", "--beta", "1.0", "--draws", "4",
+           "--samples", "100", "--seed", "3"],
+    "rolldown": ["--n", "12", "--patterns", "2", "--flips", "2", "--seed", "5"],
+    "entropy": ["--n", "3", "--steps", "60", "--flip-prob", "0.2",
+                "--window", "3", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("mode", NETWORK_RUNS)
+def test_manifest_reproduces_run(tmp_path, mode):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
-    assert run_cli(["network", "--mode", "ek", "--n", "3", "--N", "4",
-                    "--beta", "1.0", "--draws", "4", "--samples", "100",
-                    "--seed", "3"], a) == EXIT_OK
+    assert run_cli(["network", "--mode", mode, *NETWORK_RUNS[mode]],
+                   a) == EXIT_OK
     from semiq.cli import RunConfig, run
 
+    manifest = read_manifest(a / "network.manifest.txt")
+    assert [k for k in manifest if k not in cli._MANIFEST_HEADER] == \
+        ["mode", *cli._NETWORK_MODES[mode][1]]
     cfg = RunConfig.from_manifest(a / "network.manifest.txt")
     cfg.output_dir = str(b)
     run(cfg)
-    for name in os.listdir(a):
-        if name.endswith(".csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    csvs = [name for name in os.listdir(a) if name.endswith(".csv")]
+    assert csvs
+    for name in csvs:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# (mode, key) for every key of the network table that the mode does not read
+FOREIGN_KEYS = [(mode, key) for mode, (_, names) in cli._NETWORK_MODES.items()
+                for key in cli._SCHEMAS["network"] if key not in ("mode", *names)]
+
+
+@pytest.mark.parametrize("mode,key", FOREIGN_KEYS)
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_network_mode_refuses_other_modes_keys(tmp_path, capsys, mode, key, via):
+    value = str(cli._SCHEMAS["network"][key].default)
+    if via == "flag":
+        args = ["network", "--mode", mode, cli._flag(key), value]
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"mode = {mode}\n{key} = {value}\n")
+        args = ["network", "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main([*args, "--output-dir", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"--mode {mode} reads only" in err
+    assert cli._flag(key) in err.split("drop")[1]
+
+
+def test_manifest_of_another_mode_rejected(tmp_path):
+    from semiq.cli import RunConfig, ValidationError
+
+    assert run_cli(["network", "--mode", "rolldown", "--n", "8"],
+                   tmp_path) == EXIT_OK
+    path = tmp_path / "network.manifest.txt"
+    text = path.read_text()
+    # what a network manifest carried when every mode recorded every key
+    path.write_text(text.replace("seed = 0\n", "seed = 0\nsamples = 2000\n"))
+    with pytest.raises(ValidationError, match="unknown key 'samples'"):
+        RunConfig.from_manifest(path)
+    path.write_text(text.replace("mode = rolldown", "mode = bogus"))
+    with pytest.raises(ValidationError, match="unknown mode 'bogus'"):
+        RunConfig.from_manifest(path)
 
 
 def test_validation_failure_leaves_no_files(tmp_path, capsys):
@@ -363,7 +418,7 @@ def test_cosmo_rejects_non_finite_matter_table(tmp_path):
 
 def test_network_gauge_mode(tmp_path):
     assert run_cli(["network", "--mode", "gauge-check", "--n", "4", "--N", "4",
-                    "--samples", "10", "--seed", "0"], tmp_path) == EXIT_OK
+                    "--seed", "0"], tmp_path) == EXIT_OK
     t = read_csv(tmp_path / "network_gauge_check.csv")
     diffs = [float(v) for v in t.column("abs_difference")]
     assert diffs and max(diffs) < 1e-10
@@ -442,10 +497,30 @@ def test_tunnel_sweep_flag_removed(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["tunnel"], ["sweep", "--axis", "h0=1:2:2"], ["cosmo"]])
+    ["tunnel"], ["sweep", "--axis", "h0=1:2:2"], ["cosmo"],
+    ["clock"]])                     # the closed form, --samples 0
 def test_seed_only_where_random_numbers_are_drawn(tmp_path, args):
     assert run_cli([*args, "--seed", "1"], tmp_path) == EXIT_VALIDATION
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["tunnel", "--cap", "3"], ["tunnel", "--points", "5000"],
+    ["sweep", "--axis", "h0=1:2:2", "--cap", "3", "--points", "5000"]])
+def test_oracle_grid_flags_need_oracle(tmp_path, args):
+    assert run_cli(args, tmp_path / "a") == EXIT_VALIDATION
+    assert not (tmp_path / "a").exists()
+    assert run_cli([*args, "--oracle"], tmp_path / "b") == EXIT_OK
+    man = read_manifest(tmp_path / "b" / f"{args[0]}.manifest.txt")
+    assert {"oracle", "cap", "points"} <= set(man)
+
+
+@pytest.mark.parametrize("axis", ["hbar", "mu", "j0", "h0"])
+def test_swept_axis_takes_no_fixed_value(tmp_path, capsys, axis):
+    assert run_cli(["sweep", "--axis", f"{axis}=0.5:1:2", f"--{axis}", "3"],
+                   tmp_path) == EXIT_VALIDATION
+    assert os.listdir(tmp_path) == []
+    assert f"{axis} is swept" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -528,3 +603,69 @@ def test_table_spline_matches_scipy_cubic_spline(knots, where):
     want = CubicSpline(x, y)(np.clip(a, x[0], x[-1]))
     got = _spline(x, y)(a)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# one run per subcommand and network mode with every switch on (--oracle,
+# --samples), so that it reads every parameter of its table; a sweep reads
+# no fixed value of its swept axis, so a second sweep covers --mu
+GUARD_BASES = [
+    ("clock", {"steps": "20", "samples": "8", "sigma": "0.5"}),
+    ("tunnel", {"oracle": "1"}),
+    ("sweep", {"axis": "mu=1:2:2", "oracle": "1"}),
+    ("sweep", {"axis": "h0=1:2:2", "oracle": "1"}),
+    ("network", {"mode": "gauge-check", "n": "2", "N": "2", "draws": "2"}),
+    ("network", {"mode": "ek", "n": "2", "N": "2", "draws": "2",
+                 "samples": "50"}),
+    ("network", {"mode": "rolldown", "n": "16", "patterns": "2"}),
+    ("network", {"mode": "entropy", "n": "2", "steps": "40"}),
+    ("cosmo", {"t_points": "21"}),
+]
+# one valid value per parameter, other than its default and every base's
+GUARD_VALUES = {
+    "energies": "0,2", "hbar": "0.5", "mu0": "2", "sigma": "0.2",
+    "steps": "30", "samples": "5", "seed": "1", "threshold": "0.9",
+    "mu": "2", "j0": "2", "h0": "2", "oracle": "0", "cap": "3",
+    "points": "1000", "axis": "mu=1:3:2", "n": "3", "N": "3", "beta": "2",
+    "draws": "3", "g_scale": "2", "patterns": "3", "flips": "2",
+    "flip_prob": "0.3", "window": "2", "potential": "quadratic:2",
+    "hbar_list": "0.2,0.1", "a0": "1.5", "t_max": "0.2", "t_points": "11",
+    "a_max": "1.5", "matter": "twolevel:2",
+}
+# the CSV column that echoes a parameter, where it is not named after it
+ECHOES = {"points": "n", "hbar_list": "hbar"}
+
+
+def csv_columns(sub, params, out):
+    argv = [sub, *(a for k, v in params.items() for a in (cli._flag(k), v))]
+    assert main([*argv, "--output-dir", str(out)]) == EXIT_OK, argv
+    tables = {name: read_csv(out / name) for name in os.listdir(out)
+              if name.endswith(".csv")}
+    return {(name, col): t.column(col) for name, t in tables.items()
+            for col in t.columns}
+
+
+def test_every_parameter_is_read(tmp_path):
+    # a parameter echoed in a column must still change some other column
+    runs = {(sub, base.get("mode")) for sub, base in GUARD_BASES}
+    assert runs == ({(sub, None) for sub in cli._SCHEMAS if sub != "network"}
+                    | {("network", mode) for mode in cli._NETWORK_MODES})
+    covered, unread = set(), []
+    for i, (sub, base) in enumerate(GUARD_BASES):
+        mode = base.get("mode")
+        swept = base.get("axis", "").partition("=")[0]
+        default = csv_columns(sub, base, tmp_path / str(i))
+        for key in cli._schema(sub, mode):
+            if key in ("mode", swept):
+                continue
+            covered.add((sub, mode, key))
+            with (pytest.warns(UserWarning, match="clock map truncated")
+                  if key == "a_max" else warnings.catch_warnings()):
+                changed = csv_columns(sub, {**base, key: GUARD_VALUES[key]},
+                                      tmp_path / f"{i}_{key}")
+            echo = ECHOES.get(key, key)
+            if ({k: v for k, v in changed.items() if k[1] != echo}
+                    == {k: v for k, v in default.items() if k[1] != echo}):
+                unread.append((sub, mode, key))
+    assert not unread
+    assert covered == {(sub, mode, key) for sub, mode in runs
+                       for key in cli._schema(sub, mode) if key != "mode"}
