@@ -118,6 +118,9 @@ _BARRIER_PARAMS = {
     "points": Param(_as_int, 20000, "oracle grid cells"),
 }
 
+#: subcommands that write one row, so have nothing to plot and no --plot
+_NO_PLOT = frozenset({"tunnel"})
+
 # name -> Param, per subcommand; insertion order is manifest order
 _SCHEMAS: dict[str, dict[str, Param]] = {
     "clock": {
@@ -205,6 +208,8 @@ class RunConfig:
                 plot: bool = False) -> "RunConfig":
         if subcommand not in _SCHEMAS:
             raise ValidationError(f"unknown subcommand {subcommand!r}")
+        if plot and subcommand in _NO_PLOT:
+            raise ValidationError(f"{subcommand} writes one row: nothing to plot")
         raw: dict = {}
         if config_path is not None:
             raw.update(_read_config_file(config_path, _SCHEMAS[subcommand]))
@@ -900,7 +905,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="flat key = value config file")
         sp.add_argument("--output-dir", default=None,
                         help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
-        if sub != "tunnel":         # one row: nothing to plot
+        if sub not in _NO_PLOT:
             sp.add_argument("--plot", action="store_true", help="also write SVG plots")
     return ap
 

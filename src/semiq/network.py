@@ -26,9 +26,11 @@ The large-N comparison (ek_comparison) puts the same G at every site.
 Then D = -I + S (x) (1 + G), with S the cyclic site shift, is block-
 circulant and exp(D) is diagonal in site-Fourier modes times the
 eigenvectors of the Hermitian iG.  One N x N eigendecomposition per draw
-gives the ring energies and, as the n = 1 case, the reduced ones, at
-O(samples n N (n + N) + N^3) cost (O(samples n N^2 + N^3) for n <= N)
-and with no (nN) x (nN) matrix.
+gives the ring energies and, as the n = 1 case, the reduced ones.  The
+samples are real, so site modes k and n - k contribute complex-conjugate
+terms and only the n//2 + 1 modes k <= n/2 are evaluated, by real matrix
+products: about samples (n//2 + 1) (2nN + 4N^2) multiply-adds plus the
+O(N^3) eigendecomposition, with no (nN) x (nN) matrix.
 
 The quenched Hopfield limit keeps an n x n coupling matrix J and the
 energy -(1/2) <phi, J phi> + H0 on unit n-vectors.
@@ -36,7 +38,6 @@ energy -(1/2) <phi, J phi> + H0 on unit n-vectors.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from collections import Counter
@@ -232,32 +233,46 @@ def gauge_transform(state: NeuralState, g, o: GaugeTransformation):
     return NeuralState(phi2), g2
 
 
-def _uniform_ring_energies(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _uniform_ring_energies(x: np.ndarray, lam: np.ndarray,
+                           v: np.ndarray) -> np.ndarray:
     """-(1/2N) <x, exp(D) x> per sample, x shaped (samples, n, N), for a
-    ring that carries the same antisymmetric connection g at every site.
+    ring that carries the same antisymmetric connection G at every site;
+    lam and v are the eigenvalues and eigenvectors of the Hermitian iG, as
+    np.linalg.eigh(1j * G) returns them.
 
     D = -I + S (x) (1 + G) with (S x)_i = x_{i+1} is block-circulant: site
     mode k (x_i ~ w_k^i, w_k = exp(2 pi i k / n)) and eigenvector v_j of G
-    (G v_j = mu_j v_j) give exp(D) the eigenvalue exp(-1 + w_k (1 + mu_j)).
-    With z_kj = <v_j, x_hat_k> and x_hat_k = sum_i w_k^-i x_i / sqrt(n),
+    (G v_j = mu_j v_j, mu_j = -i lam_j) give exp(D) the eigenvalue
+    exp(-1 + w_k (1 + mu_j)).  With z_kj = <v_j, x_hat_k> and
+    x_hat_k = sum_i w_k^-i x_i / sqrt(n),
     <x, exp(D) x> = sum_kj |z_kj|^2 Re exp(-1 + w_k (1 + mu_j)).  At n = 1,
     D = G.
+
+    x and G are real, so x_hat_{n-k} = conj(x_hat_k) and the k and n - k
+    terms of <x, exp(D) x> are complex conjugates: only k = 0 .. n//2 are
+    evaluated, each 0 < k < n/2 counted twice.  With x_hat_k = a + ib,
+    z_k = [a, b] @ [[Re V, -Im V], [Im V, Re V]] as [Re z_k, Im z_k].
     """
-    n, N = x.shape[1], x.shape[2]
-    lam, v = np.linalg.eigh(1j * g)         # iG Hermitian: mu_j = -i lam_j
-    vc = v.conj()
-    sites = np.arange(n)
-    energy = np.zeros(x.shape[0])
-    for k in range(n):
-        theta = 2.0 * math.pi * (k * sites % n) / n
-        # sqrt(n) x_hat_k from real cos and sin projections: an FFT over the
-        # site axis would hold complex copies of every site of every sample
-        x_hat = (np.einsum("i,sim->sm", np.cos(theta), x)
-                 - 1j * np.einsum("i,sim->sm", np.sin(theta), x))
-        z = x_hat @ vc
-        omega = cmath.exp(2j * math.pi * k / n)
-        weight = np.exp(-1.0 + omega * (1.0 - 1j * lam)).real
-        energy += (z.real ** 2 + z.imag ** 2) @ weight
+    samples, n, N = x.shape
+    m = n // 2 + 1
+    k = np.arange(m)
+    theta = 2.0 * math.pi * (np.outer(k, np.arange(n)) % n) / n
+    # rows cos_k, -sin_k interleaved, so that one matmul leaves [a_k, b_k]
+    # side by side: sqrt(n) x_hat_k without a complex copy of the samples
+    table = np.empty((2 * m, n))
+    table[0::2] = np.cos(theta)
+    table[1::2] = -np.sin(theta)
+    ab = np.matmul(table, x).reshape(samples, m, 2 * N)
+    vblock = np.block([[v.real, -v.imag], [v.imag, v.real]])
+    omega = np.exp(2j * math.pi * k / n)
+    weight = np.exp(-1.0 + omega[:, None] * (1.0 - 1j * lam)).real
+    weight *= np.where((k == 0) | (2 * k == n), 1.0, 2.0)[:, None]
+    weight = np.concatenate([weight, weight], axis=1)
+    energy = np.zeros(samples)
+    for q in range(m):
+        z = ab[:, q] @ vblock
+        z *= z
+        energy += z @ weight[q]
     return -energy / (2.0 * n * N)
 
 
@@ -275,7 +290,8 @@ def ek_reduced_hamiltonian(phi: np.ndarray, g: np.ndarray, h0: float = 0.0) -> f
         raise ValueError("connection matrix must be antisymmetric")
     if abs(np.linalg.norm(phi) - 1.0) > 1e-9:
         raise ValueError("phi must be a unit vector")
-    return float(_uniform_ring_energies(phi[None, None, :], g)[0] + h0)
+    lam, v = np.linalg.eigh(1j * g)
+    return float(_uniform_ring_energies(phi[None, None, :], lam, v)[0] + h0)
 
 
 @dataclass
@@ -332,12 +348,13 @@ def ek_comparison(n: int, N: int, beta: float, draws: int, samples: int,
         rng = np.random.default_rng(streams[d])
         r = rng.standard_normal((N, N))
         g = g_scale * (r - r.T) / (2.0 * math.sqrt(N))
+        lam, v = np.linalg.eigh(1j * g)     # shared by ring and reduction
         x = rng.standard_normal((samples, n * N))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        e_full = _uniform_ring_energies(x.reshape(samples, n, N), g)
+        e_full = _uniform_ring_energies(x.reshape(samples, n, N), lam, v)
         y = rng.standard_normal((samples, N))
         y /= np.linalg.norm(y, axis=1, keepdims=True)
-        e_red = _uniform_ring_energies(y[:, None, :], g)
+        e_red = _uniform_ring_energies(y[:, None, :], lam, v)
 
         lz_full, se_full = _log_mean_exp(-beta * e_full)
         lz_red, se_red = _log_mean_exp(-beta * e_red)

@@ -246,6 +246,15 @@ def test_plot_single_row_rejected(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_resolve_refuses_tunnel_plot(tmp_path):
+    # the API applies the CLI's rule: tunnel has no --plot
+    from semiq.cli import RunConfig, ValidationError, run
+
+    with pytest.raises(ValidationError, match="nothing to plot"):
+        run(RunConfig.resolve("tunnel", {}, None, str(tmp_path), plot=True))
+    assert os.listdir(tmp_path) == []
+
+
 def test_cosmo_outputs_and_slope(tmp_path):
     assert run_cli(["cosmo", "--hbar-list", "0.1,0.05,0.025",
                     "--t-max", "0.3"], tmp_path) == EXIT_OK

@@ -21,8 +21,9 @@ exactly, except:
   depend on how the WKB phases are evaluated: 1e-11 relative;
 - columns that pass through BLAS (the Monte Carlo clock's coherence, and
   the ek discrepancies and standard errors, which go through an eigh and
-  complex matrix products), whose last bits may differ with the BLAS build
-  and the evaluation order: 1e-12 relative.
+  real matrix products over the n//2 + 1 paired site modes), whose last
+  bits may differ with the BLAS build and the evaluation order: 1e-12
+  relative.
 """
 
 import os

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semiq import (
     EkComparison,
@@ -57,11 +57,14 @@ def test_gauge_invariance_property(n, N, seed, scale):
 
 
 @PROPERTY
-@given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1),
+@given(st.integers(1, 9), st.integers(1, 8), st.integers(0, 2**32 - 1),
        st.floats(0.0, 3.0))
+@example(2, 5, 17, 1.5)
+@example(8, 8, 23, 2.0)
 def test_site_fourier_energy_matches_dense_expm(n, N, seed, scale):
     # the same connection at every site: the closed form against the dense
-    # exp(D) of hamiltonian_full, three states at once
+    # exp(D) of hamiltonian_full, three states at once; the explicit even n
+    # carry the unpaired k = n/2 mode, n = 8 is the benchmark's ring
     rng = np.random.default_rng(seed)
     r = rng.standard_normal((N, N))
     g = scale * (r - r.T) / 2.0
@@ -69,7 +72,8 @@ def test_site_fourier_energy_matches_dense_expm(n, N, seed, scale):
     x /= np.linalg.norm(x, axis=(1, 2), keepdims=True)
     field = GlialField(np.broadcast_to(g, (n, N, N)).copy())
     dense = [hamiltonian_full(NeuralState(phi), field) for phi in x]
-    assert _uniform_ring_energies(x, g) == pytest.approx(dense, rel=1e-12)
+    lam, v = np.linalg.eigh(1j * g)
+    assert _uniform_ring_energies(x, lam, v) == pytest.approx(dense, rel=1e-12)
     if n == 1:
         reduced = [ek_reduced_hamiltonian(phi[0], g) for phi in x]
         assert reduced == pytest.approx(dense, rel=1e-12)
@@ -141,6 +145,20 @@ def test_ek_trend_continues_to_large_N():
         assert 0.3 < N * comp.median_abs_discrepancy < 0.4
         meds.append(comp.median_abs_discrepancy)
     assert meds[0] > meds[1] > meds[2]
+
+
+def test_ek_comparison_one_eigh_per_draw(monkeypatch):
+    # the ring and the one-site reduction share each draw's eigenpairs
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    ek_comparison(n=4, N=8, beta=1.0, draws=3, samples=50, seed=9)
+    assert calls == [(8, 8)] * 3
 
 
 def test_ek_reduced_rejects_symmetric_connection():
