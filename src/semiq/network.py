@@ -269,6 +269,8 @@ def _uniform_ring_energies(x: np.ndarray, lam: np.ndarray,
     weight *= np.where((k == 0) | (2 * k == n), 1.0, 2.0)[:, None]
     weight = np.concatenate([weight, weight], axis=1)
     energy = np.zeros(samples)
+    # one mode at a time: z for every mode at once would be another array
+    # the size of the samples
     for q in range(m):
         z = ab[:, q] @ vblock
         z *= z
