@@ -579,12 +579,12 @@ def _network_entropy(p):
     if p["window"] < 1 or p["window"] > p["steps"]:
         raise ValidationError("window must be in [1, steps]")
     rng = np.random.default_rng(p["seed"])
-    # reference process with a known rate: each spin flips independently
-    hist = np.empty((p["steps"], p["n"]))
-    hist[0] = np.where(rng.random(p["n"]) < 0.5, -1.0, 1.0)
-    for k in range(1, p["steps"]):
-        flip = rng.random(p["n"]) < p["flip_prob"]
-        hist[k] = np.where(flip, -hist[k - 1], hist[k - 1])
+    # reference process with a known rate: each spin flips independently, so
+    # its history is the running product of +-1 signs (row 0: a fair start)
+    u = rng.random((p["steps"], p["n"]))
+    signs = np.where(u < p["flip_prob"], -1.0, 1.0)
+    signs[0] = np.where(u[0] < 0.5, -1.0, 1.0)
+    hist = np.cumprod(signs, axis=0)
 
     windows = range(1, p["window"] + 1)
     counts = [network.window_counts(hist, w) for w in windows]
@@ -808,8 +808,7 @@ def _run_cosmo(cfg: RunConfig):
         re, im = traj.chis.real, traj.chis.imag
         cols.update({f"re_chi_{k}": re[:, k] for k in range(chi0.size)})
         cols.update({f"im_chi_{k}": im[:, k] for k in range(chi0.size)})
-        # vecdot sums like a per-row np.linalg.norm; a norm along axis=1 does not
-        cols["norm"] = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+        cols["norm"] = traj.norms
     t_traj = ResultTable(cols)
 
     a_end = float(a_vals[-1])

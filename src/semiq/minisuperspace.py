@@ -432,6 +432,7 @@ class MatterTrajectory:
     t_grid: np.ndarray
     a_values: np.ndarray
     chis: np.ndarray                   # (len(t_grid), d) complex
+    norms: np.ndarray                  # (len(t_grid),) |chi| per row
     max_norm_drift: float
 
 
@@ -490,7 +491,7 @@ def evolve_matter(model: MiniSuperspaceModel, clock: ClockMap,
     if bad.size:
         raise RuntimeError(f"norm drift {step_drift[bad[0]]:.2e} at step {bad[0]}: "
                            "propagator lost unitarity")
-    return MatterTrajectory(t_grid=t, a_values=a_vals, chis=chis,
+    return MatterTrajectory(t_grid=t, a_values=a_vals, chis=chis, norms=norms,
                             max_norm_drift=float(np.max(np.abs(norms - norm0))))
 
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from semiq import (
     retention_time,
     sample_increments,
 )
-from semiq.clock import TimeDecomposition
+from semiq.clock import CoherenceTrajectory, TimeDecomposition
 
 SEED = 20260814
 
@@ -37,6 +38,14 @@ def test_clock_model_broken_vs_unbroken():
     unbroken = ClockModel(lambda k: 1.0 + 0.1 * k, 0.0)
     assert not unbroken.symmetry_broken
     assert unbroken.mean(3) == pytest.approx(1.3)
+    # the symmetry follows the mean's type, also across a rescaling
+    for clock in (broken, unbroken):
+        _, rescaled = rescale_class(two_level(), clock, 3.0)
+        assert rescaled.symmetry_broken is clock.symmetry_broken
+        with pytest.raises(AttributeError):
+            clock.symmetry_broken = not clock.symmetry_broken
+    with pytest.raises(TypeError):
+        ClockModel(2.0, 0.1, symmetry_broken=False)
     with pytest.raises(ValueError):
         ClockModel(-1.0, 0.1)
     with pytest.raises(ValueError):
@@ -77,6 +86,62 @@ def test_per_step_damping_matches_gaussian_characteristic_function():
     mags = traj.coherence_magnitudes()[(0, 1)]
     ratios = mags[1:] / mags[:-1]
     assert np.allclose(ratios, STEP_FACTOR, rtol=1e-13)
+
+
+@pytest.mark.parametrize("energies, clock, steps", [
+    ([1.3 * k for k in range(5)], ClockModel(1.0, 0.05), 2000),
+    ([0.0, 0.7, 2.9], ClockModel(1.0, 0.01), 4000),
+    ([0.0, 0.4, 1.5, 1.9], ClockModel(lambda k: 0.5 + 1e-3 * k, 0.03), 1500),
+], ids=["5-level", "3-level", "schedule"])
+def test_closed_form_error_is_bounded_by_the_exponent(energies, clock, steps):
+    # |rho_ij(k)| = |rho_ij(0)| exp(-x), x = k w^2 sigma^2 / 2, against a
+    # 40-digit reference from the exact binary w, sigma and rho(0): the
+    # error may grow with x (exp's conditioning) but not with the step count
+    system = QuantumSystem.uniform_superposition(energies)
+    coherence = np.abs(evolve_analytic(system, clock, steps).rhos)
+    w, rho0 = system.omegas(), system.initial_density
+    eps = np.finfo(float).eps
+    with localcontext() as ctx:
+        ctx.prec = 40
+        sig2 = Decimal(clock.fluctuation_std) ** 2
+        for i, j in zip(*np.triu_indices(system.dim, k=1)):
+            r0 = (Decimal(rho0[i, j].real) ** 2 + Decimal(rho0[i, j].imag) ** 2).sqrt()
+            rate = Decimal(w[i, j]) ** 2 * sig2 / 2
+            for k in range(steps + 1):
+                x = k * rate
+                if x > 600:
+                    break
+                err = abs(Decimal(coherence[k, i, j]) / (r0 * (-x).exp()) - 1)
+                assert err <= 4 * eps * (1 + float(x)), (i, j, k, float(err / eps))
+
+
+def test_monte_carlo_is_the_running_product_of_its_tick_factors():
+    # the per-tick reference: each tick's own stream, redraws of the
+    # non-positive durations, mean of exp(-i w dt), one product per tick
+    system = QuantumSystem.uniform_superposition([0.0, 0.4, 1.1])
+    mu, sigma, steps, samples = 0.7, 0.3, 60, 40
+    traj = evolve_monte_carlo(system, ClockModel(mu, sigma), steps, samples, SEED)
+    w = system.omegas()
+    rho = system.initial_density
+    redraws = 0
+    for k, stream in enumerate(np.random.SeedSequence(SEED).spawn(steps), 1):
+        rng = np.random.default_rng(stream)
+        dt = rng.normal(mu, sigma, size=samples)
+        while np.any(dt <= 0.0):
+            redraws += 1
+            dt[dt <= 0.0] = rng.normal(mu, sigma, size=int(np.sum(dt <= 0.0)))
+        factor = np.mean(np.exp(-1j * w[..., None] * dt), axis=-1)
+        np.fill_diagonal(factor, 1.0)
+        rho = rho * factor
+        np.testing.assert_allclose(traj.rhos[k], rho, rtol=1e-13, atol=0)
+    assert redraws > 0
+
+
+def test_trajectory_names_the_first_step_that_loses_the_trace():
+    rhos = np.tile(np.diag([0.5, 0.5]).astype(complex), (5, 1, 1))
+    rhos[2, 0, 0] = rhos[4, 1, 1] = 0.6
+    with pytest.raises(ValueError, match="at step 2:"):
+        CoherenceTrajectory(rhos, np.arange(5.0), np.ones(4), 0.1, [])
 
 
 def test_sigma_zero_is_unitary():

@@ -7,23 +7,27 @@ dense expm of the (nN) x (nN) ring operator that the site-Fourier closed
 form replaced; the deep tunnel at 10^6 cells and the 20 x 20 oracle sweep
 by the chunked suffix-scan walk, before the transmission walk reduced each
 chunk to its one product; the 30-level clock by the csv.writer table
-writer, before each row came from one % template.  The two cosmo files come
-from the clock map as the tabulated inverse of G(a) = integral da/(2 sqrt U),
-whose a column is exp(4t) to 8e-16 relative (the adaptive ODE solve it
-replaced was off by 4.5e-12).  The chi and norm columns of the cosmo
-trajectory come from the suffix scan of the matter propagators; the
-step-by-step product it replaced wrote the same t and a columns and chi
-and norm within 1.7e-15 of these (both are within 1e-15 of the exact
-product of the same propagators).  Every column must match its text
-exactly, except:
+writer, before each row came from one % template.  Every clock file was
+written by a per-tick product, one factor per tick; the closed form that
+replaced it is within 3.8e-15 of their coherence (3 levels) and 4.4e-16
+(30 levels), and the Monte Carlo cumulative product within 4.4e-16.  The
+two cosmo files come from the clock map as the tabulated inverse of
+G(a) = integral da/(2 sqrt U), whose a column is exp(4t) to 8e-16 relative
+(the adaptive ODE solve it replaced was off by 4.5e-12).  The chi and norm
+columns of the cosmo trajectory come from the suffix scan of the matter
+propagators; the step-by-step product it replaced wrote the same t and a
+columns and chi and norm within 1.7e-15 of these (both are within 1e-15 of
+the exact product of the same propagators).  Every column must match its
+text exactly, except:
 
 - T_current_ratio, a ratio of finite-difference currents whose last digits
   depend on how the WKB phases are evaluated: 1e-11 relative;
-- columns that pass through BLAS (the Monte Carlo clock's coherence, and
-  the ek discrepancies and standard errors, which go through an eigh and
-  real matrix products over the n//2 + 1 paired site modes), whose last
-  bits may differ with the BLAS build and the evaluation order: 1e-12
-  relative.
+- the clock's coherence, which the closed form and the cumulative product
+  round differently from the per-tick product that wrote it, and columns
+  that pass through BLAS (the Monte Carlo clock's coherence, and the ek
+  discrepancies and standard errors, which go through an eigh and real
+  matrix products over the n//2 + 1 paired site modes), whose last bits
+  may differ with the BLAS build and the evaluation order: 1e-12 relative.
 """
 
 import os

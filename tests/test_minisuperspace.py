@@ -287,6 +287,8 @@ def test_matter_steps_are_unitary(dim, seed, steps, t_max, hbar):
     traj = evolve_matter(m, cm, chi / np.linalg.norm(chi), t * (t_max / t[-1]))
     assert np.max(np.abs(np.linalg.norm(traj.chis, axis=1) - 1.0)) < 1e-12
     assert traj.max_norm_drift < 1e-12
+    # the per-row norms the cosmo trajectory writes, as one row's norm sums
+    np.testing.assert_array_equal(traj.norms, [np.linalg.norm(c) for c in traj.chis])
 
 
 def test_matter_lapse_covariance():
