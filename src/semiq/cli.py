@@ -283,7 +283,7 @@ class RunConfig:
 
 def _read_config_file(path, schema) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
@@ -860,7 +860,7 @@ def run(cfg: RunConfig) -> dict[str, ResultTable]:
             for name, table in tables.items():
                 write_csv(table, os.path.join(stage, name))
             for name, content in plot_files:
-                with open(os.path.join(stage, name), "w") as fh:
+                with open(os.path.join(stage, name), "w", encoding="utf-8") as fh:
                     fh.write(content)
             write_manifest(os.path.join(stage, manifest_name),
                            cfg.manifest_entries(), outputs)

@@ -200,5 +200,5 @@ class LinePlot:
         return "\n".join(parts) + "\n"
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.render())

@@ -3,7 +3,16 @@
 Every run writes its table(s) plus a manifest (flat key = value text) that
 echoes the fully resolved configuration, so a run can be reproduced from
 its manifest alone.  Nothing here depends on wall-clock time: rerunning
-with the same seed yields byte-identical files.
+with the same seed yields byte-identical files.  Every file is UTF-8,
+whatever the locale.
+
+A cell's text depends only on its value and its column's numpy dtype kind.
+Floats are written as ``'%.17g' % v`` writes them, booleans as 1/0, integer
+arrays in decimal, and anything else (text, and lists of integers, in which
+a True stays ``True``) as ``str``.  The numbers come from array code
+(``_fmt17``): a block of rows is formatted column by column into one byte
+matrix, each distinct value once, and written as one ``bytes``.  The
+manifest formats its values the same way.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from . import _fmt17
+
 __all__ = ["ResultTable", "fmt_value", "write_csv", "read_csv",
            "write_manifest", "read_manifest", "MANIFEST_FORMAT"]
 
@@ -21,18 +32,65 @@ MANIFEST_FORMAT = "1"
 #: rows per block that write_csv converts and writes at once
 _BLOCK_ROWS = 8192
 
-
-#: printf spec per numpy dtype kind of a number, whose text never needs
-#: quotes; every other kind is written as str and may need them
-_SPEC = {"f": "%.17g", "b": "%d", "i": "%s", "u": "%s"}
-
 #: characters that make csv.QUOTE_MINIMAL quote a field
 _SPECIAL = (",", '"', "\r", "\n")
+
+_PAD = bytes([_fmt17.PAD])
+
+
+def _numeric(values, kind: str) -> bool:
+    """Whether a column (or a value) of numpy kind ``kind`` is written as a
+    number: floats, booleans, and integer arrays.  A list of ints is written
+    by ``str``, which keeps a True among them as ``True``."""
+    return kind in "fb" or (kind in "iu" and isinstance(values, np.ndarray))
+
+
+def _kinds(columns: list) -> dict:
+    """Indices of the columns of numbers of each numpy kind, and under None
+    those of the other columns."""
+    out: dict = {}
+    for i, col in enumerate(columns):
+        kind = np.asarray(col).dtype.kind
+        out.setdefault(kind if _numeric(col, kind) else None, []).append(i)
+    return out
+
+
+def _cells(columns: list, kind: str) -> list[np.ndarray]:
+    """The text of equal-length columns of numbers of one numpy kind (see
+    ``_numeric``) as PAD-filled byte matrices, one row per value: floats by
+    ``%.17g`` and integers from their digits, each distinct value of all
+    the columns formatted once, and booleans as 1/0."""
+    if kind == "b":
+        return [np.where(np.asarray(c, bool), ord("1"), ord("0")).astype(np.uint8)[:, None]
+                for c in columns]
+    if kind == "f":
+        # distinct bit patterns, so that -0.0 and 0.0 stay apart
+        bits = np.concatenate([np.asarray(c, np.float64) for c in columns]).view(np.int64)
+        distinct, where = np.unique(bits, return_inverse=True)
+        text = _fmt17.float_cells(distinct.view(np.float64)).view(np.uint8)
+    else:
+        distinct, where = np.unique(np.concatenate(columns), return_inverse=True)
+        text = _fmt17.int_cells(distinct)
+    # the bytes that are PAD in every distinct value are PAD in every row
+    text = text[:, (text != _fmt17.PAD).any(axis=0)]
+    return [np.take(text, w, axis=0) for w in np.split(where, len(columns))]
 
 
 def fmt_value(v) -> str:
     """Bools as 1/0, floats at 17 significant digits, anything else str."""
-    return _SPEC.get(np.asarray(v).dtype.kind, "%s") % (v,)
+    return _fmt_values([v])[0]
+
+
+def _fmt_values(values: list) -> list[str]:
+    """``fmt_value`` of each value, the numbers of each kind formatted
+    together."""
+    columns = [np.asarray(v).reshape(1) for v in values]
+    out = list(map(str, values))
+    for kind, where in _kinds(columns).items():
+        if kind is not None:
+            for i, cell in zip(where, _cells([columns[i] for i in where], kind)):
+                out[i] = cell.tobytes().translate(None, _PAD).decode("ascii")
+    return out
 
 
 def _needs_quotes(text: str) -> bool:
@@ -47,6 +105,20 @@ def _quote(value, alone: bool) -> str:
     if _needs_quotes(s) or (alone and not s):
         return '"' + s.replace('"', '""') + '"'
     return s
+
+
+def _fields(values, alone: bool) -> np.ndarray:
+    """The text of a block of a column of non-numbers as a PAD-filled byte
+    matrix: ``str`` of each value, all of them quoted value by value if
+    one needs quotes (or the column is its table's only one)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "U" and not alone:
+        cells = _fmt17.ascii_cells(values)
+        if cells is not None:
+            return cells
+    texts = list(map(str, values.tolist() if isinstance(values, np.ndarray) else values))
+    if alone or _needs_quotes("".join(texts)):
+        texts = [_quote(t, alone) for t in texts]
+    return _fmt17.text_cells(texts)
 
 
 class _Rows(Sequence):
@@ -83,30 +155,34 @@ class ResultTable:
 
 
 def write_csv(table: ResultTable, path) -> None:
-    """Stream the rows to ``path`` in blocks of ``_BLOCK_ROWS``, each row from
-    one ``%`` template of the column specs; array columns are formatted from
-    ``tolist``, as Python scalars format faster.  Only a block's columns of
-    non-numbers can need quotes; each is checked once and quoted value by
-    value only if some value needs it (or it is a table's only column)."""
+    """Write the table in blocks of ``_BLOCK_ROWS`` rows: a block is one
+    byte matrix of its cells and separators, compacted and written as one
+    ``bytes``."""
     cols = list(map(table.column, table.columns))
     alone = len(cols) == 1
-    kinds = [np.asarray(col).dtype.kind for col in cols]
-    template = ",".join(_SPEC.get(k, "%s") for k in kinds) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_quote(name, alone) for name in table.columns) + "\r\n")
+    kinds = _kinds(cols)
+    texts = kinds.pop(None, [])
+    header = ",".join(_quote(name, alone) for name in table.columns) + "\r\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8"))
         for lo in range(0, len(table.rows), _BLOCK_ROWS):
             block = [col[lo:lo + _BLOCK_ROWS] for col in cols]
-            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
-            for i, kind in enumerate(kinds):
-                if kind not in _SPEC and (
-                        alone or _needs_quotes("".join(map(str, block[i])))):
-                    block[i] = [_quote(v, alone) for v in block[i]]
-            fh.write("".join(map(template.__mod__, zip(*block))))
+            cells = [None] * len(cols)
+            for kind, where in kinds.items():
+                for i, c in zip(where, _cells([block[i] for i in where], kind)):
+                    cells[i] = c
+            for i in texts:
+                cells[i] = _fields(block[i], alone)
+            rows = len(cells[0])
+            seps = [np.full((rows, 1), ord(","), np.uint8)] * (len(cells) - 1)
+            seps.append(np.tile(np.frombuffer(b"\r\n", np.uint8), (rows, 1)))
+            block = np.concatenate([c for pair in zip(cells, seps) for c in pair], axis=1)
+            fh.write(block.tobytes().translate(None, _PAD))
 
 
 def read_csv(path) -> ResultTable:
     """Columns of strings named by the header row; blank lines are skipped."""
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise ValueError(f"{path}: empty CSV")
@@ -119,16 +195,15 @@ def read_csv(path) -> ResultTable:
 def write_manifest(path, entries: dict, outputs: list[str]) -> None:
     """Flat key = value manifest; keys in insertion order, outputs listed."""
     lines = [f"format = {MANIFEST_FORMAT}"]
-    for k, v in entries.items():
-        lines.append(f"{k} = {fmt_value(v)}")
+    lines += [f"{k} = {v}" for k, v in zip(entries, _fmt_values(list(entries.values())))]
     lines.append("outputs = " + ",".join(outputs))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_manifest(path) -> dict:
     out = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

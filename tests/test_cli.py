@@ -592,6 +592,24 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
         assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_cli_tables_leave_out_numpy_ma_fractions_decimal(tmp_path):
+    # the CSV writer's tables are built on first use from integers and
+    # numpy: a plain np.unique would import numpy.ma, and a table of
+    # Fractions would import fractions and decimal
+    out = tmp_path / "out"
+    run = ("assert semiq.cli.main(['sweep', '--axis', 'hbar=0.2:2:5', '--axis', "
+           f"'h0=0.5:2:4', '--output-dir', '{out}']) == 0; "
+           "assert semiq.cli.main(['clock', '--energies', '0,1,2.5', '--steps', '20', "
+           f"'--output-dir', '{out}']) == 0; ")
+    code = ("import sys, semiq.cli; " + run + "print([m for m in "
+            "('numpy.ma', 'fractions', 'decimal') if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(semiq.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, env=env)
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(knots=st.lists(st.tuples(st.floats(1e-6, 10.0), st.floats(0.1, 100.0)),
                       min_size=2, max_size=40),

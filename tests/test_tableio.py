@@ -1,13 +1,16 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from semiq import cli, tableio
+import semiq
+from semiq import _fmt17, cli, tableio
 from semiq.svgplot import LinePlot
 from semiq.tableio import (
     ResultTable,
@@ -180,12 +183,16 @@ def test_write_csv_bytes_match_csv_writer(table):
     assert _written(write_csv, table) == _written(_reference_write_csv, table)
 
 
-@pytest.mark.parametrize("argv", [
-    ["clock", "--energies", ",".join(map(str, range(30))), "--steps", "400"],
-    ["cosmo", "--potential", "quadratic:4", "--hbar-list", "0.1,0.05,0.025",
-     "--t-max", "0.3", "--t-points", "20001", "--matter", "twolevel:5"],
-], ids=["clock_30level_400step", "cosmo_matter"])
-def test_cli_tables_match_csv_writer_bytes(tmp_path, monkeypatch, argv):
+@pytest.mark.parametrize("argv, tables", [
+    (["clock", "--energies", ",".join(map(str, range(30))), "--steps", "400"], 2),
+    # no two level spacings alike, so hardly two coherences are
+    (["clock", "--energies", ",".join(map(repr, np.sort(
+        np.random.default_rng(7).uniform(0.0, 29.0, 30)).tolist())), "--steps", "60"], 2),
+    (["sweep", "--axis", "hbar=0.2:2:40", "--axis", "h0=0.5:2:40"], 1),
+    (["cosmo", "--potential", "quadratic:4", "--hbar-list", "0.1,0.05,0.025",
+      "--t-max", "0.3", "--t-points", "20001", "--matter", "twolevel:5"], 2),
+], ids=["clock_30level_400step", "clock_random_energies", "sweep_2axis", "cosmo_matter"])
+def test_cli_tables_match_csv_writer_bytes(tmp_path, monkeypatch, argv, tables):
     # the golden tests compare cells after read_csv, which a changed line
     # terminator or quoting would pass
     kept = {}
@@ -196,9 +203,89 @@ def test_cli_tables_match_csv_writer_bytes(tmp_path, monkeypatch, argv):
 
     monkeypatch.setattr(cli, "write_csv", keep)
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == cli.EXIT_OK
-    assert len(kept) == 2
+    assert len(kept) == tables
     for name, table in kept.items():
         assert (tmp_path / name).read_bytes() == _written(_reference_write_csv, table), name
+
+
+def _float_text(values) -> list[str]:
+    """The array formatter's text of each value."""
+    cells = np.ascontiguousarray(_fmt17.float_cells(np.asarray(values, np.float64)))
+    return [row.tobytes().translate(None, b"\xff").decode() for row in cells.view(np.uint8)]
+
+
+FORMAT_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+                1e16, 1e17, 1e23, 9.9999999999999991e-5, 1e-4, 1e-5, 99999999999999999.0,
+                0.1, -1.5, 123456789012345678.0, 1e22, 1e-300, 1e300]
+#: 18 significant digits ending in 5: the correctly rounded 17 digits are
+#: a tie, broken to even
+ROUNDING_TIES = [1 + 2.0**-17, -(3 + 2.0**-17), 0.5 + 2.0**-18, 1024 + 2.0**-14,
+                 26215 * 2.0**-19]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=64))
+@example(np.array(FORMAT_EDGES).view(np.int64).tolist())
+@example(np.array(ROUNDING_TIES).view(np.int64).tolist())
+def test_float_formatter_matches_percent_17g(bits):
+    # arbitrary bit patterns: subnormals, infinities and nans with any payload
+    x = np.array(bits, np.int64).view(np.float64)
+    assert _float_text(x) == ["%.17g" % v for v in x.tolist()]
+
+
+def test_float_formatter_matches_percent_17g_on_wide_samples():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        rng.integers(-2**63, 2**63 - 1, 40000, dtype=np.int64).view(np.float64),
+        np.exp(rng.uniform(-700.0, 700.0, 40000)),
+        rng.normal(size=40000) * 10.0 ** rng.integers(-25, 25, 40000),
+        # short decimals times powers of ten, among them many ties
+        np.round(rng.normal(size=40000), 3) * 10.0 ** rng.integers(0, 18, 40000),
+        [10.0 ** k for k in range(-323, 309)],
+        [np.nextafter(10.0 ** k, d) for k in range(-300, 308) for d in (0.0, math.inf)],
+    ])
+    want = ["%.17g" % v for v in x.tolist()]
+    got = _float_text(x)
+    assert [(v, g) for v, g, w in zip(x.tolist(), got, want) if g != w] == []
+
+
+def test_float_formatter_leaves_rounding_ties_to_python():
+    # the double-double product cannot tell a tie from a near tie
+    _, _, sure = _fmt17._digits17(np.abs(np.array(ROUNDING_TIES)))
+    assert not sure.any()
+    assert _float_text(ROUNDING_TIES) == ["%.17g" % v for v in ROUNDING_TIES]
+
+
+def test_text_cell_keeps_nul(tmp_path):
+    t = ResultTable({"s": ["a\x00b", "c"], "u": np.array(["a\x00b", "c"]),
+                     "x": [1.0, 2.0]})
+    write_csv(t, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"s,u,x\r\na\x00b,a\x00b,1\r\nc,c,2\r\n")
+
+
+def test_block_of_zeros_and_nan(tmp_path):
+    # distinct values are found by bit pattern, so 0.0 and -0.0 stay apart
+    write_csv(ResultTable({"x": np.array([0.0, -0.0, math.nan, 0.0, -0.0])}),
+              tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == b"x\r\n0\r\n-0\r\nnan\r\n0\r\n-0\r\n"
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # in the C locale without UTF-8 mode, open() defaults to ASCII
+    code = ("from semiq.tableio import *; "
+            "write_csv(ResultTable({'name': ['caf\\u00e9']}), 't.csv'); "
+            "write_manifest('m.txt', {'note': 'caf\\u00e9'}, ['t.csv']); "
+            "assert read_csv('t.csv').column('name') == ['caf\\u00e9']; "
+            "assert read_manifest('m.txt')['note'] == 'caf\\u00e9'")
+    src = os.path.dirname(os.path.dirname(semiq.__file__))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0", "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                   check=True, capture_output=True)
+    assert (tmp_path / "t.csv").read_bytes() == b"name\r\ncaf\xc3\xa9\r\n"
+    assert b"note = caf\xc3\xa9\n" in (tmp_path / "m.txt").read_bytes()
 
 
 def test_read_csv_rejects_ragged_rows(tmp_path):
