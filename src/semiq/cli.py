@@ -58,7 +58,8 @@ class ValidationError(Exception):
 
 
 # --------------------------------------------------------------------------
-# parameter schema: one table drives argparse, config files, and manifests
+# parameter schema: one table drives argparse, config files, and manifests,
+# and holds the range of each value, which all three are checked against
 
 def _as_float(s):
     try:
@@ -99,6 +100,25 @@ def _as_str(s):
     return str(s)
 
 
+def _ranged(coerce, ok, wanted):
+    """coerce, then refuse a value v for which ok(v) is false."""
+    def checked(s):
+        v = coerce(s)
+        if not ok(v):
+            raise ValidationError(f"must be {wanted}, got {s!r}")
+        return v
+    return checked
+
+
+def _at_least(k, coerce=_as_int):
+    return _ranged(coerce, lambda v: v >= k, f">= {k}")
+
+
+_positive = _ranged(_as_float, lambda v: v > 0, "positive")
+_non_negative = _at_least(0, _as_float)
+_two_or_more = _ranged(_as_floats, lambda v: len(v) >= 2, "at least two values")
+
+
 @dataclass
 class Param:
     coerce: object
@@ -109,13 +129,13 @@ class Param:
 
 # tunnel and sweep evaluate one barrier per point with the same knobs
 _BARRIER_PARAMS = {
-    "hbar": Param(_as_float, 1.0, "hbar"),
-    "mu": Param(_as_float, 1.0, "collective inertia"),
-    "j0": Param(_as_float, 1.0, "quadratic coupling"),
-    "h0": Param(_as_float, 1.0, "barrier height"),
+    "hbar": Param(_positive, 1.0, "hbar"),
+    "mu": Param(_positive, 1.0, "collective inertia"),
+    "j0": Param(_positive, 1.0, "quadratic coupling"),
+    "h0": Param(_positive, 1.0, "barrier height"),
     "oracle": Param(_as_bool, False, "add transfer-matrix columns"),
-    "cap": Param(_as_float, 0.0, "capped half-width L (0 = 4b default)"),
-    "points": Param(_as_int, 20000, "oracle grid cells"),
+    "cap": Param(_non_negative, 0.0, "capped half-width L (0 = 4b default)"),
+    "points": Param(_at_least(100), 20000, "oracle grid cells"),
 }
 
 #: subcommands that write one row, so have nothing to plot and no --plot
@@ -124,41 +144,44 @@ _NO_PLOT = frozenset({"tunnel"})
 # name -> Param, per subcommand; insertion order is manifest order
 _SCHEMAS: dict[str, dict[str, Param]] = {
     "clock": {
-        "energies": Param(_as_floats, [0.0, 1.0], "comma-separated level energies"),
-        "hbar": Param(_as_float, 1.0, "hbar"),
-        "mu0": Param(_as_float, 1.0, "mean tick duration"),
-        "sigma": Param(_as_float, 0.1, "tick duration std"),
-        "steps": Param(_as_int, 400, "number of ticks"),
-        "samples": Param(_as_int, 0, "Monte Carlo samples per tick (0 = closed form)"),
-        "seed": Param(_as_int, 0, "RNG seed"),
-        "threshold": Param(_as_float, math.exp(-1.0), "retention threshold"),
+        "energies": Param(_two_or_more, [0.0, 1.0], "comma-separated level energies"),
+        "hbar": Param(_positive, 1.0, "hbar"),
+        "mu0": Param(_positive, 1.0, "mean tick duration"),
+        "sigma": Param(_non_negative, 0.1, "tick duration std"),
+        "steps": Param(_at_least(1), 400, "number of ticks"),
+        "samples": Param(_at_least(0), 0, "Monte Carlo samples per tick (0 = closed form)"),
+        "seed": Param(_at_least(0), 0, "RNG seed"),
+        "threshold": Param(_ranged(_as_float, lambda v: 0 < v < 1, "in (0, 1)"),
+                           math.exp(-1.0), "retention threshold"),
     },
     "tunnel": dict(_BARRIER_PARAMS),
     # every mode's parameters; each mode reads the ones _NETWORK_MODES names
     "network": {
         "mode": Param(_as_str, "gauge-check",
                       "gauge-check | ek | rolldown | entropy"),
-        "n": Param(_as_int, 4, "number of sites / units"),
-        "N": Param(_as_int, 4, "components per site"),
-        "beta": Param(_as_float, 1.0, "inverse temperature"),
-        "draws": Param(_as_int, 8, "quenched draws or trials"),
-        "samples": Param(_as_int, 2000, "states per partition estimate"),
+        "n": Param(_at_least(1), 4, "number of sites / units"),
+        "N": Param(_at_least(1), 4, "components per site"),
+        "beta": Param(_positive, 1.0, "inverse temperature"),
+        "draws": Param(_at_least(1), 8, "quenched draws or trials"),
+        "samples": Param(_at_least(2), 2000, "states per partition estimate"),
         "g_scale": Param(_as_float, 1.0, "connection magnitude scale"),
-        "patterns": Param(_as_int, 1, "stored patterns"),
-        "flips": Param(_as_int, 1, "corrupted bits in the start state"),
-        "steps": Param(_as_int, 400, "history length"),
-        "flip_prob": Param(_as_float, 0.1, "per-spin flip probability"),
-        "window": Param(_as_int, 4, "max window length"),
-        "seed": Param(_as_int, 0, "RNG seed"),
+        "patterns": Param(_at_least(1), 1, "stored patterns"),
+        "flips": Param(_at_least(0), 1, "corrupted bits in the start state"),
+        "steps": Param(_at_least(2), 400, "history length"),
+        "flip_prob": Param(_ranged(_as_float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+                           0.1, "per-spin flip probability"),
+        "window": Param(_at_least(1), 4, "max window length"),
+        "seed": Param(_at_least(0), 0, "RNG seed"),
     },
     "cosmo": {
         "potential": Param(_as_str, "quadratic:4",
                            "quadratic:c | constant:c | table:FILE"),
-        "hbar_list": Param(_as_floats, [0.1, 0.05, 0.025], "hbar values"),
-        "a0": Param(_as_float, 1.0, "initial scale factor"),
-        "t_max": Param(_as_float, 0.3, "clock-time horizon"),
-        "t_points": Param(_as_int, 201, "trajectory samples"),
-        "a_max": Param(_as_float, 0.0, "truncate growth at this a (0 = off)"),
+        "hbar_list": Param(_ranged(_two_or_more, lambda v: min(v) > 0, "positive"),
+                           [0.1, 0.05, 0.025], "hbar values"),
+        "a0": Param(_positive, 1.0, "initial scale factor"),
+        "t_max": Param(_positive, 0.3, "clock-time horizon"),
+        "t_points": Param(_at_least(2), 201, "trajectory samples"),
+        "a_max": Param(_non_negative, 0.0, "truncate growth at this a (0 = off)"),
         "matter": Param(_as_str, "none", "none | twolevel:omega | file:FILE"),
     },
     "sweep": {
@@ -216,16 +239,8 @@ class RunConfig:
         raw.update((key, val) for key, val in cli_values.items()
                    if val is not None and val != [])
         schema = _schema(subcommand, raw.get("mode"))
-        params = {}
-        for name, spec in schema.items():
-            if name not in raw:
-                params[name] = spec.default
-            elif spec.repeat and isinstance(raw[name], list):
-                params[name] = [spec.coerce(v) for v in raw[name]]
-            elif spec.repeat:
-                params[name] = [spec.coerce(raw[name])]
-            else:
-                params[name] = spec.coerce(raw[name])
+        params = {name: _coerce(name, spec, raw[name]) if name in raw
+                  else spec.default for name, spec in schema.items()}
         unread = [_flag(key) for key in raw if key not in schema]
         if unread:
             run = (f"{subcommand} --mode {params['mode']}" if "mode" in params
@@ -253,11 +268,8 @@ class RunConfig:
             if name not in entries:
                 raise ValidationError(f"{path}: missing key {name}")
             v = entries[name]
-            if spec.repeat:
-                params[name] = ([spec.coerce(p) for p in v.split(";") if p]
-                                if v else [])
-            else:
-                params[name] = spec.coerce(v)
+            params[name] = _coerce(name, spec, [p for p in v.split(";") if p]
+                                   if spec.repeat else v, f"{path}: ")
         return cls(subcommand=sub, parameters=params,
                    output_dir=os.path.dirname(os.path.abspath(path)) or ".")
 
@@ -279,6 +291,17 @@ class RunConfig:
             else:
                 out[name] = v
         return out
+
+
+def _coerce(name, spec, value, where=""):
+    """value coerced and range-checked by spec, a list for a repeated
+    parameter; an error names the flag."""
+    try:
+        if not spec.repeat:
+            return spec.coerce(value)
+        return [spec.coerce(v) for v in (value if isinstance(value, list) else [value])]
+    except ValidationError as exc:
+        raise ValidationError(f"{where}{_flag(name)}: {exc}") from None
 
 
 def _read_config_file(path, schema) -> dict:
@@ -332,22 +355,9 @@ def render_plot(table: ResultTable, x: str, ys: list[str],
 
 def _run_clock(cfg: RunConfig):
     p = cfg.parameters
-    energies = p["energies"]
-    if len(energies) < 2:
-        raise ValidationError("need at least two energies")
-    if p["hbar"] <= 0 or p["mu0"] <= 0:
-        raise ValidationError("hbar and mu0 must be positive")
-    if p["sigma"] < 0:
-        raise ValidationError("sigma must be >= 0")
-    if p["steps"] < 1:
-        raise ValidationError("steps must be >= 1")
-    if p["samples"] < 0:
-        raise ValidationError("samples must be >= 0")
     if p["samples"] == 0 and p["seed"] != _SCHEMAS["clock"]["seed"].default:
         raise ValidationError("--seed needs --samples")
-    if not (0 < p["threshold"] < 1):
-        raise ValidationError("threshold must be in (0, 1)")
-    system = clock.QuantumSystem.uniform_superposition(energies, hbar=p["hbar"])
+    system = clock.QuantumSystem.uniform_superposition(p["energies"], hbar=p["hbar"])
     model = clock.ClockModel(p["mu0"], p["sigma"])
     if p["samples"] > 0:
         traj = clock.evolve_monte_carlo(system, model, p["steps"],
@@ -427,20 +437,11 @@ def _run_sweep(cfg: RunConfig):
     if total > _MAX_SWEEP_POINTS:
         raise ValidationError(f"sweep of {total} points exceeds "
                               f"{_MAX_SWEEP_POINTS}")
-    axis_names = [name for name, _ in axes]
-    for key in _SWEEP_AXES:
-        # a swept parameter keeps its default, which is positive
-        if key in axis_names and p[key] != _BARRIER_PARAMS[key].default:
+    for key, vals in axes:
+        if p[key] != _BARRIER_PARAMS[key].default:
             raise ValidationError(f"{key} is swept by --axis; drop {_flag(key)}")
-        if p[key] <= 0:
-            raise ValidationError(f"{key} must be positive")
-    for _, vals in axes:
         if np.any(vals <= 0):
             raise ValidationError("swept barrier parameters must stay positive")
-    if p["points"] < 100:
-        raise ValidationError("points must be >= 100")
-    if p["cap"] < 0:
-        raise ValidationError("cap must be positive (or 0 for the default)")
     for key in ("cap", "points"):
         if not p["oracle"] and p[key] != _BARRIER_PARAMS[key].default:
             raise ValidationError(f"{_flag(key)} needs --oracle")
@@ -451,6 +452,12 @@ def _run_sweep(cfg: RunConfig):
                                                  indexing="ij")):
         cols[name] = grid.ravel()
     bars = wkb.BarrierColumns(**cols)
+    # cap_barrier refuses this too, but only once the walks have begun
+    low = np.flatnonzero((p["cap"] > 0) & (bars.b >= p["cap"]))
+    if low.size:
+        point = " ".join(f"{k}={cols[k][low[0]]:.17g}" for k in _SWEEP_AXES)
+        raise ValidationError(f"--cap {p['cap']:.17g} must exceed the turning "
+                              f"point b={bars.b[low[0]]:.17g} of {point}")
     lam = wkb.barrier_exponents_closed(bars)
     lam_q = wkb.barrier_exponents(bars)
     cols.update({"lambda": lam, "T_closed": wkb.transmissions(lam),
@@ -480,16 +487,10 @@ def _run_sweep(cfg: RunConfig):
 # --------------------------------------------------------------------------
 # network
 
-def _run_network(cfg: RunConfig):
-    p = cfg.parameters
-    if p["n"] < 1 or p.get("N", 1) < 1:
-        raise ValidationError("n and N must be >= 1")
-    return _NETWORK_MODES[p["mode"]][0](p)
-
-
 def _network_gauge(p):
-    if p["draws"] < 1:
-        raise ValidationError("draws must be >= 1")
+    if p["n"] * p["N"] > network.MAX_OPERATOR_DIM:
+        raise ValidationError(f"--n {p['n']} --N {p['N']}: operator dimension "
+                              f"{p['n'] * p['N']} exceeds {network.MAX_OPERATOR_DIM}")
     before, after = [], []
     for ss in np.random.SeedSequence(p["seed"]).spawn(p["draws"]):
         rng = np.random.default_rng(ss)
@@ -516,10 +517,6 @@ def _network_gauge(p):
 
 
 def _network_ek(p):
-    if p["draws"] < 1 or p["samples"] < 2:
-        raise ValidationError("ek needs draws >= 1 and samples >= 2")
-    if p["beta"] <= 0:
-        raise ValidationError("beta must be positive")
     comp = network.ek_comparison(n=p["n"], N=p["N"], beta=p["beta"],
                                  draws=p["draws"], samples=p["samples"],
                                  seed=p["seed"], g_scale=p["g_scale"])
@@ -540,9 +537,9 @@ def _network_ek(p):
 
 
 def _network_rolldown(p):
-    if p["patterns"] < 1 or p["patterns"] >= p["n"]:
+    if p["patterns"] >= p["n"]:
         raise ValidationError("patterns must be in [1, n)")
-    if not 0 <= p["flips"] <= p["n"]:
+    if p["flips"] > p["n"]:
         raise ValidationError("flips must be in [0, n]")
     rng = np.random.default_rng(p["seed"])
     pats = np.where(rng.random((p["patterns"], p["n"])) < 0.5, -1.0, 1.0)
@@ -572,11 +569,7 @@ def _network_rolldown(p):
 
 
 def _network_entropy(p):
-    if p["steps"] < 2:
-        raise ValidationError("steps must be >= 2")
-    if not 0 <= p["flip_prob"] <= 1:
-        raise ValidationError("flip_prob must be in [0, 1]")
-    if p["window"] < 1 or p["window"] > p["steps"]:
+    if p["window"] > p["steps"]:
         raise ValidationError("window must be in [1, steps]")
     rng = np.random.default_rng(p["seed"])
     # reference process with a known rate: each spin flips independently, so
@@ -772,15 +765,7 @@ def _parse_matter(spec: str):
 
 def _run_cosmo(cfg: RunConfig):
     p = cfg.parameters
-    if p["a0"] <= 0:
-        raise ValidationError("a0 must be positive")
-    if p["t_max"] <= 0:
-        raise ValidationError("t_max must be positive")
-    if p["t_points"] < 2:
-        raise ValidationError("t_points must be >= 2")
     hbars = p["hbar_list"]
-    if len(hbars) < 2 or any(h <= 0 for h in hbars):
-        raise ValidationError("hbar_list needs >= 2 positive values")
     u_of, domain = _parse_potential(p["potential"])
     matter = _parse_matter(p["matter"])
     model = minisuperspace.MiniSuperspaceModel(
@@ -835,8 +820,9 @@ def _run_cosmo(cfg: RunConfig):
 # --------------------------------------------------------------------------
 # driver
 
-_RUNNERS = {"clock": _run_clock, "tunnel": _run_sweep, "network": _run_network,
-            "cosmo": _run_cosmo, "sweep": _run_sweep}
+_RUNNERS = {"clock": _run_clock, "tunnel": _run_sweep, "sweep": _run_sweep,
+            "cosmo": _run_cosmo,
+            "network": lambda cfg: _NETWORK_MODES[cfg.parameters["mode"]][0](cfg.parameters)}
 
 
 def run(cfg: RunConfig) -> dict[str, ResultTable]:

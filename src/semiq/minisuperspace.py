@@ -8,7 +8,7 @@ small matter sector q, the constraint
 is solved order by order in hbar with the ansatz Psi = A(a) e^{iS/hbar} chi:
 
   *  (dS/da)^2 = U(a)                 (Hamilton-Jacobi phase; Lorentzian
-                                       branch only, U >= 0)
+                                       branch only, U > 0)
   *  A = (dS/da)^(-1/2), A(a0) = 1    (amplitude transport, A^2 S' const)
   *  da/dt = 2 N(t) dS/da             (the emergent clock; N is the lapse)
                                        separable: G(a) = tau(t), with
@@ -110,33 +110,22 @@ def _values(fn: Callable, x: np.ndarray, shape: tuple = (),
 
 
 def hamilton_jacobi_phase(model: MiniSuperspaceModel, a_grid: np.ndarray) -> np.ndarray:
-    """S(a) = integral_{a0}^{a} sqrt(U), adaptive quadrature per segment.
+    """S(a) = integral_{a0}^{a} sqrt(U) at the grid points.
 
-    Only the Lorentzian branch U >= 0 is supported; a negative U anywhere
-    on the grid (or between points) raises.
+    The clock's qk21 table of sqrt(U) (see _Primitive), started from the
+    grid as its panel edges.  Only the Lorentzian branch U > 0 is
+    supported: where U reaches 0 or below, on the grid or between its
+    points, the table stops and this raises.
     """
     a = np.asarray(a_grid, dtype=float)
     if a.ndim != 1 or a.size < 2 or not np.all(np.diff(a) > 0):
         raise ValueError("a_grid must be strictly increasing with >= 2 points")
-    probe = np.unique(np.concatenate([a, 0.5 * (a[1:] + a[:-1])]))
-    u = _values(model.u, probe)
-    if np.any(u < 0.0):
-        raise ValueError(f"U({probe[np.argmin(u)]}) < 0: Euclidean region, "
-                         "no Lorentzian branch here")
-
-    # imported here: scipy.integrate takes about 0.6 s to import, and the
-    # CLI never calls this
-    from scipy.integrate import quad
-
-    def integrand(x):
-        return math.sqrt(max(model.u(x), 0.0))
-
-    s = np.empty_like(a)
-    s[0] = 0.0
-    for i in range(1, a.size):
-        seg, _ = quad(integrand, a[i - 1], a[i], epsabs=1e-13, epsrel=1e-12)
-        s[i] = s[i - 1] + seg
-    return s
+    table = _Primitive(lambda x: np.sqrt(_values(model.u, x)), a)
+    if table.gap is not None:
+        raise ValueError(f"U is not positive near a = {table.gap[1]:.17g}: "
+                         "Euclidean region or turning point")
+    # bisection only adds edges, so every grid point is one of them
+    return table.F[np.searchsorted(table.x, a)]
 
 
 def amplitude_transport(a_grid: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -175,7 +164,7 @@ NARROW_ULPS = 1024.0
 #: the nodes themselves, near a zero of U, sets that floor
 NOISE_ULPS = 8.0
 
-#: most panels a table may hold
+#: most panels bisection may add to those a table starts from
 MAX_PANELS = 1 << 15
 
 #: Newton steps of the inverse continue while the next one is predicted
@@ -262,8 +251,8 @@ class _Primitive:
                     v[:last] for v in (lo, hi, kron, err, ok, mono, bad))
             if not bad.any():
                 break
-            if lo.size + bad.sum() > MAX_PANELS:
-                raise ValueError(f"qk21 needs more than {MAX_PANELS} panels on "
+            if lo.size + bad.sum() > x.size - 1 + MAX_PANELS:
+                raise ValueError(f"qk21 needs more than {MAX_PANELS} extra panels on "
                                  f"[{lo[0]:.6g}, {hi[-1]:.6g}]: the integrand "
                                  "is too rough")
             mid = 0.5 * (lo[bad] + hi[bad])

@@ -1,9 +1,9 @@
 """QUADPACK's 21-point Gauss-Kronrod rule qk21: its nodes and weights.
 
 One table, read by the WKB exponents (wkb.barrier_exponents) and by the
-emergent clock (minisuperspace.clock_map).  The values are qk21's xgk, wgk
-and wg (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK,
-Springer 1983).
+adaptive tables of minisuperspace.clock_map and hamilton_jacobi_phase.
+The values are qk21's xgk, wgk and wg (Piessens, de Doncker-Kapenga,
+Ueberhuber and Kahaner, QUADPACK, Springer 1983).
 """
 
 import numpy as np

@@ -2,14 +2,18 @@
 
 One place for both: the oracle's transfer-matrix walk (semiq.oracle) and
 the matter propagators of the emergent clock (semiq.minisuperspace).
-p has shape (d, d, ..., n), and p[..., i] is the i-th matrix.
+p has shape (d, d, ..., n), and p[..., i] is the i-th matrix.  The scan
+and the reduction multiply pairs with one einsum of the same subscripts,
+so the scan's first element equals the reduction bit for bit.
 """
 
 import numpy as np
 
+_PAIRS = "ij...n,jk...n->ik...n"     # one product per pair, batched over ...
+
 
 def suffix_products(p, minus_identity=False):
-    """Scan over the last axis: p[:, :, i] becomes p_i @ p_{i+1} @ ... @ p_last.
+    """Scan over the last axis: p[..., i] becomes p_i @ p_{i+1} @ ... @ p_last.
 
     Hillis-Steele doubling, so log2(n) array steps replace n matrix products.
     With minus_identity, p holds each matrix minus the identity, and so does
@@ -21,7 +25,7 @@ def suffix_products(p, minus_identity=False):
     step = 1
     while step < p.shape[-1]:
         a, b = p[..., :-step], p[..., step:]
-        q = np.einsum("ijn,jkn->ikn", a, b)
+        q = np.einsum(_PAIRS, a, b)
         if minus_identity:
             q += a
             q += b
@@ -31,22 +35,13 @@ def suffix_products(p, minus_identity=False):
 
 
 def products(p):
-    """Reduce over the last axis: p_0 @ p_1 @ ... @ p_last, for real 2x2 p.
+    """Reduce over the last axis: p_0 @ p_1 @ ... @ p_last.
 
     Pairwise: each level multiplies neighbours (2k, 2k+1) and carries an odd
     last matrix up unchanged.  These are the blocks, in the same order, of
-    the first element of suffix_products, and the component arithmetic
-    rounds as its einsum does, so the two agree bit for bit.
+    the first element of suffix_products.
     """
     while p.shape[-1] > 1:
-        n = p.shape[-1]
-        a, b = p[..., 0:n - 1:2], p[..., 1::2]
-        q = np.empty(p.shape[:-1] + ((n + 1) // 2,))
-        for i in range(2):
-            for k in range(2):
-                np.multiply(a[i, 0], b[0, k], out=q[i, k, ..., :n // 2])
-                q[i, k, ..., :n // 2] += a[i, 1] * b[1, k]
-        if n % 2:
-            q[..., -1] = p[..., -1]
-        p = q
+        q = np.einsum(_PAIRS, p[..., :-1:2], p[..., 1::2])
+        p = np.concatenate((q, p[..., -1:]), axis=-1) if p.shape[-1] % 2 else q
     return p[..., 0]

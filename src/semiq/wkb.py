@@ -214,7 +214,7 @@ def barrier_exponents(cols: BarrierColumns) -> np.ndarray:
     rho(b*sin t)*b*cos t = b*sqrt(2*mu*h0)*cos^2 t on [-pi/2, pi/2].  The
     rule is QUADPACK's 21-point Gauss-Kronrod qk21, summed in qk21's order
     and scaled by the half-length, so each value equals the one pass that
-    scipy.integrate.quad takes on this integrand; each node is evaluated
+    scipy's adaptive quad takes on this integrand; each node is evaluated
     for all points at once.  A flat top (h0 = 0, b = 0) gives 0.
     """
     b = cols.b

@@ -73,29 +73,41 @@ def test_rerun_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-NETWORK_RUNS = {
-    "gauge-check": ["--n", "3", "--N", "2", "--draws", "3", "--g-scale", "0.5",
-                    "--seed", "4"],
-    "ek": ["--n", "3", "--N", "4", "--beta", "1.0", "--draws", "4",
-           "--samples", "100", "--seed", "3"],
-    "rolldown": ["--n", "12", "--patterns", "2", "--flips", "2", "--seed", "5"],
-    "entropy": ["--n", "3", "--steps", "60", "--flip-prob", "0.2",
-                "--window", "3", "--seed", "1"],
+MANIFEST_RUNS = {
+    "gauge-check": ["network", "--mode", "gauge-check", "--n", "3", "--N", "2",
+                    "--draws", "3", "--g-scale", "0.5", "--seed", "4"],
+    "ek": ["network", "--mode", "ek", "--n", "3", "--N", "4", "--beta", "1.0",
+           "--draws", "4", "--samples", "100", "--seed", "3"],
+    "rolldown": ["network", "--mode", "rolldown", "--n", "12", "--patterns", "2",
+                 "--flips", "2", "--seed", "5"],
+    "entropy": ["network", "--mode", "entropy", "--n", "3", "--steps", "60",
+                "--flip-prob", "0.2", "--window", "3", "--seed", "1"],
+    "tunnel": ["tunnel", "--h0", "1.3", "--oracle", "--points", "2000"],
+    "sweep": ["sweep", "--axis", "h0=0.5:2:3", "--axis", "mu=1:3:2", "--oracle",
+              "--points", "1000"],
+    "clock": ["clock", "--energies", "0,0.7,1.9", "--samples", "50", "--seed", "1",
+              "--steps", "40"],
+    "cosmo": ["cosmo", "--matter", "twolevel:5", "--t-points", "41"],
 }
 
 
-@pytest.mark.parametrize("mode", NETWORK_RUNS)
-def test_manifest_reproduces_run(tmp_path, mode):
+@pytest.mark.parametrize("name", MANIFEST_RUNS)
+def test_manifest_reproduces_run(tmp_path, name):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
-    assert run_cli(["network", "--mode", mode, *NETWORK_RUNS[mode]],
-                   a) == EXIT_OK
+    args = MANIFEST_RUNS[name]
+    assert run_cli(args, a) == EXIT_OK
     from semiq.cli import RunConfig, run
 
-    manifest = read_manifest(a / "network.manifest.txt")
-    assert [k for k in manifest if k not in cli._MANIFEST_HEADER] == \
-        ["mode", *cli._NETWORK_MODES[mode][1]]
-    cfg = RunConfig.from_manifest(a / "network.manifest.txt")
+    sub = args[0]
+    manifest = read_manifest(a / f"{sub}.manifest.txt")
+    params = [k for k in manifest if k not in cli._MANIFEST_HEADER]
+    assert params == list(cli._schema(sub, manifest.get("mode")))
+    if sub == "sweep":
+        # the one repeated key, written ;-joined
+        assert [k for k in params if cli._SCHEMAS[sub][k].repeat] == ["axis"]
+        assert manifest["axis"] == "h0=0.5:2:3;mu=1:3:2"
+    cfg = RunConfig.from_manifest(a / f"{sub}.manifest.txt")
     cfg.output_dir = str(b)
     run(cfg)
     csvs = [name for name in os.listdir(a) if name.endswith(".csv")]
@@ -573,8 +585,8 @@ def test_manifest_with_unknown_key_rejected(tmp_path):
 def test_cli_import_leaves_out_scipy_stats(tmp_path):
     # each of these takes 0.3-1.1 s to import on its own: nothing on the
     # CLI's main path uses scipy.stats or scipy.optimize, and only
-    # gauge-check (expm) and hamilton_jacobi_phase (quad) use the others,
-    # not even a run with a table: potential.  Bare scipy stays, for the
+    # gauge-check (expm) uses one of the others, not even a run with a
+    # table: potential.  Bare scipy stays, for the
     # manifest's version key.
     pot = tmp_path / "u.csv"
     pot.write_text("a,u\n" + "".join(f"{a!r},{4 * a * a + a**3!r}\n"
@@ -590,6 +602,21 @@ def test_cli_import_leaves_out_scipy_stats(tmp_path):
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env=env)
         assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_phase_leaves_out_scipy_integrate():
+    # the phase is the clock's qk21 table; scipy.integrate alone takes
+    # about 0.6 s to import
+    code = ("import sys, numpy as np, semiq; "
+            "m = semiq.MiniSuperspaceModel(potential_u=lambda a: 4.0 * a * a, hbar=1.0); "
+            "s = semiq.hamilton_jacobi_phase(m, np.linspace(1.0, 4.0, 2001)); "
+            "assert abs(s[-1] - 15.0) < 1e-13; "
+            "print('scipy.integrate' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(semiq.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_cli_tables_leave_out_numpy_ma_fractions_decimal(tmp_path):
@@ -696,3 +723,127 @@ def test_every_parameter_is_read(tmp_path):
     assert not unread
     assert covered == {(sub, mode, key) for sub, mode in runs
                        for key in cli._schema(sub, mode) if key != "mode"}
+
+
+@pytest.mark.parametrize("args", [
+    ["tunnel", "--oracle", "--cap", "0.5"],
+    ["tunnel", "--oracle", "--cap", "1.0"],            # b itself
+    # b is 1.118 at the second point, after a first that would walk
+    ["sweep", "--axis", "h0=0.5:2:3", "--oracle", "--cap", "1.0"],
+    ["network", "--mode", "gauge-check", "--n", "1100", "--N", "4", "--draws", "1"],
+])
+def test_input_errors_exit_2_before_computing(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert run_cli(args, out) == EXIT_VALIDATION
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert ("--cap" in err and "turning point" in err) or "exceeds 4096" in err
+    if args[0] == "sweep":
+        assert "h0=1.25" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["tunnel", "--oracle", "--cap", repr(float(np.nextafter(1.0, 2.0)))],
+    ["sweep", "--axis", "h0=0.5:2:3", "--oracle", "--cap",
+     repr(float(np.nextafter(math.sqrt(2.0), 3.0)))],
+])
+def test_cap_just_above_every_turning_point_runs(tmp_path, args):
+    assert run_cli(args, tmp_path) == EXIT_OK
+    t = read_csv(tmp_path / f"{args[0]}.csv")
+    assert all(math.isfinite(float(v)) for v in t.column("T_numeric"))
+
+
+def outside_values(spec):
+    """Values just outside spec's range, as the text a user would give:
+    in each row of probes, those the coercer refuses next to one it
+    accepts.  Integers are probed from -1 to past the default, floats
+    and the last entry of a list around 0 and 1, and a list's length at
+    one value and at the default's; a parameter without a range gives
+    none."""
+    default = spec.default
+    if spec.coerce in (cli._as_bool, cli._as_str):
+        return []
+    floats = [float(f(b)) for b in (0.0, 1.0)
+              for f in (lambda b: np.nextafter(b, -1.0), float,
+                        lambda b: np.nextafter(b, 2.0))]
+    if isinstance(default, list):
+        rows = [[default[:1], default], [default[:-1] + [v] for v in floats]]
+        rows = [[",".join(map(repr, v)) for v in row] for row in rows]
+    elif isinstance(default, int):
+        rows = [[str(v) for v in range(-1, default + 2)]]
+    else:
+        rows = [[repr(v) for v in floats]]
+
+    def accepted(text):
+        try:
+            spec.coerce(text)
+        except cli.ValidationError:
+            return False
+        return True
+
+    out = []
+    for row in rows:
+        ok = [accepted(t) for t in row]
+        out += [t for i, t in enumerate(row) if not ok[i]
+                and ((i > 0 and ok[i - 1]) or (i + 1 < len(ok) and ok[i + 1]))]
+    return out
+
+
+RANGE_CASES = [(sub, mode, key, value)
+               for sub in cli._SCHEMAS
+               for mode in (cli._NETWORK_MODES if sub == "network" else [None])
+               for key, spec in cli._schema(sub, mode).items()
+               for value in outside_values(spec)]
+
+
+def test_range_cases_cover_the_table():
+    keys = {(sub, key) for sub, _, key, _ in RANGE_CASES}
+    # the ranges the runners used to check one by one, and seed and a_max
+    assert {("clock", "seed"), ("network", "seed"), ("cosmo", "a_max"),
+            ("clock", "energies"), ("cosmo", "hbar_list"), ("tunnel", "points"),
+            ("network", "flip_prob"), ("clock", "threshold")} <= keys
+    assert {key for sub, _, key, _ in RANGE_CASES if sub == "network"} >= {
+        "n", "N", "beta", "draws", "samples", "patterns", "flips", "steps",
+        "flip_prob", "window", "seed"}
+    assert ("network", "g_scale") not in keys
+
+
+@pytest.fixture(scope="module")
+def base_manifests(tmp_path_factory):
+    """One manifest per subcommand and network mode, from GUARD_BASES."""
+    out = {}
+    for sub, base in GUARD_BASES:
+        key = (sub, base.get("mode"))
+        if key not in out:
+            d = tmp_path_factory.mktemp("base")
+            argv = [sub, *(a for k, v in base.items() for a in (cli._flag(k), v))]
+            assert main([*argv, "--output-dir", str(d)]) == EXIT_OK, argv
+            out[key] = (d / f"{sub}.manifest.txt").read_text()
+    return out
+
+
+@pytest.mark.parametrize("sub,mode,key,value", RANGE_CASES)
+def test_value_outside_range_exits_2_naming_the_flag(tmp_path, capsys,
+                                                     base_manifests,
+                                                     sub, mode, key, value):
+    from semiq.cli import RunConfig, ValidationError
+
+    flag = cli._flag(key)
+    head = [sub] + (["--mode", mode] if mode else [])
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text((f"mode = {mode}\n" if mode else "") + f"{key} = {value}\n")
+    for i, args in enumerate(([*head, f"{flag}={value}"],
+                              [sub, "--config", str(cfg)])):
+        out = tmp_path / str(i)
+        assert main([*args, "--output-dir", str(out)]) == EXIT_VALIDATION, args
+        assert not out.exists()
+        assert f"{flag}: must be" in capsys.readouterr().err
+
+    lines = base_manifests[(sub, mode)].splitlines()
+    path = tmp_path / "m" / f"{sub}.manifest.txt"
+    path.parent.mkdir()
+    path.write_text("".join((f"{key} = {value}" if ln.split(" = ")[0] == key
+                             else ln) + "\n" for ln in lines))
+    with pytest.raises(ValidationError, match=f"{flag}: must be"):
+        RunConfig.from_manifest(path)
+    assert os.listdir(path.parent) == [path.name]

@@ -39,6 +39,64 @@ def test_phase_rejects_euclidean_region():
         hamilton_jacobi_phase(m, np.linspace(1.0, 3.0, 11))
 
 
+@pytest.mark.parametrize("points", [7, 50001])
+@pytest.mark.parametrize("c,power", [(4.0, 2.0), (1.0, 0.0), (2.5, 3.0),
+                                     (0.3, -1.0), (7.0, 0.5), (1.0, -3.0)])
+def test_phase_matches_power_law_closed_form(c, power, points):
+    # S = sqrt(c) (a^e - a0^e) / e with e = p/2 + 1, written with expm1 and
+    # log1p so that the reference keeps its relative precision next to a0
+    a = np.linspace(0.5, 3.0, points)
+    m = MiniSuperspaceModel(potential_u=lambda x: c * x**power, hbar=1.0)
+    s = hamilton_jacobi_phase(m, a)
+    e = power / 2.0 + 1.0
+    want = math.sqrt(c) * a[0]**e * np.expm1(e * np.log1p((a - a[0]) / a[0])) / e
+    assert s[0] == 0.0
+    assert np.max(np.abs(s[1:] - want[1:]) / want[1:]) < 1e-13
+
+
+def test_phase_matches_quad_per_segment():
+    # the adaptive quad per grid segment that the table replaced; on
+    # segments this wide the table bisects, and S is read at the grid points
+    u = lambda x: np.exp(3.0 * np.sin(5.0 * x)) + 0.01
+    a = np.linspace(0.0, 3.0, 4)
+    s = hamilton_jacobi_phase(MiniSuperspaceModel(potential_u=u, hbar=1.0), a)
+    seg = [quad(lambda x: math.sqrt(u(x)), lo, hi, epsabs=0.0, epsrel=1e-13,
+                limit=200)[0]
+           for lo, hi in zip(a[:-1], a[1:])]
+    want = np.concatenate(([0.0], np.cumsum(seg)))
+    assert np.max(np.abs(s[1:] - want[1:]) / want[1:]) < 1e-13
+
+
+def test_phase_bisects_on_a_grid_of_more_panels_than_it_may_add():
+    # a kink of U between two of 50 000 grid panels, next to which the
+    # table bisects; MAX_PANELS bounds the panels added, not the grid
+    c = 2.00001234
+    a = np.linspace(1.0, 3.0, 50001)
+    s = hamilton_jacobi_phase(
+        MiniSuperspaceModel(potential_u=lambda x: np.abs(x - c) + 1.0, hbar=1.0), a)
+    prim = np.sign(a - c) * (2.0 / 3.0) * ((np.abs(a - c) + 1.0) ** 1.5 - 1.0)
+    assert np.max(np.abs(s - (prim - prim[0]))) < 1e-13 * s[-1]
+
+
+def test_phase_takes_a_potential_of_floats():
+    a = np.linspace(1.0, 4.0, 31)
+    per_point = MiniSuperspaceModel(potential_u=lambda x: 4.0 * float(x) ** 2,
+                                    hbar=1.0)
+    assert (hamilton_jacobi_phase(per_point, a).tobytes()
+            == hamilton_jacobi_phase(quad_model(), a).tobytes())
+
+
+@pytest.mark.parametrize("u", [
+    lambda a: 4.0 * a * a - 4.0,            # 0 at the first grid point
+    lambda a: 4.0 - a * a,                  # 0 at a = 2, then negative
+    lambda a: 4.0 - float(a) ** 2,          # the same, one float at a time
+])
+def test_phase_stops_where_u_reaches_zero(u):
+    a = np.linspace(1.0, 3.0, 11)
+    with pytest.raises(ValueError, match="Euclidean region or turning point"):
+        hamilton_jacobi_phase(MiniSuperspaceModel(potential_u=u, hbar=1.0), a)
+
+
 def test_hamilton_jacobi_defect_small():
     a = np.linspace(1.0, 4.0, 2001)
     s = hamilton_jacobi_phase(quad_model(), a)

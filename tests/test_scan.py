@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from semiq.scan import suffix_products
+from semiq.scan import products, suffix_products
 
 
 def sequential_suffixes(m):
@@ -33,3 +33,16 @@ def test_suffix_scan_matches_sequential_products(dim, n, seed, size):
     offset = np.ascontiguousarray((steps - np.eye(dim)).transpose(1, 2, 0))
     suffix_products(offset, minus_identity=True)
     assert np.max(np.abs(offset.transpose(2, 0, 1) + np.eye(dim) - want)) < 1e-13
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 2), (3, 3), (2, 2, 1), (2, 2, 3), (3, 3, 2)]),
+       st.integers(1, 70), st.integers(0, 2**32 - 1))
+def test_reduction_is_the_scans_first_element_bit_for_bit(lead, n, seed):
+    # 3-D stacks (d, d, n) and 4-D batches (d, d, rows, n) of real matrices,
+    # odd and even lengths; the oracle relies on this equality
+    p = np.random.default_rng(seed).normal(size=(*lead, n))
+    got = products(p.copy())
+    want = suffix_products(p.copy())[..., 0]
+    assert got.shape == p.shape[:-1]
+    assert got.tobytes() == want.tobytes()
