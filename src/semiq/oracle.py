@@ -105,57 +105,92 @@ def cap_barrier(bp: BarrierProblem, L: float | None = None, n: int = 20000) -> P
     return PiecewisePotential(grid, bp.interaction_energy(grid))
 
 
-def _cell_propagators(w, h):
-    """Right-to-left propagators of cells with constant W = w and width h.
-
-    Returns shape (2, 2, n), acting on (psi, psi'): cosh/sinh for w > 0,
-    cos/sin for w < 0 and the free cell [[1, -h], [0, 1]] for w == 0.
-    """
-    q = np.sqrt(np.abs(w))
-    x = q * h
-    under = w > 0.0
-    diag = np.cos(x)
-    s = np.sin(x)
-    np.cosh(x, out=diag, where=under)
-    np.sinh(x, out=s, where=under)
-    # s/q -> h as q -> 0 (the free cell)
-    s_over_q = np.divide(s, q, out=h.copy(), where=q > 0.0)
-    return np.array([[diag, -s_over_q], [-np.sign(w) * q * s, diag]])
-
-
 def _chunks(grid, values, E, hbar, mu):
-    """Walk the cells right to left in chunks: yield (start, end, w, h).
+    """Yield (start, end, h, q, x, under) per chunk, walking right to left.
 
     A chunk [start, end) holds at most _CHUNK cells and ends early where its
-    integrated kappa passes _GROWTH_BOUND; w = 2*mu*(V - E)/hbar^2 uses the
-    mean of each cell's endpoint samples and h is the cell width.
+    integrated kappa passes _GROWTH_BOUND.  Each cell's geometry is computed
+    once: w = 2*mu*(V - E)/hbar^2 from the mean of the cell's endpoint
+    samples, the width h, q = sqrt(|w|), the phase x = q*h and the mask
+    under = w > 0 of the cells under the barrier, where kappa = q.
     """
     end = grid.size - 1
     while end > 0:
         lo = max(end - _CHUNK, 0)
-        h = np.diff(grid[lo:end + 1])
-        cell_v = 0.5 * (values[lo + 1:end + 1] + values[lo:end])
-        w = 2.0 * mu * (cell_v - E) / hbar**2
-        growth = np.cumsum((np.sqrt(np.maximum(w, 0.0)) * h)[::-1])
-        cells = max(int(np.searchsorted(growth, _GROWTH_BOUND, side="right")), 1)
+        h = grid[lo + 1:end + 1] - grid[lo:end]
+        # w in place, with the operations of 2*mu*(V - E)/hbar^2 in order
+        w = np.add(values[lo + 1:end + 1], values[lo:end])
+        w *= 0.5
+        w -= E
+        w *= 2.0 * mu
+        w /= hbar**2
+        q = np.sqrt(np.abs(w))
+        x = q * h
+        under = w > 0.0
+        cells = w.size
+        if under.any():
+            growth = np.cumsum(np.where(under, x, 0.0)[::-1])
+            cells = max(int(np.searchsorted(growth, _GROWTH_BOUND,
+                                            side="right")), 1)
         start = end - cells
-        yield start, end, w[-cells:], h[-cells:]
+        yield start, end, h[-cells:], q[-cells:], x[-cells:], under[-cells:]
         end = start
+
+
+def _write_propagators(out, h, q, x, under):
+    """Write the right-to-left propagators of one chunk's cells into out.
+
+    out has shape (2, 2, cells) and the matrices act on (psi, psi'):
+    [[c, -s/q], [-sign(w)*q*s, c]] with c, s = cosh, sinh(x) under the
+    barrier (w > 0) and cos, sin(x) elsewhere, and the free cell
+    [[1, -h], [-0.0, 1]] where w == 0 (s/q -> h as q -> 0).  A chunk on one
+    side of the barrier evaluates one pair of functions over all its
+    cells; only a chunk that holds both kinds, or a free cell, is masked.
+    """
+    diag, upper, lower = out[0, 0], out[0, 1], out[1, 0]
+    cells = under.size
+    forbidden = np.count_nonzero(under)
+    free = None if forbidden == cells or q.all() else q == 0.0
+    if forbidden == cells or (forbidden == 0 and free is None):
+        cos, sin = (np.cosh, np.sinh) if forbidden else (np.cos, np.sin)
+        cos(x, out=diag)
+        sin(x, out=lower)
+    else:
+        allowed = ~under
+        np.cos(x, out=diag, where=allowed)
+        np.cosh(x, out=diag, where=under)
+        np.sin(x, out=lower, where=allowed)
+        np.sinh(x, out=lower, where=under)
+    np.negative(lower, out=upper)
+    np.multiply(q, lower, out=lower)
+    # -sign(w)*q*s is -(q*s) under the barrier and q*s elsewhere
+    if forbidden == cells:
+        np.negative(lower, out=lower)
+    elif forbidden:
+        np.negative(lower, out=lower, where=under)
+    if free is None:
+        np.divide(upper, q, out=upper)
+    else:
+        np.divide(upper, q, out=upper, where=~free)
+        upper[free] = -h[free]
+        lower[free] = -0.0
+    out[1, 1] = diag
 
 
 def _chunk_products(chunks, cells):
     """The total propagator of each chunk, in walk order.
 
-    Up to _BATCH chunks fill one identity-padded (2, 2, rows, width) buffer,
-    sized to the walk's cells, and one pairwise reduction multiplies them
-    all; the exact identity padding leaves each product unchanged.
+    Up to _BATCH chunks write their propagators straight into one
+    identity-padded (2, 2, rows, width) buffer, sized to the walk's cells,
+    and one pairwise reduction multiplies them all; the exact identity
+    padding leaves each product unchanged.
     """
     rows = min(_BATCH, -(-cells // _CHUNK))
     buf = np.empty((2, 2, rows, min(_CHUNK, cells)))
     filled = 0
-    for _, _, w, h in chunks:
-        buf[:, :, filled, :w.size] = _cell_propagators(w, h)
-        buf[:, :, filled, w.size:] = _IDENTITY
+    for _, _, h, q, x, under in chunks:
+        _write_propagators(buf[:, :, filled, :h.size], h, q, x, under)
+        buf[:, :, filled, h.size:] = _IDENTITY
         filled += 1
         if filled == rows:
             yield from np.moveaxis(products(buf), -1, 0)
@@ -205,8 +240,10 @@ def _propagate(grid, values, E, hbar, mu, keep_psi=False):
     samples = np.empty(grid.size, dtype=complex)
     scales = np.empty(grid.size)
     samples[-1], scales[-1] = psi, log_scale
-    for start, end, w, h in chunks:
-        p = suffix_products(_cell_propagators(w, h))
+    for start, end, h, q, x, under in chunks:
+        p = np.empty((2, 2, h.size))
+        _write_propagators(p, h, q, x, under)
+        suffix_products(p)
         samples[start:end] = p[0, 0] * psi + p[0, 1] * dpsi
         scales[start:end] = log_scale
         psi, dpsi, log_scale = _carry(p[..., 0], psi, dpsi, log_scale)

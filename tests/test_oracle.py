@@ -16,7 +16,8 @@ from semiq import (
     scattering_wavefunction,
     transfer_matrix_transmission,
 )
-from semiq.oracle import _BATCH, _CHUNK, _chunks, _propagate
+from semiq.oracle import (_BATCH, _CHUNK, _GROWTH_BOUND, _chunks, _propagate,
+                          _write_propagators)
 
 # exact reference for the full inverted parabola at E = 0
 def parabola_T(bp):
@@ -238,7 +239,8 @@ def test_deep_barrier_underflows_without_fp_errors():
 
 def test_transmission_memory_stays_bounded():
     # the walk streams its chunks: 4.3 MiB at 10^6 cells, where a single
-    # (2, 2, cells) array of propagators would take 32 MB
+    # (2, 2, cells) array of propagators would take 32 MB and one more
+    # per-cell array of floats 8 MB
     bp = BarrierProblem(hbar=0.05, mu=1.0, j0=1.0, h0=1.0)
     pot = cap_barrier(bp, n=1_000_000)
     tracemalloc.start()
@@ -247,7 +249,7 @@ def test_transmission_memory_stays_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 8 * 2**20
 
 
 def test_scattering_wavefunction_deep_barrier_is_finite():
@@ -374,7 +376,91 @@ def test_chunk_products_match_the_scan_on_a_deep_barrier(cells):
     # their products are reduced together with identity padding
     bp = BarrierProblem(hbar=0.007, mu=1.0, j0=1.0, h0=4.0)
     pot = cap_barrier(bp, n=cells)
-    sizes = [end - start for start, end, _, _ in
+    sizes = [end - start for start, end, *_ in
              _chunks(pot.grid, pot.values, 0.0, 0.007, 1.0)]
     assert min(sizes[:-1]) < _CHUNK
     assert_walks_agree(pot, 0.007, 1.0)
+
+
+# --------------------------------------------------------------------------
+# the in-place propagator writer and the chunk bounds, bit for bit against
+# the per-chunk builder and growth rule they replaced
+
+
+def reference_cell_propagators(w, h):
+    """Right-to-left propagators as the walk built them before the writer."""
+    q = np.sqrt(np.abs(w))
+    x = q * h
+    under = w > 0.0
+    diag = np.cos(x)
+    s = np.sin(x)
+    np.cosh(x, out=diag, where=under)
+    np.sinh(x, out=s, where=under)
+    s_over_q = np.divide(s, q, out=h.copy(), where=q > 0.0)
+    return np.array([[diag, -s_over_q], [-np.sign(w) * q * s, diag]])
+
+
+def reference_chunks(grid, values, E, hbar, mu):
+    """Chunk bounds by the growth rule sqrt(max(w, 0))*h: (start, end, w, h)."""
+    end = grid.size - 1
+    while end > 0:
+        lo = max(end - _CHUNK, 0)
+        h = np.diff(grid[lo:end + 1])
+        cell_v = 0.5 * (values[lo + 1:end + 1] + values[lo:end])
+        w = 2.0 * mu * (cell_v - E) / hbar**2
+        growth = np.cumsum((np.sqrt(np.maximum(w, 0.0)) * h)[::-1])
+        cells = max(int(np.searchsorted(growth, _GROWTH_BOUND, side="right")), 1)
+        yield end - cells, end, w[-cells:], h[-cells:]
+        end = end - cells
+
+
+def writer_profile(kind, cells, rng):
+    """(grid, values, E) of one kind of cell mix; E is the plateau level."""
+    n = cells + 1
+    grid = np.cumsum(rng.uniform(0.5, 1.5, n)) * (1e-3 if cells > 2 else 0.1)
+    E = 0.25
+    if kind == "allowed":
+        values = E - rng.uniform(0.1, 2.0, n)
+    elif kind == "forbidden":
+        values = E + rng.uniform(0.1, 2.0, n)
+    elif kind == "mixed":
+        values = E + rng.uniform(-1.0, 1.0, n)
+    elif kind == "plateau":
+        # runs of V == E exactly, so cells with w == 0, between both kinds
+        values = E + rng.choice([-1.0, 0.0, 0.0, 1.0], n)
+    elif kind == "signed_zero":
+        # V = -0.0 at E = 0: cell means -0.0 and w == -0.0
+        E = 0.0
+        values = rng.choice([-0.0, 0.0, -1.0, 1.0], n)
+    elif kind == "subnormal":
+        # |w| a few units of the smallest subnormal (even multiples keep the
+        # cell means exact); wide cells keep q*s, about |w|*h, normal
+        E = 0.0
+        values = 5e-324 * rng.choice([-4.0, -2.0, 0.0, 2.0, 4.0], n)
+        grid = np.cumsum(rng.uniform(0.5, 1.5, n)) * 1e20
+    elif kind == "deep":
+        # |w|*h^2 ~ 1 per cell on both sides of E: the growth bound, which
+        # counts only the cells under the barrier, ends chunks early
+        values = E + rng.uniform(-2.0, 2.0, n)
+        grid = np.cumsum(rng.uniform(0.5, 1.5, n))
+    return grid, values, E
+
+
+@pytest.mark.parametrize("cells", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("kind", ["allowed", "forbidden", "mixed", "plateau",
+                                  "signed_zero", "subnormal", "deep"])
+def test_writer_matches_the_reference_bit_for_bit(kind, cells):
+    rng = np.random.default_rng([cells, len(kind)])
+    grid, values, E = writer_profile(kind, cells, rng)
+    buf = np.full((2, 2, 2, _CHUNK), np.nan)
+    with np.errstate(all="raise"):
+        ours = list(_chunks(grid, values, E, 1.0, 1.0))
+        ref = list(reference_chunks(grid, values, E, 1.0, 1.0))
+        assert [c[:2] for c in ours] == [c[:2] for c in ref]
+        for (_, _, h, q, x, under), (_, _, w, h_ref) in zip(ours, ref):
+            out = buf[:, :, 1, :h.size]      # a view, as in the batch buffer
+            _write_propagators(out, h, q, x, under)
+            expect = reference_cell_propagators(w, h_ref)
+            assert out.tobytes() == expect.tobytes()
+    if kind == "deep" and cells >= _CHUNK:
+        assert len(ours) > 2             # the bound cut the chunks short
