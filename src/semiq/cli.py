@@ -451,18 +451,19 @@ def _run_sweep(cfg: RunConfig):
     for (name, _), grid in zip(axes, np.meshgrid(*(v for _, v in axes),
                                                  indexing="ij")):
         cols[name] = grid.ravel()
-    bars = wkb.BarrierColumns(**cols)
+    bars = wkb.BarrierProblem(**cols)
+    _, b = wkb.turning_points(bars)
     # cap_barrier refuses this too, but only once the walks have begun
-    low = np.flatnonzero((p["cap"] > 0) & (bars.b >= p["cap"]))
+    low = np.flatnonzero((p["cap"] > 0) & (b >= p["cap"]))
     if low.size:
         point = " ".join(f"{k}={cols[k][low[0]]:.17g}" for k in _SWEEP_AXES)
         raise ValidationError(f"--cap {p['cap']:.17g} must exceed the turning "
-                              f"point b={bars.b[low[0]]:.17g} of {point}")
-    lam = wkb.barrier_exponents_closed(bars)
-    lam_q = wkb.barrier_exponents(bars)
-    cols.update({"lambda": lam, "T_closed": wkb.transmissions(lam),
-                 "T_quadrature": wkb.transmissions(lam_q),
-                 "T_current_ratio": wkb.current_ratios(bars, lam_q)})
+                              f"point b={b[low[0]]:.17g} of {point}")
+    sol = wkb.solve_barrier(bars)
+    cols.update({"lambda": wkb.barrier_exponent_closed(bars),
+                 "T_closed": wkb.activation_rate(bars),
+                 "T_quadrature": sol.transmission,
+                 "T_current_ratio": wkb.current_ratio(sol)})
     if p["oracle"]:
         est_cols = {"T_numeric": [], "richardson_error": [], "L": []}
         for point in zip(*(cols[k].tolist() for k in _SWEEP_AXES)):

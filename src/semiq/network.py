@@ -64,6 +64,7 @@ __all__ = [
     "rolldown",
     "plugin_entropy_rate",
     "entropy_rate",
+    "window_counts",
     "observer_triple",
 ]
 

@@ -1,6 +1,6 @@
 """QUADPACK's 21-point Gauss-Kronrod rule qk21: its nodes and weights.
 
-One table, read by the WKB exponents (wkb.barrier_exponents) and by the
+One table, read by the WKB exponent (wkb.barrier_exponent) and by the
 adaptive tables of minisuperspace.clock_map and hamilton_jacobi_phase.
 The values are qk21's xgk, wgk and wg (Piessens, de Doncker-Kapenga,
 Ueberhuber and Kahaner, QUADPACK, Springer 1983).

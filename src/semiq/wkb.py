@@ -12,13 +12,14 @@ standard connection formulas give a transmission probability
 
 with the closed form Lambda = (pi*H0 / (2*hbar)) * sqrt(2*mu/J0).
 
-Every evaluation runs on columns: a BarrierColumns holds (hbar, mu, j0, h0)
-as equal-length arrays, one entry per point, and the kernels
-(barrier_exponents_closed, barrier_exponents, wkb_wavefunctions,
-current_ratios) evaluate all points in one numpy pass.  The scalar
-functions on a BarrierProblem are one-element calls of the same kernels.
-The quadrature is the fixed 21-point Gauss-Kronrod rule of QUADPACK's
-qk21, the one pass QUADPACK's adaptive driver takes on this integrand.
+A BarrierProblem is one point when hbar, mu, j0 and h0 are floats, and a
+column of points when any of them is a 1-D array.  Every function below
+evaluates all of a problem's points in one numpy pass, as one-element
+columns for a one-point problem, and returns a Python scalar for a
+one-point problem and an array otherwise; a point's value is therefore the
+same bits alone and in a sweep.  The quadrature is the fixed 21-point
+Gauss-Kronrod rule of QUADPACK's qk21, the one pass QUADPACK's adaptive
+driver takes on this integrand.
 """
 
 from __future__ import annotations
@@ -33,30 +34,16 @@ import numpy as np
 from . import quadrature
 
 __all__ = [
-    "BarrierProblem",
-    "BarrierColumns",
-    "Momenta",
-    "WkbSolution",
-    "turning_points",
-    "momenta",
-    "barrier_exponents_closed",
-    "barrier_exponents",
-    "transmissions",
-    "wkb_wavefunctions",
-    "current_ratios",
-    "barrier_exponent",
-    "barrier_exponent_closed",
-    "activation_rate",
-    "solve_barrier",
-    "wkb_wavefunction",
-    "current_ratio",
+    "BarrierProblem", "Momenta", "WkbSolution", "turning_points", "momenta",
+    "barrier_exponent_closed", "barrier_exponent", "activation_rate",
+    "solve_barrier", "wkb_wavefunction", "current_ratio",
 ]
 
 #: fraction of the barrier width around each turning point where the
 #: 1/sqrt(p) prefactors blow up and evaluation is refused
 TURNING_POINT_EXCLUSION = 1e-3
 
-#: current_ratios samples the currents CURRENT_OFFSET barrier widths outside
+#: current_ratio samples the currents CURRENT_OFFSET barrier widths outside
 #: the turning points, with a step of CURRENT_REL_STEP wavelengths hbar/p
 CURRENT_OFFSET = 0.5
 CURRENT_REL_STEP = 1e-4
@@ -92,56 +79,46 @@ def _validate(hbar, mu, j0, h0):
 
 @dataclass(frozen=True)
 class BarrierProblem:
-    """Inverted-parabola barrier -J0*phi^2 + H0 with effective mass mu."""
+    """Inverted-parabola barrier -J0*phi^2 + H0 with effective mass mu.
 
-    hbar: float
-    mu: float
-    j0: float
-    h0: float
+    Each parameter is a float or a 1-D array with one entry per point; the
+    floats broadcast against the arrays, which are stored as equal-length
+    float arrays.  The same checks apply to every entry.
+    """
+
+    hbar: float | np.ndarray
+    mu: float | np.ndarray
+    j0: float | np.ndarray
+    h0: float | np.ndarray
 
     def __post_init__(self):
-        _validate(self.hbar, self.mu, self.j0, self.h0)
+        params = (self.hbar, self.mu, self.j0, self.h0)
+        if all(np.ndim(v) == 0 for v in params):
+            _validate(*params)
+            return
+        cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                     for v in params))
+        if cols[0].ndim != 1:
+            raise ValueError("barrier parameters must be floats or "
+                             "one-dimensional arrays")
+        _validate(*cols)
+        for name, col in zip(("hbar", "mu", "j0", "h0"), cols):
+            object.__setattr__(self, name, col)
 
     def interaction_energy(self, phi):
         """Barrier profile -j0*phi**2 + h0 (works on scalars and arrays)."""
         return _interaction(phi, self.j0, self.h0)
 
-    def columns(self) -> BarrierColumns:
-        """This problem as one-point columns."""
-        return BarrierColumns(self.hbar, self.mu, self.j0, self.h0)
+
+def _columns(bp: BarrierProblem):
+    """(hbar, mu, j0, h0) as 1-D float arrays, one entry per point."""
+    return [np.atleast_1d(np.asarray(v, dtype=float))
+            for v in (bp.hbar, bp.mu, bp.j0, bp.h0)]
 
 
-@dataclass(frozen=True)
-class BarrierColumns:
-    """Barrier parameters as equal-length float arrays, one entry per point.
-
-    Scalars broadcast against the arrays; the same checks as BarrierProblem
-    apply to every entry.
-    """
-
-    hbar: np.ndarray
-    mu: np.ndarray
-    j0: np.ndarray
-    h0: np.ndarray
-
-    def __post_init__(self):
-        cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
-                                     for v in (self.hbar, self.mu, self.j0, self.h0)))
-        if cols[0].ndim != 1:
-            raise ValueError("barrier columns must be one-dimensional")
-        _validate(*cols)
-        for name, col in zip(("hbar", "mu", "j0", "h0"), cols):
-            object.__setattr__(self, name, col)
-
-    def point(self, i: int) -> str:
-        """Point i's parameters, for error messages."""
-        return (f"point {i} (hbar={self.hbar[i]}, mu={self.mu[i]}, "
-                f"j0={self.j0[i]}, h0={self.h0[i]})")
-
-    @property
-    def b(self) -> np.ndarray:
-        """Outer turning points sqrt(h0/j0); the inner ones are -b."""
-        return np.sqrt(self.h0 / self.j0)
+def _result(bp: BarrierProblem, values, kind=float):
+    """values as a Python scalar for a one-point problem, else the array."""
+    return kind(values[0]) if np.ndim(bp.hbar) == 0 else values
 
 
 class Momenta(NamedTuple):
@@ -151,14 +128,15 @@ class Momenta(NamedTuple):
     rho: float | None    # under the barrier, sqrt(+2*mu*H_int)
 
 
-def turning_points(bp: BarrierProblem) -> tuple[float, float]:
+def turning_points(bp: BarrierProblem):
     """Return (a, b) with a = -sqrt(h0/j0), b = +sqrt(h0/j0)."""
-    b = math.sqrt(bp.h0 / bp.j0)
+    _, _, j0, h0 = _columns(bp)
+    b = _result(bp, np.sqrt(h0 / j0))
     return -b, b
 
 
 def momenta(bp: BarrierProblem, phi: float) -> Momenta:
-    """Local momentum magnitudes at phi.
+    """Local momentum magnitudes at phi, for a one-point problem.
 
     Outside the barrier H_int < 0 and p = sqrt(-2*mu*H_int) is real while
     rho is undefined; under the barrier the roles swap.  At a turning point
@@ -170,10 +148,6 @@ def momenta(bp: BarrierProblem, phi: float) -> Momenta:
     if h < 0.0:
         return Momenta(math.sqrt(-2.0 * bp.mu * h), None)
     return Momenta(None, math.sqrt(2.0 * bp.mu * h))
-
-
-# --------------------------------------------------------------------------
-# array kernels
 
 
 def _qk21_nodes():
@@ -200,14 +174,15 @@ def _qk21_nodes():
 _QK21_CENTRE, _QK21_CENTRE_WEIGHT, _QK21_PAIRS, _QK21_HALF = _qk21_nodes()
 
 
-def barrier_exponents_closed(cols: BarrierColumns) -> np.ndarray:
-    """Closed-form exponents Lambda = (pi*h0 / (2*hbar)) * sqrt(2*mu/j0)."""
-    return (math.pi * cols.h0 / (2.0 * cols.hbar)) * np.sqrt(2.0 * cols.mu / cols.j0)
+def barrier_exponent_closed(bp: BarrierProblem):
+    """Closed-form exponent Lambda = (pi*h0 / (2*hbar)) * sqrt(2*mu/j0)."""
+    hbar, mu, j0, h0 = _columns(bp)
+    return _result(bp, (math.pi * h0 / (2.0 * hbar)) * np.sqrt(2.0 * mu / j0))
 
 
 @_strict
-def barrier_exponents(cols: BarrierColumns) -> np.ndarray:
-    """Quadrature exponents Lambda = (1/hbar) * integral_a^b rho(phi) dphi.
+def barrier_exponent(bp: BarrierProblem):
+    """Quadrature exponent Lambda = (1/hbar) * integral_a^b rho(phi) dphi.
 
     The integrand has square-root zeros at both endpoints, so it is taken
     in the angle variable phi = b*sin(theta), where it is smooth:
@@ -217,29 +192,61 @@ def barrier_exponents(cols: BarrierColumns) -> np.ndarray:
     scipy's adaptive quad takes on this integrand; each node is evaluated
     for all points at once.  A flat top (h0 = 0, b = 0) gives 0.
     """
-    b = cols.b
+    hbar, mu, j0, h0 = _columns(bp)
+    b = np.sqrt(h0 / j0)
 
     def f(node):
         """The integrand at one node, for every point."""
         sin, cos = node
-        h = _interaction(b * sin, cols.j0, cols.h0)
+        h = _interaction(b * sin, j0, h0)
         # clip tiny negatives from roundoff near the endpoints
-        return np.sqrt(np.maximum(2.0 * cols.mu * h, 0.0)) * b * cos
+        return np.sqrt(np.maximum(2.0 * mu * h, 0.0)) * b * cos
 
     resk = _QK21_CENTRE_WEIGHT * f(_QK21_CENTRE)
     for w, left, right in _QK21_PAIRS:
         resk = resk + w * (f(left) + f(right))
-    return resk * _QK21_HALF / cols.hbar
+    return _result(bp, resk * _QK21_HALF / hbar)
 
 
-def transmissions(lam) -> list[float]:
+def _transmission(bp: BarrierProblem, lam):
     """exp(-2*Lambda) for each exponent, by libm's exp.
 
     numpy's vectorised exp differs from libm's in the last bit on a few
-    percent of arguments; libm keeps a sweep's T columns the bits that
-    activation_rate and solve_barrier give for one point.
+    percent of arguments; libm keeps every T the same bits in a sweep and
+    alone.
     """
-    return [math.exp(-2.0 * x) for x in np.asarray(lam, dtype=float).tolist()]
+    return _result(bp, np.array([math.exp(-2.0 * x)
+                                 for x in np.atleast_1d(lam).tolist()]))
+
+
+def activation_rate(bp: BarrierProblem):
+    """Transmission probability T = exp(-2*Lambda), closed form."""
+    return _transmission(bp, barrier_exponent_closed(bp))
+
+
+@dataclass(frozen=True)
+class WkbSolution:
+    """Connection-formula solution of a BarrierProblem.
+
+    The three-region wavefunction is normalised by the outgoing amplitude c;
+    the incoming branch carries the exp(Lambda) enhancement that encodes the
+    smallness of the transmitted flux.
+    """
+
+    problem: BarrierProblem
+    barrier_exponent: float | np.ndarray
+    transmission: float | np.ndarray
+    c: complex = field(default=1.0 + 0.0j)
+
+    def __post_init__(self):
+        if self.c == 0:
+            raise ValueError("normalization c must be nonzero")
+
+
+def solve_barrier(bp: BarrierProblem, c: complex = 1.0 + 0.0j) -> WkbSolution:
+    lam = barrier_exponent(bp)
+    return WkbSolution(problem=bp, barrier_exponent=lam,
+                       transmission=_transmission(bp, lam), c=c)
 
 
 def _allowed_action(x, b, k):
@@ -273,8 +280,7 @@ def _refuse(bad, message):
 
 
 @_strict
-def wkb_wavefunctions(cols: BarrierColumns, lam, region: str, phi,
-                      c=1.0 + 0.0j) -> np.ndarray:
+def wkb_wavefunction(sol: WkbSolution, region: str, phi):
     """Evaluate the three-region wavefunction at phi, one value per point.
 
     incoming  (phi < a): exp(L) * (-i c)/sqrt(p) * exp(i*(FI - pi/4)),
@@ -283,78 +289,89 @@ def wkb_wavefunctions(cols: BarrierColumns, lam, region: str, phi,
     outgoing  (phi > b): c/sqrt(p) * exp(i*(FO - pi/4)),
                          FO = (1/hbar) * integral_b^phi p
 
-    lam is each point's exponent Lambda and c the outgoing amplitude (a
-    scalar or one per point).  The barrier is symmetric, so FI at phi is FO
-    at -phi; all three integrals have closed forms (_allowed_action,
+    phi is a float or one value per point; a one-point problem at a float
+    phi gives a complex.  The barrier is symmetric, so FI at phi is FO at
+    -phi; all three integrals have closed forms (_allowed_action,
     _forbidden_action).  Evaluation within TURNING_POINT_EXCLUSION*(b - a)
     of a turning point is refused: the 1/sqrt prefactor is meaningless
     there.
     """
     if region not in _REGIONS:
         raise ValueError(f"region must be one of {_REGIONS}, got {region!r}")
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), cols.hbar.shape)
-    b = cols.b
+    hbar, mu, j0, h0 = _columns(sol.problem)
+    one = np.ndim(phi) == 0
+    phi = np.broadcast_to(np.asarray(phi, dtype=float), hbar.shape)
+    b = np.sqrt(h0 / j0)
     a = -b
     guard = TURNING_POINT_EXCLUSION * (b - a)
     _refuse(np.minimum(abs(phi - a), abs(phi - b)) <= guard, lambda i: (
         f"phi={phi[i]} is within the exclusion zone {guard[i]} of a turning point"))
 
-    k = np.sqrt(2.0 * cols.mu * cols.j0)
-    c = np.asarray(c, dtype=complex)
+    k = np.sqrt(2.0 * mu * j0)
+    lam = sol.barrier_exponent
+    c = np.asarray(sol.c, dtype=complex)
     if region == "incoming":
         _refuse(~(phi < a), lambda i: (
             f"phi={phi[i]} is not in the incoming region (phi < {a[i]})"))
         action, p = _allowed_action(-phi, b, k)
-        return (np.exp(lam) * (-1j) * c / np.sqrt(p)
-                * np.exp(1j * (action / cols.hbar - math.pi / 4.0)))
-    if region == "under_barrier":
+        psi = (np.exp(lam) * (-1j) * c / np.sqrt(p)
+               * np.exp(1j * (action / hbar - math.pi / 4.0)))
+    elif region == "under_barrier":
         _refuse(~((a < phi) & (phi < b)), lambda i: (
             f"phi={phi[i]} is not under the barrier ({a[i]}, {b[i]})"))
         # the amplitude grows towards the entrance face
         action, rho = _forbidden_action(phi, b, k)
-        return (-1j) * c / np.sqrt(rho) * np.exp(action / cols.hbar)
-    _refuse(~(phi > b), lambda i: (
-        f"phi={phi[i]} is not in the outgoing region (phi > {b[i]})"))
-    action, p = _allowed_action(phi, b, k)
-    return c / np.sqrt(p) * np.exp(1j * (action / cols.hbar - math.pi / 4.0))
+        psi = (-1j) * c / np.sqrt(rho) * np.exp(action / hbar)
+    else:
+        _refuse(~(phi > b), lambda i: (
+            f"phi={phi[i]} is not in the outgoing region (phi > {b[i]})"))
+        action, p = _allowed_action(phi, b, k)
+        psi = c / np.sqrt(p) * np.exp(1j * (action / hbar - math.pi / 4.0))
+    return _result(sol.problem, psi, complex) if one else psi
 
 
-def _fd_currents(cols, lam, c, region, phi, h):
+def _fd_currents(sol, hbar_over_mu, region, phi, h):
     """Probability currents j = (hbar/mu)*Im(psi* dpsi/dphi), central differences."""
-    psi = wkb_wavefunctions(cols, lam, region, phi, c)
-    dpsi = (wkb_wavefunctions(cols, lam, region, phi + h, c)
-            - wkb_wavefunctions(cols, lam, region, phi - h, c)) / (2.0 * h)
-    return cols.hbar / cols.mu * (psi.conjugate() * dpsi).imag
+    psi = wkb_wavefunction(sol, region, phi)
+    dpsi = (wkb_wavefunction(sol, region, phi + h)
+            - wkb_wavefunction(sol, region, phi - h)) / (2.0 * h)
+    return hbar_over_mu * (psi.conjugate() * dpsi).imag
 
 
 @_strict
-def current_ratios(cols: BarrierColumns, lam, c=1.0 + 0.0j) -> np.ndarray:
+def current_ratio(sol: WkbSolution, bp: BarrierProblem | None = None):
     """|j_outgoing| / |j_incoming| from finite-difference currents, per point.
 
-    lam is each point's exponent Lambda, c the outgoing amplitude.  Both
-    currents are checked against their closed-form values (|c|^2/mu
-    outgoing, exp(2*Lambda)*|c|^2/mu incoming); a deviation beyond 1e-4
-    means the finite-difference step is too coarse and is reported as an
-    error naming the first such point.  exp(2*Lambda) past the float range
+    bp, if given, must be the solution's problem.  Both currents are
+    checked against their closed-form values (|c|^2/mu outgoing,
+    exp(2*Lambda)*|c|^2/mu incoming); a deviation beyond 1e-4 means the
+    finite-difference step is too coarse and is reported as an error naming
+    the first such point.  exp(2*Lambda) past the float range
     (Lambda > 354) raises FloatingPointError.  The ratio is independent of c.
     """
-    lam = np.asarray(lam, dtype=float)
-    b = cols.b
+    cols = _columns(sol.problem)
+    if bp is not None and not all(map(np.array_equal, _columns(bp), cols)):
+        raise ValueError("bp must be the problem the solution solves")
+    hbar, mu, j0, h0 = cols
+    b = np.sqrt(h0 / j0)
     a = -b
     scale = np.where(b > a, b - a, 1.0)
     phi_in = a - CURRENT_OFFSET * scale
     phi_out = b + CURRENT_OFFSET * scale
     # a fixed phase step k*h keeps the rounding that 1/(k*h) amplifies the
-    # same at any wavelength; a quarter width stays clear of the exclusion zone
-    p_out = np.sqrt(-2.0 * cols.mu * _interaction(phi_out, cols.j0, cols.h0))
-    h = np.minimum(CURRENT_REL_STEP * cols.hbar / p_out, 0.25 * scale)
+    # same at any wavelength; on a barrier narrower than about a hundredth
+    # of a wavelength the step is capped at 1 % of its width, because the
+    # amplitude 1/sqrt(p) varies on the scale of b and its second-order
+    # error grows as (h/b)^2
+    p_out = np.sqrt(-2.0 * mu * _interaction(phi_out, j0, h0))
+    h = np.minimum(CURRENT_REL_STEP * hbar / p_out, 0.01 * scale)
 
-    j_in = _fd_currents(cols, lam, c, "incoming", phi_in, h)
-    j_out = _fd_currents(cols, lam, c, "outgoing", phi_out, h)
+    j_in = _fd_currents(sol, hbar / mu, "incoming", phi_in, h)
+    j_out = _fd_currents(sol, hbar / mu, "outgoing", phi_out, h)
 
-    c2 = abs(np.asarray(c, dtype=complex)) ** 2
-    j_out_exact = c2 / cols.mu
-    j_in_exact = np.exp(2.0 * lam) * c2 / cols.mu
+    c2 = abs(np.asarray(sol.c, dtype=complex)) ** 2
+    j_out_exact = c2 / mu
+    j_in_exact = np.exp(2.0 * np.asarray(sol.barrier_exponent, dtype=float)) * c2 / mu
     for name, got, want in (("outgoing", abs(j_out), j_out_exact),
                             ("incoming", abs(j_in), j_in_exact)):
         dev = abs(got - want) / want
@@ -363,68 +380,6 @@ def current_ratios(cols: BarrierColumns, lam, c=1.0 + 0.0j) -> np.ndarray:
             i = int(np.argmax(bad))
             raise RuntimeError(
                 f"finite-difference {name} current off by {dev[i]:.3e} at "
-                f"{cols.point(i)} (step too coarse?)")
-    return abs(j_out) / abs(j_in)
-
-
-# --------------------------------------------------------------------------
-# one-point calls
-
-
-def barrier_exponent_closed(bp: BarrierProblem) -> float:
-    """Closed-form exponent Lambda = (pi*h0 / (2*hbar)) * sqrt(2*mu/j0)."""
-    return float(barrier_exponents_closed(bp.columns())[0])
-
-
-def barrier_exponent(bp: BarrierProblem) -> float:
-    """Quadrature value of Lambda = (1/hbar) * integral_a^b rho(phi) dphi.
-
-    A one-point barrier_exponents: QUADPACK's 21-point Gauss-Kronrod rule
-    in the angle variable phi = b*sin(theta).
-    """
-    return float(barrier_exponents(bp.columns())[0])
-
-
-def activation_rate(bp: BarrierProblem) -> float:
-    """Transmission probability T = exp(-2*Lambda), closed form."""
-    return math.exp(-2.0 * barrier_exponent_closed(bp))
-
-
-@dataclass(frozen=True)
-class WkbSolution:
-    """Connection-formula solution of a BarrierProblem.
-
-    The three-region wavefunction is normalised by the outgoing amplitude c;
-    the incoming branch carries the exp(Lambda) enhancement that encodes the
-    smallness of the transmitted flux.
-    """
-
-    problem: BarrierProblem
-    barrier_exponent: float
-    transmission: float
-    c: complex = field(default=1.0 + 0.0j)
-
-    def __post_init__(self):
-        if self.c == 0:
-            raise ValueError("normalization c must be nonzero")
-
-
-def solve_barrier(bp: BarrierProblem, c: complex = 1.0 + 0.0j) -> WkbSolution:
-    lam = barrier_exponent(bp)
-    return WkbSolution(problem=bp, barrier_exponent=lam,
-                       transmission=math.exp(-2.0 * lam), c=c)
-
-
-def wkb_wavefunction(sol: WkbSolution, region: str, phi: float) -> complex:
-    """The three-region wavefunction at phi: a one-point wkb_wavefunctions."""
-    return complex(wkb_wavefunctions(sol.problem.columns(), sol.barrier_exponent,
-                                     region, phi, sol.c)[0])
-
-
-def current_ratio(sol: WkbSolution, bp: BarrierProblem | None = None) -> float:
-    """|j_outgoing| / |j_incoming| of one solution: a one-point current_ratios
-    (bp, if given, must be the solution's problem)."""
-    if bp is not None and bp != sol.problem:
-        raise ValueError("bp must be the problem the solution solves")
-    return float(current_ratios(sol.problem.columns(), sol.barrier_exponent,
-                                sol.c)[0])
+                f"point {i} (hbar={hbar[i]}, mu={mu[i]}, j0={j0[i]}, "
+                f"h0={h0[i]}) (step too coarse?)")
+    return _result(sol.problem, abs(j_out) / abs(j_in))

@@ -557,6 +557,20 @@ def test_deep_semiclassical_current_ratio(tmp_path, args):
 
 
 @pytest.mark.parametrize("args", [
+    ["tunnel", "--hbar", "2", "--h0", "0.001953125"],
+    ["tunnel", "--hbar", "1", "--j0", "4", "--h0", "0.001953125"],
+])
+def test_narrow_barrier_current_ratio(tmp_path, args):
+    # the barrier is about 1/200 of a wavelength hbar/p wide, where a step of
+    # 1e-4 wavelengths is 4 % of b; capped at 1 % of the width, the varying
+    # amplitude 1/sqrt(p) costs the currents far less than the 1e-4 bound
+    assert run_cli(args, tmp_path) == EXIT_OK
+    t = read_csv(tmp_path / "tunnel.csv")
+    row = dict(zip(t.columns, t.rows[0]))
+    assert abs(float(row["T_current_ratio"]) - float(row["T_quadrature"])) <= 1e-4
+
+
+@pytest.mark.parametrize("args", [
     ["tunnel", "--hbar", "0.005"],
     ["sweep", "--axis", "hbar=0.005:1:3"],
 ])

@@ -12,20 +12,15 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from semiq import (
-    BarrierColumns,
     BarrierProblem,
     activation_rate,
     barrier_exponent,
     barrier_exponent_closed,
-    barrier_exponents,
-    barrier_exponents_closed,
     current_ratio,
-    current_ratios,
     momenta,
     solve_barrier,
     turning_points,
     wkb_wavefunction,
-    wkb_wavefunctions,
 )
 from semiq import wkb
 from semiq.wkb import TURNING_POINT_EXCLUSION, _allowed_action, _forbidden_action
@@ -215,15 +210,14 @@ def test_closed_form_actions_match_quadrature(hbar, mu, j0, h0, region, u):
 
 
 # --------------------------------------------------------------------------
-# array kernels against scipy's QUADPACK and against their one-point calls
+# many-point problems against scipy's QUADPACK and against one-point calls
 
 #: barriers with Lambda < 180, whose exp(2*Lambda) stays in the float
-#: range, and flat tops; h0 >= 0.05 keeps out barriers so narrow that the
-#: current step is capped at a quarter width, where the finite-difference
-#: current is about 1.1e-4 off and current_ratios refuses them
+#: range, flat tops, and barriers down to h0 = 1e-6, far narrower than a
+#: wavelength, where the current step is capped at 1 % of the barrier width
 POINTS = st.lists(st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 4.0),
                             st.floats(0.25, 10.0),
-                            st.just(0.0) | st.floats(0.05, 2.0)),
+                            st.just(0.0) | st.floats(1e-6, 2.0)),
                   min_size=1, max_size=12)
 J0 = st.floats(0.1, 10.0)
 
@@ -244,8 +238,9 @@ def quad_exponent(bp):
     return val / bp.hbar, info["neval"]
 
 
-def columns(points):
-    return BarrierColumns(*np.array(points, dtype=float).T)
+def many(points):
+    """One BarrierProblem holding every point."""
+    return BarrierProblem(*np.array(points, dtype=float).T)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -253,7 +248,7 @@ def columns(points):
 def test_quadrature_kernel_matches_quadpack(points):
     # QUADPACK stops after its first 21-point Gauss-Kronrod pass on this
     # integrand, so the fixed rule is the same sum
-    lam = barrier_exponents(columns(points))
+    lam = barrier_exponent(many(points))
     for got, point in zip(lam.tolist(), points):
         want, neval = quad_exponent(BarrierProblem(*point))
         assert neval == 21
@@ -262,63 +257,91 @@ def test_quadrature_kernel_matches_quadpack(points):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(points=POINTS, u=st.floats(0.0, 1.0))
-def test_kernels_equal_one_point_calls(points, u):
-    cols = columns(points)
-    lam_c = barrier_exponents_closed(cols)
-    lam_q = barrier_exponents(cols)
-    ratio = current_ratios(cols, lam_q)
-    b = cols.b
+def test_many_point_values_equal_one_point_calls(points, u):
+    bars = many(points)
+    sols = solve_barrier(bars)
+    lam_c = barrier_exponent_closed(bars)
+    lam_q = barrier_exponent(bars)
+    rate = activation_rate(bars)
+    ratio = current_ratio(sols)
+    _, b = turning_points(bars)
     # outside the barrier and clear of the exclusion zone, b = 0 included
     phi_out = b * (1.0 + 2.0 * TURNING_POINT_EXCLUSION) + 0.01 + 2.0 * u
-    psi_in = wkb_wavefunctions(cols, lam_q, "incoming", -phi_out)
-    psi_out = wkb_wavefunctions(cols, lam_q, "outgoing", phi_out)
+    psi_in = wkb_wavefunction(sols, "incoming", -phi_out)
+    psi_out = wkb_wavefunction(sols, "outgoing", phi_out)
     barrier = b > 0.0
     phi_mid = b[barrier] * (1.0 - 4.0 * TURNING_POINT_EXCLUSION) * (2.0 * u - 1.0)
-    psi_mid = wkb_wavefunctions(columns(np.array(points)[barrier]),
-                                lam_q[barrier], "under_barrier", phi_mid)
+    psi_mid = wkb_wavefunction(solve_barrier(many(np.array(points)[barrier])),
+                               "under_barrier", phi_mid)
     mid = iter(zip(psi_mid.tolist(), phi_mid.tolist()))
     for i, point in enumerate(points):
         bp = BarrierProblem(*point)
         sol = solve_barrier(bp)
         assert lam_c[i] == barrier_exponent_closed(bp)
-        assert lam_q[i] == barrier_exponent(bp) == sol.barrier_exponent
+        assert lam_q[i] == sols.barrier_exponent[i] == barrier_exponent(bp)
+        assert lam_q[i] == sol.barrier_exponent
+        assert rate[i] == activation_rate(bp)
+        assert sols.transmission[i] == sol.transmission
         assert ratio[i] == current_ratio(sol)
         assert psi_in[i] == wkb_wavefunction(sol, "incoming", -phi_out[i])
         assert psi_out[i] == wkb_wavefunction(sol, "outgoing", phi_out[i])
         if barrier[i]:
             psi, phi = next(mid)
             assert psi == wkb_wavefunction(sol, "under_barrier", phi)
+    one = BarrierProblem(*points[0])
+    sol = solve_barrier(one)
+    for value in (barrier_exponent_closed(one), barrier_exponent(one),
+                  activation_rate(one), sol.barrier_exponent,
+                  sol.transmission, current_ratio(sol)):
+        assert type(value) is float
+    for value in (lam_c, lam_q, rate, sols.transmission, ratio, psi_in):
+        assert isinstance(value, np.ndarray) and value.shape == (len(points),)
 
 
 def test_flat_top_exponents_are_zero_without_warnings():
-    cols = BarrierColumns(hbar=[0.05, 1.0, 2.0], mu=[0.5, 1.0, 3.0],
+    bars = BarrierProblem(hbar=[0.05, 1.0, 2.0], mu=[0.5, 1.0, 3.0],
                           j0=[0.1, 1.0, 10.0], h0=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lam = barrier_exponents(cols)
+        lam = barrier_exponent(bars)
         assert lam.tolist() == [0.0, 0.0, 0.0]
-        assert barrier_exponents_closed(cols).tolist() == [0.0, 0.0, 0.0]
-        np.testing.assert_allclose(current_ratios(cols, lam), 1.0, rtol=1e-12)
+        assert barrier_exponent_closed(bars).tolist() == [0.0, 0.0, 0.0]
+        np.testing.assert_allclose(current_ratio(solve_barrier(bars)), 1.0,
+                                   rtol=1e-12)
 
 
 def test_failing_current_names_its_point(monkeypatch):
     # a step of 0.026 wavelengths takes a current about 1e-4 off: just
     # inside the bound at hbar 2, just outside at hbar 0.05 and 0.3
     monkeypatch.setattr(wkb, "CURRENT_REL_STEP", 0.026)
-    cols = BarrierColumns(hbar=[2.0, 0.05, 0.3], mu=1.0, j0=1.0, h0=1.0)
+    bars = BarrierProblem(hbar=[2.0, 0.05, 0.3], mu=1.0, j0=1.0, h0=1.0)
     with pytest.raises(RuntimeError, match=r"current off by .* at point 1 "
                                            r"\(hbar=0\.05, mu=1\.0, j0=1\.0, h0=1\.0\)"):
-        current_ratios(cols, barrier_exponents(cols))
+        current_ratio(solve_barrier(bars))
 
 
 def test_columns_are_validated():
     with pytest.raises(ValueError, match="hbar"):
-        BarrierColumns(hbar=[1.0, 0.0], mu=1.0, j0=1.0, h0=1.0)
+        BarrierProblem(hbar=[1.0, 0.0], mu=1.0, j0=1.0, h0=1.0)
     with pytest.raises(ValueError, match="h0"):
-        BarrierColumns(hbar=1.0, mu=1.0, j0=1.0, h0=[1.0, math.nan])
+        BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=[1.0, math.nan])
     with pytest.raises(ValueError, match="under the barrier"):
-        wkb_wavefunctions(BarrierColumns(1.0, 1.0, 1.0, [1.0, 1.0]), [1.0, 1.0],
-                          "under_barrier", [0.0, 2.0])
+        wkb_wavefunction(solve_barrier(BarrierProblem(1.0, 1.0, 1.0, [1.0, 1.0])),
+                         "under_barrier", [0.0, 2.0])
+
+
+def test_current_ratio_refuses_another_problem():
+    for params, other in (((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 2.0)),
+                          (([0.5, 1.0], 1.0, 1.0, 1.0), ([0.5, 1.0], 1.0, 1.0, 2.0)),
+                          (([0.5, 1.0], 1.0, 1.0, 1.0), (0.5, 1.0, 1.0, 1.0))):
+        sol = solve_barrier(BarrierProblem(*params))
+        # an equal problem is the same problem
+        assert np.array_equal(current_ratio(sol, BarrierProblem(*params)),
+                              current_ratio(sol))
+        with pytest.raises(ValueError, match="the problem the solution solves"):
+            current_ratio(sol, BarrierProblem(*other))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        BarrierProblem(hbar=[[0.5, 1.0]], mu=1.0, j0=1.0, h0=1.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
