@@ -28,6 +28,7 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401  (argparse's gettext imports it on every parse)
 import math
 import os
 import sys
@@ -35,7 +36,6 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__, clock, minisuperspace, network, oracle, wkb
 from .svgplot import LinePlot
@@ -191,7 +191,8 @@ _SCHEMAS: dict[str, dict[str, Param]] = {
     },
 }
 
-#: manifest keys that are not parameters (tableio adds format and outputs)
+#: manifest keys that are not parameters (tableio adds format and outputs;
+#: earlier versions wrote scipy)
 _MANIFEST_HEADER = ("format", "tool", "version", "numpy", "scipy",
                     "subcommand", "outputs")
 
@@ -278,7 +279,6 @@ class RunConfig:
             "tool": "semiq",
             "version": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "subcommand": self.subcommand,
         }
         for name, spec in _schema(self.subcommand,
@@ -489,9 +489,6 @@ def _run_sweep(cfg: RunConfig):
 # network
 
 def _network_gauge(p):
-    if p["n"] * p["N"] > network.MAX_OPERATOR_DIM:
-        raise ValidationError(f"--n {p['n']} --N {p['N']}: operator dimension "
-                              f"{p['n'] * p['N']} exceeds {network.MAX_OPERATOR_DIM}")
     before, after = [], []
     for ss in np.random.SeedSequence(p["seed"]).spawn(p["draws"]):
         rng = np.random.default_rng(ss)

@@ -302,7 +302,7 @@ def evolve_monte_carlo(system: QuantumSystem, clock: ClockModel, steps: int,
     return _trajectory(np.cumprod(stack, axis=0, out=stack), mus, sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumClassRecord:
     """Retention time plus the profile used for equivalence classing.
 

@@ -18,9 +18,9 @@ interaction Hamiltonian
 
     H_int = -(1/2N) <<phi, exp(D) phi>> + H0
 
-is therefore exactly invariant.  hamiltonian_full evaluates it with a
-dense expm, for any connection.  Collapsing all sites to one removes the
-difference part, exp(D) -> exp(G): the quenched single-site reduction.
+is therefore exactly invariant.  hamiltonian_full evaluates it for any
+connection by block shifts, with no (nN) x (nN) matrix.  One site drops
+the difference part, exp(D) -> exp(G): the quenched single-site reduction.
 
 The large-N comparison (ek_comparison) puts the same G at every site.
 Then D = -I + S (x) (1 + G), with S the cyclic site shift, is block-
@@ -54,7 +54,6 @@ __all__ = [
     "RolldownResult",
     "EkComparison",
     "covariant_difference",
-    "difference_operator",
     "hamiltonian_full",
     "gauge_transform",
     "ek_reduced_hamiltonian",
@@ -68,8 +67,10 @@ __all__ = [
     "observer_triple",
 ]
 
-#: refuse to assemble operators larger than this (dense expm cost)
-MAX_OPERATOR_DIM = 4096
+#: hamiltonian_full's largest norm of S/s per Taylor step, and most steps:
+#: an exp(S) phi that never overflows (one site) takes time in proportion to b
+_TAYLOR_THETA = 4.0
+_MAX_TAYLOR_STEPS = 10_000
 
 
 class NeuralState:
@@ -143,10 +144,10 @@ class GaugeTransformation:
         o = np.asarray(matrices, dtype=float)
         if o.ndim != 3 or o.shape[1] != o.shape[2]:
             raise ValueError("expected shape (n, N, N)")
-        eye = np.eye(o.shape[1])
-        for i in range(o.shape[0]):
-            if np.max(np.abs(o[i] @ o[i].T - eye)) > 1e-12:
-                raise ValueError(f"matrix at site {i} is not orthogonal")
+        dev = np.abs(o @ np.swapaxes(o, 1, 2) - np.eye(o.shape[1]))
+        bad = np.flatnonzero(~(np.max(dev, axis=(1, 2)) <= 1e-12))
+        if bad.size:
+            raise ValueError(f"matrix at site {bad[0]} is not orthogonal")
         self.matrices = o
 
     @property
@@ -161,14 +162,18 @@ class GaugeTransformation:
         return GaugeTransformation(q * np.sign(r.diagonal(axis1=1, axis2=2))[:, None, :])
 
 
-def _connection(g) -> np.ndarray:
-    """Accept a GlialField or a raw (possibly non-antisymmetric) array."""
-    if isinstance(g, GlialField):
-        return g.matrices
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 3 or g.shape[1] != g.shape[2]:
-        raise ValueError("connection must have shape (n, N, N)")
-    return g
+def _connection(g, state: NeuralState) -> np.ndarray:
+    """G from a GlialField or a raw (possibly non-antisymmetric) array,
+    checked to be (n, N, N) for the state's n and N."""
+    gm = g.matrices if isinstance(g, GlialField) else np.asarray(g, dtype=float)
+    if gm.shape != (state.n, state.N, state.N):
+        raise ValueError("connection shape does not match the state")
+    return gm
+
+
+def _shift(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """(S x)_i = (1 + G_i) x_{i+1}, periodic in the site index."""
+    return np.matmul(blocks, np.roll(x, -1, axis=0)[..., None])[..., 0]
 
 
 def covariant_difference(state: NeuralState, g) -> np.ndarray:
@@ -176,41 +181,40 @@ def covariant_difference(state: NeuralState, g) -> np.ndarray:
 
     Linear in phi and identically zero for a constant state with G = 0.
     """
-    gm = _connection(g)
-    phi = state.phi
-    if gm.shape[0] != state.n or gm.shape[1] != state.N:
-        raise ValueError("connection shape does not match the state")
-    nxt = np.roll(phi, -1, axis=0)
-    # row-vector form of (1 + G_i) phi_{i+1}
-    return nxt + np.einsum("ik,imk->im", nxt, gm) - phi
-
-
-def difference_operator(g) -> np.ndarray:
-    """Assemble D as a dense (nN) x (nN) matrix acting on phi.ravel()."""
-    gm = _connection(g)
-    n, N = gm.shape[0], gm.shape[1]
-    dim = n * N
-    if dim > MAX_OPERATOR_DIM:
-        raise ValueError(f"operator dimension {dim} exceeds {MAX_OPERATOR_DIM}")
-    op = -np.eye(dim)
-    eye = np.eye(N)
-    for i in range(n):
-        j = (i + 1) % n
-        op[i * N:(i + 1) * N, j * N:(j + 1) * N] += eye + gm[i]
-    return op
+    return _shift(state.phi, np.eye(state.N) + _connection(g, state)) - state.phi
 
 
 def hamiltonian_full(state: NeuralState, g, h0: float = 0.0) -> float:
-    """H_int = -(1/2N) <<phi, exp(D) phi>> + H0 via dense expm."""
-    op = difference_operator(g)
-    if state.n * state.N != op.shape[0]:
-        raise ValueError("state and connection dimensions disagree")
-    # imported here: scipy.linalg takes about 0.3 s to import, and only
-    # gauge-check calls this
-    from scipy.linalg import expm
-
-    v = state.phi.ravel()
-    return float(-(v @ expm(op) @ v) / (2.0 * state.N) + h0)
+    """H_int = -(1/2N) <<phi, exp(D) phi>> + H0, exp(D) phi = e^-1 exp(S) phi
+    by s steps of the degree-m Taylor polynomial of S/s (Al-Mohy and Higham,
+    SIAM J. Sci. Comput. 33, 488 (2011)).  b = max_i ||1 + G_i||_2 >= ||S||
+    is gauge-invariant; s = ceil(b / 4), and m is the least degree with
+    x^(m+1)/(m+1)! < 2^-54 at x = b/s, so each step's Taylor tail is below
+    2^-53.  Overflow raises FloatingPointError.
+    """
+    blocks = np.eye(state.N) + _connection(g, state)
+    if not np.all(np.isfinite(blocks)):
+        raise ValueError("connection must be finite")
+    b = float(np.max(np.linalg.norm(blocks, 2, axis=(1, 2))))
+    steps = max(1, math.ceil(b / _TAYLOR_THETA))
+    if steps > _MAX_TAYLOR_STEPS:
+        raise ValueError(f"connection norm {b:.6g} needs more than "
+                         f"{_MAX_TAYLOR_STEPS} Taylor steps")
+    x = b / steps
+    degree, tail = 0, x
+    while tail >= 2.0**-54:
+        degree += 1
+        tail *= x / (degree + 1)
+    v = state.phi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            term = v
+            for k in range(1, degree + 1):
+                term = _shift(term, blocks) / (k * steps)
+                v = v + term
+            if not np.all(np.isfinite(v)):
+                raise FloatingPointError(f"exp(D) phi overflows at norm {b:.6g}")
+    return float(-math.exp(-1.0) * np.vdot(state.phi, v) / (2.0 * state.N) + h0)
 
 
 def gauge_transform(state: NeuralState, g, o: GaugeTransformation):
@@ -221,16 +225,13 @@ def gauge_transform(state: NeuralState, g, o: GaugeTransformation):
     algebra), so it comes back as a plain array that every operation here
     accepts.
     """
-    gm = _connection(g)
+    gm = _connection(g, state)
     om = o.matrices
     if om.shape != gm.shape:
         raise ValueError("transformation shape does not match the connection")
-    if om.shape[0] != state.n or om.shape[1] != state.N:
-        raise ValueError("transformation shape does not match the state")
     phi2 = np.einsum("ik,imk->im", state.phi, om)
-    o_next = np.roll(om, -1, axis=0)
     eye = np.eye(state.N)
-    g2 = np.einsum("iab,ibc,idc->iad", om, eye + gm, o_next) - eye
+    g2 = om @ (eye + gm) @ np.swapaxes(np.roll(om, -1, axis=0), 1, 2) - eye
     return NeuralState(phi2), g2
 
 
@@ -375,7 +376,7 @@ def ek_comparison(n: int, N: int, beta: float, draws: int, samples: int,
                         starved=starved)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuenchedCouplings:
     """Symmetric n x n couplings and the energy offset H0."""
 
@@ -516,7 +517,7 @@ def entropy_rate(spike_history: np.ndarray, window: int) -> float:
     return plugin_entropy_rate(counts, window)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObserverTriple:
     """The (retention time, entropy rate, couplings) summary of one run."""
 

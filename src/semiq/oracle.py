@@ -181,18 +181,19 @@ def _chunk_products(chunks, cells):
     """The total propagator of each chunk, in walk order.
 
     Up to _BATCH chunks write their propagators straight into one
-    identity-padded (2, 2, rows, width) buffer, sized to the walk's cells,
-    and one pairwise reduction multiplies them all; the exact identity
-    padding leaves each product unchanged.
+    identity-padded (2, 2, _BATCH, width) buffer, and one pairwise reduction
+    multiplies them all; the exact identity padding leaves each product
+    unchanged.  A shorter walk gets all _BATCH rows too: glibc trims the heap
+    past twice the largest block it freed from mmap, so this buffer keeps
+    the walk's memory from being trimmed and faulted in again per walk.
     """
-    rows = min(_BATCH, -(-cells // _CHUNK))
-    buf = np.empty((2, 2, rows, min(_CHUNK, cells)))
+    buf = np.empty((2, 2, _BATCH, min(_CHUNK, cells)))
     filled = 0
     for _, _, h, q, x, under in chunks:
         _write_propagators(buf[:, :, filled, :h.size], h, q, x, under)
         buf[:, :, filled, h.size:] = _IDENTITY
         filled += 1
-        if filled == rows:
+        if filled == _BATCH:
             yield from np.moveaxis(products(buf), -1, 0)
             filled = 0
     if filled:

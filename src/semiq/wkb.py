@@ -77,7 +77,7 @@ def _validate(hbar, mu, j0, h0):
         raise ValueError("h0 must be non-negative and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarrierProblem:
     """Inverted-parabola barrier -J0*phi^2 + H0 with effective mass mu.
 
@@ -344,8 +344,8 @@ def current_ratio(sol: WkbSolution, bp: BarrierProblem | None = None):
 
     bp, if given, must be the solution's problem.  Both currents are
     checked against their closed-form values (|c|^2/mu outgoing,
-    exp(2*Lambda)*|c|^2/mu incoming); a deviation beyond 1e-4 means the
-    finite-difference step is too coarse and is reported as an error naming
+    exp(2*Lambda)*|c|^2/mu incoming); a deviation beyond 1e-4 (a coarse
+    step, or the rounding of phi +- h at h0 < 1e-11) is an error naming
     the first such point.  exp(2*Lambda) past the float range
     (Lambda > 354) raises FloatingPointError.  The ratio is independent of c.
     """
@@ -381,5 +381,5 @@ def current_ratio(sol: WkbSolution, bp: BarrierProblem | None = None):
             raise RuntimeError(
                 f"finite-difference {name} current off by {dev[i]:.3e} at "
                 f"point {i} (hbar={hbar[i]}, mu={mu[i]}, j0={j0[i]}, "
-                f"h0={h0[i]}) (step too coarse?)")
+                f"h0={h0[i]})")
     return _result(sol.problem, abs(j_out) / abs(j_in))

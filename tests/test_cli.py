@@ -446,11 +446,27 @@ def test_network_gauge_mode(tmp_path):
 
 
 def test_network_ek_has_no_size_ceiling(tmp_path):
-    # nN = 8192: twice the largest dense operator gauge-check assembles
+    # nN = 8192 for ek, and 4608 for gauge-check, which assembled a dense
+    # (nN) x (nN) operator up to nN = 4096 in earlier versions
     assert run_cli(["network", "--mode", "ek", "--n", "64", "--N", "128",
                     "--draws", "1", "--samples", "50"], tmp_path) == EXIT_OK
     t = read_csv(tmp_path / "network_ek.csv")
     assert math.isfinite(float(t.column("discrepancy")[0]))
+    assert run_cli(["network", "--mode", "gauge-check", "--n", "64", "--N", "72",
+                    "--draws", "1"], tmp_path) == EXIT_OK
+    t = read_csv(tmp_path / "network_gauge_check.csv")
+    assert float(t.column("abs_difference")[0]) < 1e-15
+
+
+@pytest.mark.parametrize("n, g_scale", [(4, "1e4"), (1, "1e300")])
+def test_network_gauge_out_of_range_exits_3(tmp_path, capsys, n, g_scale):
+    # exp(D) phi past the float range, and one site whose Taylor steps
+    # would grow with a norm of 1e300
+    out = tmp_path / "out"
+    assert run_cli(["network", "--mode", "gauge-check", "--n", str(n), "--N", "3",
+                    "--g-scale", g_scale, "--draws", "1"], out) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_network_rolldown_mode(tmp_path):
@@ -596,26 +612,39 @@ def test_manifest_with_unknown_key_rejected(tmp_path):
             RunConfig.from_manifest(path)
 
 
-def test_cli_import_leaves_out_scipy_stats(tmp_path):
-    # each of these takes 0.3-1.1 s to import on its own: nothing on the
-    # CLI's main path uses scipy.stats or scipy.optimize, and only
-    # gauge-check (expm) uses one of the others, not even a run with a
-    # table: potential.  Bare scipy stays, for the
-    # manifest's version key.
+def test_cli_runs_load_no_scipy(tmp_path):
+    # numpy is semiq's one run-time dependency: no subcommand or network
+    # mode loads any scipy module, not even cosmo with a table: potential,
+    # whose spline is semiq's own
     pot = tmp_path / "u.csv"
     pot.write_text("a,u\n" + "".join(f"{a!r},{4 * a * a + a**3!r}\n"
                                      for a in np.linspace(0.5, 3.0, 26).tolist()))
-    run = f"semiq.cli.main(['cosmo', '--potential', 'table:{pot}', " \
-          f"'--output-dir', '{tmp_path / 'out'}'])"
+    runs = [*MANIFEST_RUNS.values(), ["cosmo", "--potential", f"table:{pot}"]]
+    code = ("import sys, semiq.cli\n"
+            f"for i, args in enumerate({runs!r}):\n"
+            f"    out = {str(tmp_path)!r} + '/' + str(i)\n"
+            "    assert semiq.cli.main([*args, '--output-dir', out]) == 0, args\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     src = os.path.dirname(os.path.dirname(semiq.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    for step in ("", f"assert {run} == 0; "):
-        code = ("import sys, semiq.cli; " + step + "print([m for m in "
-                "('scipy.stats', 'scipy.optimize', 'scipy.integrate', "
-                "'scipy.linalg', 'scipy.interpolate') if m in sys.modules])")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env=env)
-        assert out.stdout.strip().splitlines()[-1] == "[]"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert len(os.listdir(tmp_path)) == len(runs) + 1
+
+
+def test_manifest_with_scipy_version_loads(tmp_path):
+    # manifests of earlier versions carry scipy's version next to numpy's
+    from semiq.cli import RunConfig
+
+    assert run_cli(MANIFEST_RUNS["gauge-check"], tmp_path) == EXIT_OK
+    path = tmp_path / "network.manifest.txt"
+    text = path.read_text()
+    assert "scipy" not in text
+    want = RunConfig.from_manifest(path)
+    path.write_text(text.replace("subcommand =", "scipy = 1.17.1\nsubcommand ="))
+    assert read_manifest(path)["scipy"] == "1.17.1"
+    assert RunConfig.from_manifest(path) == want
 
 
 def test_phase_leaves_out_scipy_integrate():
@@ -744,14 +773,13 @@ def test_every_parameter_is_read(tmp_path):
     ["tunnel", "--oracle", "--cap", "1.0"],            # b itself
     # b is 1.118 at the second point, after a first that would walk
     ["sweep", "--axis", "h0=0.5:2:3", "--oracle", "--cap", "1.0"],
-    ["network", "--mode", "gauge-check", "--n", "1100", "--N", "4", "--draws", "1"],
 ])
 def test_input_errors_exit_2_before_computing(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert run_cli(args, out) == EXIT_VALIDATION
     assert not out.exists()
     err = capsys.readouterr().err
-    assert ("--cap" in err and "turning point" in err) or "exceeds 4096" in err
+    assert "--cap" in err and "turning point" in err
     if args[0] == "sweep":
         assert "h0=1.25" in err
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import expm
 
 from semiq import (
     EkComparison,
@@ -9,7 +10,6 @@ from semiq import (
     NeuralState,
     QuenchedCouplings,
     covariant_difference,
-    difference_operator,
     ek_comparison,
     ek_reduced_hamiltonian,
     entropy_rate,
@@ -31,6 +31,26 @@ SEED = 1123
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 gauge_cases = [(4, 4, s) for s in range(25)] + [(8, 8, s) for s in range(25)]
+
+
+def dense_operator(g) -> np.ndarray:
+    """The reference D: a dense (nN) x (nN) matrix acting on phi.ravel()."""
+    gm = g.matrices if isinstance(g, GlialField) else np.asarray(g, dtype=float)
+    n, N = gm.shape[0], gm.shape[1]
+    op = -np.eye(n * N)
+    for i in range(n):
+        j = (i + 1) % n
+        op[i * N:(i + 1) * N, j * N:(j + 1) * N] += np.eye(N) + gm[i]
+    return op
+
+
+def dense_energy(state, g) -> tuple[float, float]:
+    """The reference H_int by dense expm, and ||expm(D) phi|| / 2N: the
+    size of the terms that H_int's inner product sums, which bounds |H_int|
+    (||phi|| = 1)."""
+    v = state.phi.ravel()
+    w = expm(dense_operator(g)) @ v
+    return float(-(v @ w) / (2.0 * state.N)), float(np.linalg.norm(w) / (2.0 * state.N))
 
 
 @pytest.mark.parametrize("n,N,seed", gauge_cases)
@@ -63,15 +83,15 @@ def test_gauge_invariance_property(n, N, seed, scale):
 @example(8, 8, 23, 2.0)
 def test_site_fourier_energy_matches_dense_expm(n, N, seed, scale):
     # the same connection at every site: the closed form against the dense
-    # exp(D) of hamiltonian_full, three states at once; the explicit even n
-    # carry the unpaired k = n/2 mode, n = 8 is the benchmark's ring
+    # exp(D), three states at once; the explicit even n carry the unpaired
+    # k = n/2 mode, n = 8 is the benchmark's ring
     rng = np.random.default_rng(seed)
     r = rng.standard_normal((N, N))
     g = scale * (r - r.T) / 2.0
     x = rng.standard_normal((3, n, N))
     x /= np.linalg.norm(x, axis=(1, 2), keepdims=True)
     field = GlialField(np.broadcast_to(g, (n, N, N)).copy())
-    dense = [hamiltonian_full(NeuralState(phi), field) for phi in x]
+    dense = [dense_energy(NeuralState(phi), field)[0] for phi in x]
     lam, v = np.linalg.eigh(1j * g)
     assert _uniform_ring_energies(x, lam, v) == pytest.approx(dense, rel=1e-12)
     if n == 1:
@@ -79,14 +99,54 @@ def test_site_fourier_energy_matches_dense_expm(n, N, seed, scale):
         assert reduced == pytest.approx(dense, rel=1e-12)
 
 
+@PROPERTY
+@given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 3.0))
+@example(16, 16, 0, 3.0)
+@example(15, 6, 3477905859, 2.6075811465740446)
+def test_hamiltonian_full_matches_dense_expm(n, N, seed, scale):
+    # block-shift Taylor steps against the dense expm, nN <= 256.  The bound
+    # is relative to the terms' size, not to |H_int|: where they cancel
+    # (the second example, |H_int| = 3e-4 of them), both methods are
+    # about 3e-13 of |H_int| from the exact value
+    state = NeuralState.random(n, N, seed=seed)
+    g = GlialField.random(n, N, seed=seed + 1, scale=scale)
+    want, size = dense_energy(state, g)
+    assert abs(hamiltonian_full(state, g) - want) <= 1e-13 * size
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(1, 2, 0)
+@example(2, 4, 2379560412)
+def test_hamiltonian_full_at_large_norm(n, N, seed):
+    # g_scale 30, where exp(S) grows to 1e24 of phi.  Dense expm itself is
+    # off there by up to 2.4e-12 of the terms' size (1.4e-12 in the second
+    # example), so it bounds the Taylor steps at 1e-11; the site-Fourier
+    # closed form of a uniform connection bounds them at 1e-13
+    state = NeuralState.random(n, N, seed=seed)
+    g = GlialField.random(n, N, seed=seed + 1, scale=30.0)
+    want, size = dense_energy(state, g)
+    assert abs(hamiltonian_full(state, g) - want) <= 1e-11 * size
+    uniform = GlialField(np.broadcast_to(g.matrices[0], (n, N, N)).copy())
+    lam, v = np.linalg.eigh(1j * g.matrices[0])
+    want = _uniform_ring_energies(state.phi[None], lam, v)[0]
+    size = dense_energy(state, uniform)[1]
+    assert abs(hamiltonian_full(state, uniform) - want) <= 1e-13 * size
+
+
 def test_difference_operator_conjugates():
+    # the gauge rule makes the reference D conjugate, D' = O D O^T, and
+    # that D is the covariant difference
     n, N = 6, 3
     state = NeuralState.random(n, N, seed=5)
     g = GlialField.random(n, N, seed=6, scale=0.4)
     o = GaugeTransformation.random(n, N, seed=7)
-    d1 = difference_operator(g)
+    d1 = dense_operator(g)
+    np.testing.assert_allclose(covariant_difference(state, g).ravel(),
+                               d1 @ state.phi.ravel(), rtol=0, atol=1e-15)
     _, g2 = gauge_transform(state, g, o)
-    d2 = difference_operator(g2)
+    d2 = dense_operator(g2)
     ohat = np.zeros((n * N, n * N))
     for i in range(n):
         ohat[i * N:(i + 1) * N, i * N:(i + 1) * N] = o.matrices[i]
@@ -314,6 +374,34 @@ def test_gauge_transformation_orthogonality():
         assert np.max(np.abs(m @ m.T - np.eye(4))) < 1e-12
     o1 = GaugeTransformation.random(4, 1, seed=3)
     assert set(np.unique(o1.matrices)) <= {-1.0, 1.0}
+
+
+def test_gauge_transformation_names_first_bad_site():
+    o = GaugeTransformation.random(5, 3, seed=2).matrices.copy()
+    o[4, 0, 0] = 2.0
+    o[2] *= 1.0 + 1e-11
+    with pytest.raises(ValueError, match="site 2 is not orthogonal"):
+        GaugeTransformation(o)
+    o[2] = np.nan
+    with pytest.raises(ValueError, match="site 2 is not orthogonal"):
+        GaugeTransformation(o)
+
+
+def test_hamiltonian_full_refusals():
+    state = NeuralState.random(3, 2, seed=0)
+    for g in (GlialField.random(3, 3, seed=1), np.zeros((2, 2, 2)), np.zeros((3, 2))):
+        for f in (hamiltonian_full, covariant_difference):
+            with pytest.raises(ValueError, match="does not match the state"):
+                f(state, g)
+    with pytest.raises(ValueError, match="finite"):
+        hamiltonian_full(state, np.full((3, 2, 2), np.inf))
+    # exp(S) phi past the float range at norm 4917
+    with pytest.raises(FloatingPointError, match="overflows"):
+        hamiltonian_full(state, GlialField.random(3, 2, seed=1, scale=1e4))
+    # one site never overflows, and its steps grow with the norm
+    with pytest.raises(ValueError, match="more than 10000 Taylor steps"):
+        hamiltonian_full(NeuralState.random(1, 2, seed=0),
+                         GlialField.random(1, 2, seed=1, scale=1e6))
 
 
 def test_gauge_transformation_is_scipy_haar_draw():

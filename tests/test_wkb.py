@@ -316,7 +316,7 @@ def test_failing_current_names_its_point(monkeypatch):
     monkeypatch.setattr(wkb, "CURRENT_REL_STEP", 0.026)
     bars = BarrierProblem(hbar=[2.0, 0.05, 0.3], mu=1.0, j0=1.0, h0=1.0)
     with pytest.raises(RuntimeError, match=r"current off by .* at point 1 "
-                                           r"\(hbar=0\.05, mu=1\.0, j0=1\.0, h0=1\.0\)"):
+                                           r"\(hbar=0\.05, mu=1\.0, j0=1\.0, h0=1\.0\)$"):
         current_ratio(solve_barrier(bars))
 
 
