@@ -365,10 +365,9 @@ def _run_clock(cfg: RunConfig):
     else:
         traj = clock.evolve_analytic(system, model, p["steps"])
 
-    # pairs i < j in row-major order, one row per (step, pair)
-    iu, ju = np.triu_indices(traj.dim, k=1)
-    labels = [f"{i}-{j}" for i, j in zip(iu, ju)]
-    coherence = np.abs(traj.rhos[:, iu, ju])
+    # one row per (step, pair), pairs i < j in row-major order
+    labels = [f"{i}-{j}" for i, j in traj.pairs]
+    coherence = traj.coherences
     event_steps = np.array([k for k, _t in traj.event_log], dtype=int)
     events_at = np.cumsum(np.bincount(event_steps, minlength=traj.steps + 1))
     t_traj = ResultTable({
@@ -606,6 +605,28 @@ _NETWORK_MODES = {
 # --------------------------------------------------------------------------
 # cosmo
 
+def _read_table(path: str, kind: str, columns: tuple) -> dict:
+    """The named columns of a --potential or --matter CSV table as float
+    arrays, in the order given; the first is a, which must strictly
+    increase.  Every cell must be finite."""
+    try:
+        tab = read_csv(path)
+        cols = {k: np.asarray(tab.column(k), dtype=float) for k in columns}
+    except OSError as exc:
+        raise ValidationError(f"cannot read {kind} table: {exc}") from None
+    except (KeyError, ValueError) as exc:
+        raise ValidationError(f"{path}: {kind} table needs numeric columns "
+                              f"{','.join(columns)} ({exc})") from None
+    for k, v in cols.items():
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValidationError(f"{path}: column {k} is not finite in "
+                                  f"data row {bad[0] + 1}")
+    if cols["a"].size < 2 or np.any(np.diff(cols["a"]) <= 0):
+        raise ValidationError(f"{path}: column a must be strictly increasing")
+    return cols
+
+
 def _parse_potential(spec: str):
     kind, _, arg = spec.partition(":")
     if kind == "quadratic":
@@ -621,16 +642,7 @@ def _parse_potential(spec: str):
     if kind == "table":
         if not arg:
             raise ValidationError("table potential needs a file path")
-        try:
-            tab = read_csv(arg)
-            a_vals, u_vals = (np.asarray(tab.column(k), dtype=float) for k in "au")
-        except OSError as exc:
-            raise ValidationError(f"cannot read potential table: {exc}") from None
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(f"{arg}: potential table needs numeric "
-                                  f"columns a,u ({exc})") from None
-        if a_vals.size < 2 or np.any(np.diff(a_vals) <= 0):
-            raise ValidationError(f"{arg}: column a must be strictly increasing")
+        a_vals, u_vals = _read_table(arg, "potential", ("a", "u")).values()
         if np.any(u_vals <= 0):
             raise ValidationError(f"{arg}: potential values must be positive")
 
@@ -734,21 +746,9 @@ def _parse_matter(spec: str):
     if kind == "file":
         if not arg:
             raise ValidationError("matter file needs a path")
-        try:
-            tab = read_csv(arg)
-            cols = {k: np.asarray(tab.column(k), dtype=float)
-                    for k in ("a", "h00", "h01re", "h01im", "h11")}
-        except OSError as exc:
-            raise ValidationError(f"cannot read matter table: {exc}") from None
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(
-                f"{arg}: matter table needs numeric columns "
-                f"a,h00,h01re,h01im,h11 ({exc})") from None
-        a_vals = cols["a"]
-        if a_vals.size < 2 or np.any(np.diff(a_vals) <= 0):
-            raise ValidationError(f"{arg}: column a must be strictly increasing")
+        cols = _read_table(arg, "matter", ("a", "h00", "h01re", "h01im", "h11"))
 
-        def h_of(a, _c=cols, _a=a_vals):
+        def h_of(a, _c=cols, _a=cols["a"]):
             h = np.empty(np.shape(a) + (2, 2), dtype=complex)
             h[..., 0, 0] = np.interp(a, _a, _c["h00"])
             h[..., 1, 1] = np.interp(a, _a, _c["h11"])

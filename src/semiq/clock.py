@@ -145,11 +145,13 @@ class QuantumSystem:
         d = energies.size
         if rho.shape != (d, d):
             raise ValueError(f"density matrix must be {d}x{d}")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        # each check written as not (dev <= tol), so that NaN fails it
+        if not (np.max(np.abs(rho - rho.conj().T)) <= 1e-12):
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
+        tr = np.trace(rho)
+        if not (abs(tr.real - 1.0) <= 1e-12 and abs(tr.imag) <= 1e-12):
             raise ValueError("density matrix must have unit trace")
-        if np.min(np.linalg.eigvalsh(rho)) < -1e-12:
+        if not (np.min(np.linalg.eigvalsh(rho)) >= -1e-12):
             raise ValueError("density matrix must be positive semidefinite")
         self.energies = energies
         self.hbar = float(hbar)
@@ -177,7 +179,10 @@ class CoherenceTrajectory:
 
     ``times[k]`` is the expected physical time after k ticks and
     ``event_log`` lists every tick at which non-unitary damping acted
-    (all of them when sigma > 0, none when sigma = 0).
+    (all of them when sigma > 0, none when sigma = 0).  ``pairs`` lists
+    every (i, j) with i < j in row-major order, and ``coherences[k, p]``
+    is |rho_ij(k)| of pairs[p], shape (steps+1, len(pairs)): computed once
+    here, and read by every coherence summary.
     """
 
     def __init__(self, rhos: np.ndarray, times: np.ndarray,
@@ -185,7 +190,8 @@ class CoherenceTrajectory:
                  event_log: list[tuple[int, float]]):
         rhos = np.asarray(rhos, dtype=complex)
         tr = np.trace(rhos, axis1=1, axis2=2)
-        bad = np.flatnonzero((np.abs(tr.real - 1.0) > 1e-12) | (np.abs(tr.imag) > 1e-12))
+        bad = np.flatnonzero(~((np.abs(tr.real - 1.0) <= 1e-12)
+                               & (np.abs(tr.imag) <= 1e-12)))
         if bad.size:
             raise ValueError(f"trace not preserved at step {bad[0]}: {tr[bad[0]]}")
         self.rhos = rhos
@@ -193,6 +199,9 @@ class CoherenceTrajectory:
         self.mean_increments = np.asarray(mean_increments, dtype=float)
         self.sigma = float(sigma)
         self.event_log = list(event_log)
+        iu, ju = np.triu_indices(rhos.shape[1], k=1)
+        self.pairs = list(zip(iu.tolist(), ju.tolist()))
+        self.coherences = np.abs(rhos[:, iu, ju])
 
     @property
     def steps(self) -> int:
@@ -208,20 +217,16 @@ class CoherenceTrajectory:
         return np.real(np.einsum("kii->ki", self.rhos))
 
     def coherence_magnitudes(self) -> dict[tuple[int, int], np.ndarray]:
-        """Map (i, j), i < j, to the |rho_ij| history."""
-        out = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                out[(i, j)] = np.abs(self.rhos[:, i, j])
-        return out
+        """Map (i, j), i < j, to the |rho_ij| history (a view of coherences)."""
+        return dict(zip(self.pairs, self.coherences.T))
 
     def dominant_pair(self) -> tuple[int, int]:
-        """Index pair with the largest initial coherence."""
-        mags = {p: m[0] for p, m in self.coherence_magnitudes().items()}
-        best = max(mags.values())
-        if best == 0.0:
+        """Index pair with the largest initial coherence, the first in
+        row-major order on a tie."""
+        start = self.coherences[0]
+        if not np.any(start > 0.0):
             raise ValueError("trajectory has no nonzero initial coherence")
-        return min(p for p, m in mags.items() if m == best)
+        return self.pairs[int(np.argmax(start))]
 
     def step_factors(self, pair: tuple[int, int] | None = None) -> np.ndarray:
         """Complex per-step multipliers rho_ij(k+1)/rho_ij(k) for one pair."""
@@ -241,16 +246,17 @@ class CoherenceTrajectory:
 
     def max_coherence_ratio(self) -> np.ndarray:
         """max_ij |rho_ij(k)| / |rho_ij(0)| over pairs with nonzero start."""
-        mags = self.coherence_magnitudes()
-        ratios = [m / m[0] for m in mags.values() if m[0] > 0.0]
-        if not ratios:
+        start = self.coherences[0]
+        live = start > 0.0
+        if not np.any(live):
             raise ValueError("trajectory has no nonzero initial coherence")
-        return np.max(ratios, axis=0)
+        return np.max(self.coherences[:, live] / start[live], axis=1)
 
 
-def _trajectory(rhos: np.ndarray, mus: np.ndarray, sigma: float) -> CoherenceTrajectory:
-    """Trajectory of the stack rhos[k] after k ticks of mean increments mus."""
-    times = np.concatenate(([0.0], np.cumsum(mus)))
+def _trajectory(rhos: np.ndarray, times: np.ndarray, mus: np.ndarray,
+                sigma: float) -> CoherenceTrajectory:
+    """Trajectory of the stack rhos[k] after k ticks of mean increments mus,
+    at times[k] = mus[0] + ... + mus[k-1]."""
     events = list(enumerate(times[1:].tolist(), 1)) if sigma > 0.0 else []
     return CoherenceTrajectory(rhos, times, mus, sigma, events)
 
@@ -265,14 +271,15 @@ def evolve_analytic(system: QuantumSystem, clock: ClockModel,
     error stays a few ulps times (1 + the damping exponent) at any k.
     """
     mus = clock.means(steps)
+    times = np.concatenate(([0.0], np.cumsum(mus)))
     w = system.omegas()
     # the phase -1j*w*T_k has a zero real part, which takes the damping
-    expo = np.multiply.outer(np.concatenate(([0.0], np.cumsum(mus))), -1j * w)
+    expo = np.multiply.outer(times, -1j * w)
     expo.real = np.multiply.outer(np.arange(steps + 1),
                                   -0.5 * w**2 * clock.fluctuation_std**2)
     rhos = np.exp(expo, out=expo)
     rhos *= system.initial_density
-    return _trajectory(rhos, mus, clock.fluctuation_std)
+    return _trajectory(rhos, times, mus, clock.fluctuation_std)
 
 
 def evolve_monte_carlo(system: QuantumSystem, clock: ClockModel, steps: int,
@@ -299,7 +306,8 @@ def evolve_monte_carlo(system: QuantumSystem, clock: ClockModel, steps: int,
         stack[k] = (f @ f.conj().T) / samples
     diag = np.arange(system.dim)
     stack[1:, diag, diag] = 1.0    # populations are exactly preserved
-    return _trajectory(np.cumprod(stack, axis=0, out=stack), mus, sigma)
+    return _trajectory(np.cumprod(stack, axis=0, out=stack),
+                       np.concatenate(([0.0], np.cumsum(mus))), mus, sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,6 +352,9 @@ class QuantumClassRecord:
 def retention_time(traj: CoherenceTrajectory,
                    threshold: float = DEFAULT_THRESHOLD) -> QuantumClassRecord:
     """First step at which the largest coherence ratio falls to the threshold.
+
+    The ratio is traj.max_coherence_ratio(), read from the trajectory's
+    ``coherences``; the damping profile is that of its dominant pair.
 
     The comparison allows a 1e-9 relative slack so that a ratio landing on
     the threshold exactly (up to roundoff) counts as crossed.  If the

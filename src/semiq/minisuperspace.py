@@ -35,7 +35,6 @@ from .scan import suffix_products
 
 __all__ = [
     "MiniSuperspaceModel",
-    "SemiclassicalBranch",
     "ClockMap",
     "MatterTrajectory",
     "ResidualReport",
@@ -43,7 +42,6 @@ __all__ = [
     "amplitude_transport",
     "clock_map",
     "evolve_matter",
-    "build_branch",
     "wdw_residual",
 ]
 
@@ -74,10 +72,6 @@ class MiniSuperspaceModel:
 
     def u(self, a):
         return self.potential_u(a)
-
-    def matter_at(self, a: float) -> np.ndarray:
-        h = np.asarray(self.matter_hamiltonian(a), dtype=complex)
-        return _check_hermitian(h[None])[0]
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
@@ -482,38 +476,6 @@ def evolve_matter(model: MiniSuperspaceModel, clock: ClockMap,
                            "propagator lost unitarity")
     return MatterTrajectory(t_grid=t, a_values=a_vals, chis=chis, norms=norms,
                             max_norm_drift=float(np.max(np.abs(norms - norm0))))
-
-
-@dataclass
-class SemiclassicalBranch:
-    """Assembled (S, A, clock) data of one Lorentzian branch."""
-
-    model: MiniSuperspaceModel
-    a_grid: np.ndarray
-    s: np.ndarray
-    amplitude: np.ndarray
-    clock: ClockMap | None = None
-    matter: MatterTrajectory | None = None
-
-
-def build_branch(model: MiniSuperspaceModel, a_grid: np.ndarray,
-                 t_span: tuple[float, float] | None = None,
-                 chi0: np.ndarray | None = None,
-                 matter_steps: int = 2000) -> SemiclassicalBranch:
-    """Convenience pipeline: phase, amplitude, and optionally clock+matter."""
-    a = np.asarray(a_grid, dtype=float)
-    s = hamilton_jacobi_phase(model, a)
-    amp = amplitude_transport(a, s)
-    clock = None
-    matter = None
-    if t_span is not None:
-        clock = clock_map(model, float(a[0]), t_span, a_max=float(a[-1]))
-        if chi0 is not None and model.matter_hamiltonian is not None:
-            t_end = clock.truncated_at if clock.truncated_at is not None else t_span[1]
-            t_grid = np.linspace(t_span[0], t_end, matter_steps + 1)
-            matter = evolve_matter(model, clock, chi0, t_grid)
-    return SemiclassicalBranch(model=model, a_grid=a, s=s, amplitude=amp,
-                               clock=clock, matter=matter)
 
 
 #: uniform points on which wdw_residual samples U and its derivatives

@@ -95,11 +95,6 @@ class NeuralState:
     def N(self) -> int:
         return self.phi.shape[1]
 
-    @property
-    def spikes(self) -> np.ndarray:
-        """+1 where phi > 0 (a spike), -1 elsewhere."""
-        return np.where(self.phi > 0.0, 1, -1)
-
     @staticmethod
     def random(n: int, N: int, seed: int) -> "NeuralState":
         rng = np.random.default_rng(seed)
@@ -114,7 +109,7 @@ class GlialField:
         g = np.asarray(matrices, dtype=float)
         if g.ndim != 3 or g.shape[1] != g.shape[2]:
             raise ValueError("expected shape (n, N, N)")
-        if np.max(np.abs(g + np.transpose(g, (0, 2, 1)))) > 1e-12:
+        if not (np.max(np.abs(g + np.transpose(g, (0, 2, 1)))) <= 1e-12):
             raise ValueError("connection matrices must be antisymmetric")
         self.matrices = g
 
@@ -290,9 +285,9 @@ def ek_reduced_hamiltonian(phi: np.ndarray, g: np.ndarray, h0: float = 0.0) -> f
     g = np.asarray(g, dtype=float)
     if phi.ndim != 1 or g.shape != (phi.size, phi.size):
         raise ValueError("expected a length-N vector and an N x N matrix")
-    if np.max(np.abs(g + g.T)) > 1e-12:
+    if not (np.max(np.abs(g + g.T)) <= 1e-12):
         raise ValueError("connection matrix must be antisymmetric")
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-9:
+    if not (abs(np.linalg.norm(phi) - 1.0) <= 1e-9):
         raise ValueError("phi must be a unit vector")
     lam, v = np.linalg.eigh(1j * g)
     return float(_uniform_ring_energies(phi[None, None, :], lam, v)[0] + h0)
@@ -339,7 +334,8 @@ def ek_comparison(n: int, N: int, beta: float, draws: int, samples: int,
     uniform samples of the relevant unit spheres, so beta = 0 gives
     log Z = 0 on both sides identically.  H0 is omitted: it would add
     -beta*H0 to one side and -beta*H0/n to the other and obscure the
-    comparison.
+    comparison.  A draw whose energies or log Z are not finite (exp(D) or
+    exp(-beta*H) past the float range) raises FloatingPointError.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -355,15 +351,20 @@ def ek_comparison(n: int, N: int, beta: float, draws: int, samples: int,
         lam, v = np.linalg.eigh(1j * g)     # shared by ring and reduction
         x = rng.standard_normal((samples, n * N))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        e_full = _uniform_ring_energies(x.reshape(samples, n, N), lam, v)
         y = rng.standard_normal((samples, N))
         y /= np.linalg.norm(y, axis=1, keepdims=True)
-        e_red = _uniform_ring_energies(y[:, None, :], lam, v)
-
-        lz_full, se_full = _log_mean_exp(-beta * e_full)
-        lz_red, se_red = _log_mean_exp(-beta * e_red)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_full = _uniform_ring_energies(x.reshape(samples, n, N), lam, v)
+            e_red = _uniform_ring_energies(y[:, None, :], lam, v)
+            lz_full, se_full = _log_mean_exp(-beta * e_full)
+            lz_red, se_red = _log_mean_exp(-beta * e_red)
         disc[d] = lz_full / n - lz_red
         ses[d] = math.hypot(se_full / n, se_red)
+        if not (np.all(np.isfinite(e_full)) and np.all(np.isfinite(e_red))
+                and math.isfinite(disc[d] + ses[d])):
+            raise FloatingPointError(
+                f"draw {d} overflows: exp(D) at g_scale {g_scale:.6g} or "
+                f"exp(-beta*H) at beta {beta:.6g}")
 
     med = _median(np.abs(disc))
     se = _median(ses)
@@ -403,7 +404,7 @@ def hamiltonian_quenched(phi: np.ndarray, couplings: QuenchedCouplings) -> float
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (couplings.n,):
         raise ValueError("phi must be a length-n vector")
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-9:
+    if not (abs(np.linalg.norm(phi) - 1.0) <= 1e-9):
         raise ValueError("phi must be a unit vector")
     return float(-0.5 * (phi @ couplings.J @ phi) + couplings.H0)
 
@@ -531,44 +532,6 @@ class ObserverTriple:
     def is_trivial(self) -> bool:
         """Retention at or below one step: effectively classical."""
         return self.retention_steps is not None and self.retention_steps <= 1
-
-    def to_rows(self) -> tuple[list[str], list[tuple]]:
-        """Flat (columns, rows) form that round-trips through 17-digit CSV."""
-        n = self.couplings.n
-        cols = ["field", "index", "value"]
-        rows: list[tuple] = [
-            ("tau", 0, math.nan if self.tau is None else self.tau),
-            ("retention_steps", 0,
-             -1 if self.retention_steps is None else self.retention_steps),
-            ("entropy_bits_per_step", 0, self.entropy_bits_per_step),
-            ("h0", 0, self.couplings.H0),
-            ("n", 0, n),
-        ]
-        rows += [("order_parameter", i, float(v))
-                 for i, v in enumerate(self.order_parameter)]
-        rows += [("J", i * n + j, float(self.couplings.J[i, j]))
-                 for i in range(n) for j in range(n)]
-        return cols, rows
-
-    @staticmethod
-    def from_rows(rows) -> "ObserverTriple":
-        by_field: dict[str, dict[int, float]] = {}
-        for name, idx, val in rows:
-            by_field.setdefault(name, {})[int(idx)] = float(val)
-        n = int(by_field["n"][0])
-        j = np.empty((n, n))
-        for flat, v in by_field["J"].items():
-            j[flat // n, flat % n] = v
-        order = np.array([by_field["order_parameter"][i] for i in range(n)])
-        tau = by_field["tau"][0]
-        steps = int(by_field["retention_steps"][0])
-        return ObserverTriple(
-            tau=None if math.isnan(tau) else tau,
-            retention_steps=None if steps < 0 else steps,
-            entropy_bits_per_step=by_field["entropy_bits_per_step"][0],
-            couplings=QuenchedCouplings(j, by_field["h0"][0]),
-            order_parameter=order,
-        )
 
 
 def observer_triple(record, spike_history: np.ndarray,

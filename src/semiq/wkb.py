@@ -27,14 +27,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import quadrature
 
 __all__ = [
-    "BarrierProblem", "Momenta", "WkbSolution", "turning_points", "momenta",
+    "BarrierProblem", "WkbSolution", "turning_points",
     "barrier_exponent_closed", "barrier_exponent", "activation_rate",
     "solve_barrier", "wkb_wavefunction", "current_ratio",
 ]
@@ -121,33 +120,11 @@ def _result(bp: BarrierProblem, values, kind=float):
     return kind(values[0]) if np.ndim(bp.hbar) == 0 else values
 
 
-class Momenta(NamedTuple):
-    """Local momenta; the one undefined in the region at hand is None."""
-
-    p: float | None      # classically allowed, sqrt(-2*mu*H_int)
-    rho: float | None    # under the barrier, sqrt(+2*mu*H_int)
-
-
 def turning_points(bp: BarrierProblem):
     """Return (a, b) with a = -sqrt(h0/j0), b = +sqrt(h0/j0)."""
     _, _, j0, h0 = _columns(bp)
     b = _result(bp, np.sqrt(h0 / j0))
     return -b, b
-
-
-def momenta(bp: BarrierProblem, phi: float) -> Momenta:
-    """Local momentum magnitudes at phi, for a one-point problem.
-
-    Outside the barrier H_int < 0 and p = sqrt(-2*mu*H_int) is real while
-    rho is undefined; under the barrier the roles swap.  At a turning point
-    both vanish.
-    """
-    h = bp.interaction_energy(phi)
-    if h == 0.0:
-        return Momenta(0.0, 0.0)
-    if h < 0.0:
-        return Momenta(math.sqrt(-2.0 * bp.mu * h), None)
-    return Momenta(None, math.sqrt(2.0 * bp.mu * h))
 
 
 def _qk21_nodes():

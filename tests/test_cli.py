@@ -433,7 +433,35 @@ def test_cosmo_rejects_non_finite_matter_table(tmp_path):
         for a in grid))
     out = tmp_path / "out"
     assert main(["cosmo", "--matter", f"file:{mat}", "--t-max", "0.2",
-                 "--t-points", "21", "--output-dir", str(out)]) == EXIT_NUMERICAL
+                 "--t-points", "21", "--output-dir", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+#: one valid row per kind of input table, by column
+INPUT_ROWS = {"table": {"a": None, "u": "4"},
+              "file": {"a": None, "h00": "0.5", "h01re": "0.1", "h01im": "0",
+                       "h11": "-0.5"}}
+
+
+@pytest.mark.parametrize("kind, column", [("table", "a"), ("table", "u"),
+                                          ("file", "a"), ("file", "h00")])
+def test_cosmo_input_tables_refuse_non_finite_cells(tmp_path, capsys, kind,
+                                                    column):
+    # one cell of the named column is nan: a <= comparison is False for
+    # nan, so only an explicit finiteness check refuses it
+    cells = INPUT_ROWS[kind]
+    rows = [{**cells, "a": repr(0.5 + 0.25 * k)} for k in range(21)]
+    rows[6][column] = "nan"
+    path = tmp_path / "in.csv"
+    path.write_text(",".join(cells) + "\n"
+                    + "".join(",".join(r.values()) + "\n" for r in rows))
+    spec = (["--potential", f"table:{path}"] if kind == "table"
+            else ["--matter", f"file:{path}"])
+    out = tmp_path / "out"
+    assert main(["cosmo", *spec, "--t-max", "0.2", "--t-points", "21",
+                 "--output-dir", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(path) in err and f"column {column} is not finite" in err
     assert not out.exists()
 
 
@@ -466,6 +494,17 @@ def test_network_gauge_out_of_range_exits_3(tmp_path, capsys, n, g_scale):
     assert run_cli(["network", "--mode", "gauge-check", "--n", str(n), "--N", "3",
                     "--g-scale", g_scale, "--draws", "1"], out) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--g-scale", "1000"], ["--g-scale", "1e300"],
+                                   ["--g-scale", "30", "--beta", "1e300"]])
+def test_network_ek_overflow_exits_3(tmp_path, capsys, flags):
+    # exp(D), or exp(-beta*H), past the float range in one draw
+    out = tmp_path / "out"
+    assert run_cli(["network", "--mode", "ek", "--n", "3", "--N", "4",
+                    "--draws", "2", "--samples", "10", *flags], out) == EXIT_NUMERICAL
+    assert "overflows" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -257,6 +257,38 @@ def test_dominant_pair_three_levels():
     assert traj.dominant_pair() == (0, 1)
 
 
+def test_pair_coherences_in_row_major_order():
+    amps = np.sqrt([0.1, 0.3, 0.3, 0.3]).astype(complex)
+    system = QuantumSystem([0.0, 1.0, 2.5, 4.0], 1.0, np.outer(amps, amps.conj()))
+    traj = evolve_analytic(system, ClockModel(1.0, 0.1), steps=5)
+    assert traj.pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert traj.coherences.shape == (6, 6)
+    mags = traj.coherence_magnitudes()
+    assert list(mags) == traj.pairs
+    for p, (i, j) in enumerate(traj.pairs):
+        assert np.array_equal(traj.coherences[:, p], np.abs(traj.rhos[:, i, j]))
+        assert np.array_equal(mags[(i, j)], traj.coherences[:, p])
+    # three pairs tie at the largest start; the first in row-major order wins
+    assert traj.dominant_pair() == (1, 2)
+
+
+def test_coherence_ratio_skips_pairs_without_coherence():
+    # levels 0 and 1 in superposition, level 2 mixed in incoherently: the
+    # pairs (0, 2) and (1, 2) start at zero and take no part in the ratio
+    psi = np.array([math.sqrt(0.5), math.sqrt(0.5), 0.0], dtype=complex)
+    rho = 0.6 * np.outer(psi, psi.conj()) + np.diag([0.0, 0.0, 0.4])
+    traj = evolve_analytic(QuantumSystem([0.0, 1.0, 3.0], 1.0, rho),
+                           ClockModel(1.0, 0.1), steps=20)
+    series = np.abs(traj.rhos[:, 0, 1])
+    assert np.array_equal(traj.max_coherence_ratio(), series / series[0])
+    assert traj.dominant_pair() == (0, 1)
+    mixed = evolve_analytic(QuantumSystem([0.0, 1.0], 1.0, np.diag([0.5, 0.5])),
+                            ClockModel(1.0, 0.1), steps=3)
+    for summary in (mixed.max_coherence_ratio, mixed.dominant_pair):
+        with pytest.raises(ValueError, match="no nonzero initial coherence"):
+            summary()
+
+
 # --------------------------------------------------------------------------
 # properties
 

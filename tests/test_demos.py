@@ -16,6 +16,7 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 def test_demo_runs(tmp_path, script):
     src = os.path.dirname(os.path.dirname(semiq.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+    # -W error: a RuntimeWarning fails a demo as filterwarnings fails a test
+    out = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=tmp_path,
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr

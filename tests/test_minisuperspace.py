@@ -13,7 +13,6 @@ from scipy.interpolate import CubicSpline
 from semiq import (
     MiniSuperspaceModel,
     amplitude_transport,
-    build_branch,
     clock_map,
     evolve_matter,
     hamilton_jacobi_phase,
@@ -450,24 +449,12 @@ def test_wdw_residual_plane_wave_exact():
     assert math.isnan(rep.slope)
 
 
-def test_build_branch_assembles():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # clock may truncate at a_grid end
-        branch = build_branch(quad_model(matter_hamiltonian=two_level),
-                              np.linspace(1.0, 4.0, 257),
-                              t_span=(0.0, 0.5),
-                              chi0=np.array([1.0, 0.0], dtype=complex))
-    assert branch.s[0] == 0.0
-    assert branch.amplitude[0] == 1.0
-    assert branch.matter is not None
-    assert branch.clock(0.0) == pytest.approx(1.0)
-
-
 def test_matter_hermiticity_checked():
     bad = lambda a: np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     m = quad_model(matter_hamiltonian=bad)
-    with pytest.raises(ValueError):
-        m.matter_at(1.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve_matter(m, clock_map(m, 1.0, (0.0, 0.1)),
+                      np.array([1.0, 0.0], dtype=complex), np.linspace(0.0, 0.1, 5))
 
 
 def test_matter_matches_per_step_reference():

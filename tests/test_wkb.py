@@ -17,7 +17,6 @@ from semiq import (
     barrier_exponent,
     barrier_exponent_closed,
     current_ratio,
-    momenta,
     solve_barrier,
     turning_points,
     wkb_wavefunction,
@@ -66,14 +65,13 @@ def test_turning_points_and_momenta():
     bp = BarrierProblem(hbar=1.0, mu=1.0, j0=4.0, h0=1.0)
     a, b = turning_points(bp)
     assert (a, b) == (-0.5, 0.5)
-    outside = momenta(bp, 2.0)
-    assert outside.rho is None
-    assert outside.p == pytest.approx(math.sqrt(2 * (4 * 4.0 - 1.0)))
-    inside = momenta(bp, 0.0)
-    assert inside.p is None
-    assert inside.rho == pytest.approx(math.sqrt(2.0))
-    at_tp = momenta(bp, 0.5)
-    assert (at_tp.p, at_tp.rho) == (0.0, 0.0)
+    # the local momenta p outside and rho inside, sqrt(-+2*mu*H_int), come
+    # with the actions; k = sqrt(2*mu*j0)
+    k = math.sqrt(2.0 * 1.0 * 4.0)
+    assert _allowed_action(2.0, b, k)[1] == pytest.approx(math.sqrt(2 * (4 * 4.0 - 1.0)))
+    assert _forbidden_action(0.0, b, k)[1] == pytest.approx(math.sqrt(2.0))
+    assert _allowed_action(b, b, k)[1] == 0.0
+    assert _forbidden_action(b, b, k)[1] == 0.0
 
 
 def test_wavefunction_regions_and_exclusion_zone():
