@@ -30,7 +30,11 @@ gives the ring energies and, as the n = 1 case, the reduced ones.  The
 samples are real, so site modes k and n - k contribute complex-conjugate
 terms and only the n//2 + 1 modes k <= n/2 are evaluated, by real matrix
 products: about samples (n//2 + 1) (2nN + 4N^2) multiply-adds plus the
-O(N^3) eigendecomposition, with no (nN) x (nN) matrix.
+O(N^3) eigendecomposition, with no (nN) x (nN) matrix.  Each draw samples
+its spheres a fixed number of rows at a time, so memory does not grow with
+the samples, and the independent draws run on up to two threads with
+numpy's OpenBLAS held at one thread; the results do not depend on the
+number of threads.
 
 The quenched Hopfield limit keeps an n x n coupling matrix J and the
 energy -(1/2) <phi, J phi> + H0 on unit n-vectors.
@@ -38,7 +42,10 @@ energy -(1/2) <phi, J phi> + H0 on unit n-vectors.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -71,6 +78,13 @@ __all__ = [
 #: an exp(S) phi that never overflows (one site) takes time in proportion to b
 _TAYLOR_THETA = 4.0
 _MAX_TAYLOR_STEPS = 10_000
+
+#: rows of sphere samples that ek_comparison draws and evaluates at a time.
+#: A product's last bits depend on how BLAS splits its rows, so this is a
+#: constant.  A multiple of 4, it puts each row in the same kernel of
+#: OpenBLAS's four-rows-at-a-time matrix-vector product as one product of all
+#: the samples does, which keeps the bytes of the golden and benchmark runs.
+_EK_ROWS = 128
 
 
 class NeuralState:
@@ -324,6 +338,76 @@ def _median(x: np.ndarray) -> float:
     return float(s[mid] if s.size % 2 else 0.5 * (s[mid - 1] + s[mid]))
 
 
+def _sphere_energies(rng: np.random.Generator, samples: int, n: int, N: int,
+                     lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """_uniform_ring_energies of `samples` uniform unit vectors of R^(nN)
+    from rng, taken as (n, N) ring states.  The vectors are drawn,
+    normalised and evaluated _EK_ROWS rows at a time, so that only the
+    energies are held whole."""
+    energy = np.empty(samples)
+    for start in range(0, samples, _EK_ROWS):
+        rows = min(_EK_ROWS, samples - start)
+        x = rng.standard_normal((rows, n * N))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        energy[start:start + rows] = _uniform_ring_energies(
+            x.reshape(rows, n, N), lam, v)
+    return energy
+
+
+def _openblas_threads():
+    """The getter and setter of the thread count of the OpenBLAS that numpy
+    loads (the getter bench/run.py reads), or None where that library does
+    not export them."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _each_draw(draw, draws: int, workers: int) -> None:
+    """draw(d) for d = 0 .. draws - 1 on `workers` threads, the caller's
+    among them; then the exception of the lowest failing draw is raised.
+
+    Draws are handed out in increasing order and none after a failure, so
+    every draw below a failed one has been handed out and runs to its end:
+    the failure raised is the one the serial loop would raise first.
+    """
+    lock = threading.Lock()
+    todo = iter(range(draws))
+    errors: dict[int, Exception] = {}
+
+    def take():
+        with lock:
+            return None if errors else next(todo, None)
+
+    def work():
+        while (d := take()) is not None:
+            try:
+                draw(d)
+            except Exception as exc:        # raised in the caller below
+                with lock:
+                    errors[d] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        with lock:
+            for _ in todo:                  # an interrupt hands out no more
+                pass
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 def ek_comparison(n: int, N: int, beta: float, draws: int, samples: int,
                   seed: int, g_scale: float = 1.0) -> EkComparison:
     """Compare log Z_full / n against log Z_red over quenched connections.
@@ -335,7 +419,16 @@ def ek_comparison(n: int, N: int, beta: float, draws: int, samples: int,
     log Z = 0 on both sides identically.  H0 is omitted: it would add
     -beta*H0 to one side and -beta*H0/n to the other and obscure the
     comparison.  A draw whose energies or log Z are not finite (exp(D) or
-    exp(-beta*H) past the float range) raises FloatingPointError.
+    exp(-beta*H) past the float range) raises FloatingPointError; where
+    several do, the lowest draw is named.
+
+    Each draw has its own SeedSequence stream and samples the spheres
+    _EK_ROWS rows at a time, all ring samples before the reduced ones, so
+    memory does not grow with `samples`.  Draws run on up to two threads
+    (no more than the usable CPUs or the draws), with numpy's OpenBLAS held
+    at one thread for the whole call and its count restored on return; the
+    results do not depend on the number of threads.  Where that OpenBLAS
+    exports no thread-count setter, the draws run in turn.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -344,18 +437,15 @@ def ek_comparison(n: int, N: int, beta: float, draws: int, samples: int,
     streams = np.random.SeedSequence(seed).spawn(draws)
     disc = np.empty(draws)
     ses = np.empty(draws)
-    for d in range(draws):
+
+    def draw(d):
         rng = np.random.default_rng(streams[d])
         r = rng.standard_normal((N, N))
         g = g_scale * (r - r.T) / (2.0 * math.sqrt(N))
         lam, v = np.linalg.eigh(1j * g)     # shared by ring and reduction
-        x = rng.standard_normal((samples, n * N))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        y = rng.standard_normal((samples, N))
-        y /= np.linalg.norm(y, axis=1, keepdims=True)
         with np.errstate(over="ignore", invalid="ignore"):
-            e_full = _uniform_ring_energies(x.reshape(samples, n, N), lam, v)
-            e_red = _uniform_ring_energies(y[:, None, :], lam, v)
+            e_full = _sphere_energies(rng, samples, n, N, lam, v)
+            e_red = _sphere_energies(rng, samples, 1, N, lam, v)
             lz_full, se_full = _log_mean_exp(-beta * e_full)
             lz_red, se_red = _log_mean_exp(-beta * e_red)
         disc[d] = lz_full / n - lz_red
@@ -365,6 +455,22 @@ def ek_comparison(n: int, N: int, beta: float, draws: int, samples: int,
             raise FloatingPointError(
                 f"draw {d} overflows: exp(D) at g_scale {g_scale:.6g} or "
                 f"exp(-beta*H) at beta {beta:.6g}")
+
+    # bench/spans.py wraps every __all__ name of this module with one span
+    # stack for all threads, so `draw` calls only private helpers
+    blas = _openblas_threads()
+    if blas is None:
+        _each_draw(draw, draws, 1)
+    else:
+        get, put = blas
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else 1)
+        old = get()
+        put(1)
+        try:
+            _each_draw(draw, draws, min(2, cpus, draws))
+        finally:
+            put(old)
 
     med = _median(np.abs(disc))
     se = _median(ses)

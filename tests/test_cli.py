@@ -497,15 +497,39 @@ def test_network_gauge_out_of_range_exits_3(tmp_path, capsys, n, g_scale):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--g-scale", "1000"], ["--g-scale", "1e300"],
-                                   ["--g-scale", "30", "--beta", "1e300"]])
+@pytest.mark.parametrize("flags", [(1, ["--g-scale", "1000"]),
+                                   (0, ["--g-scale", "1e300"]),
+                                   (1, ["--g-scale", "30", "--beta", "1e300"])])
 def test_network_ek_overflow_exits_3(tmp_path, capsys, flags):
-    # exp(D), or exp(-beta*H), past the float range in one draw
+    # exp(D), or exp(-beta*H), past the float range: in draw 1 alone, or
+    # (g_scale 1e300) in both draws, where the lowest is named whichever
+    # thread ran it
+    draw, flags = flags
     out = tmp_path / "out"
     assert run_cli(["network", "--mode", "ek", "--n", "3", "--N", "4",
                     "--draws", "2", "--samples", "10", *flags], out) == EXIT_NUMERICAL
-    assert "overflows" in capsys.readouterr().err
+    assert f"draw {draw} overflows" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc/self/status")
+@pytest.mark.parametrize("samples", ["2000", "4000"])
+def test_network_ek_large_run_peak_memory(tmp_path, samples):
+    # the child's own high-water mark: ru_maxrss would carry this process's
+    # across exec.  Each draw holds a fixed number of sample rows, so the
+    # peak does not grow with --samples.
+    args = ["network", "--mode", "ek", "--n", "64", "--N", "128", "--draws", "2",
+            "--samples", samples, "--output-dir", str(tmp_path)]
+    code = ("import semiq.cli\n"
+            f"assert semiq.cli.main({args!r}) == 0\n"
+            "print([l.split()[1] for l in open('/proc/self/status')\n"
+            "       if l.startswith('VmHWM:')][0])")
+    src = os.path.dirname(os.path.dirname(semiq.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout.split()[-1]) * 1024 <= 120e6
 
 
 def test_network_rolldown_mode(tmp_path):
@@ -663,6 +687,9 @@ def test_cli_runs_load_no_scipy(tmp_path):
             f"for i, args in enumerate({runs!r}):\n"
             f"    out = {str(tmp_path)!r} + '/' + str(i)\n"
             "    assert semiq.cli.main([*args, '--output-dir', out]) == 0, args\n"
+            # threads over the ek draws without concurrent.futures, whose
+            # logging import would show in every run's set-up time
+            "assert 'concurrent.futures' not in sys.modules\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     src = os.path.dirname(os.path.dirname(semiq.__file__))
     env = {**os.environ, "PYTHONPATH": src}

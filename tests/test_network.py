@@ -1,3 +1,9 @@
+import os
+import sys
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +30,7 @@ from semiq import (
 )
 from semiq import ClockModel, evolve_analytic
 from semiq import QuantumSystem
+from semiq import network
 from semiq.network import _median, _uniform_ring_energies
 
 SEED = 1123
@@ -219,6 +226,131 @@ def test_ek_comparison_one_eigh_per_draw(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     ek_comparison(n=4, N=8, beta=1.0, draws=3, samples=50, seed=9)
     assert calls == [(8, 8)] * 3
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def _openblas_threads_or_skip():
+    blas = network._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS exports no thread-count setter")
+    return blas
+
+
+def test_ek_comparison_same_bytes_on_one_and_two_threads(monkeypatch):
+    _openblas_threads_or_skip()
+    workers = []
+    each = network._each_draw
+
+    def spy(draw, draws, count):
+        workers.append(count)
+        return each(draw, draws, count)
+
+    monkeypatch.setattr(network, "_each_draw", spy)
+    out = []
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        c = ek_comparison(n=3, N=8, beta=1.0, draws=5, samples=300, seed=4)
+        out.append((c.discrepancies.tobytes(), c.std_errors.tobytes(),
+                    c.median_abs_discrepancy, c.se))
+    assert workers == [1, 2]
+    assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("n", [3, 1])
+@pytest.mark.parametrize("samples", [network._EK_ROWS + 1,
+                                     2 * network._EK_ROWS - 1])
+def test_sphere_energies_row_blocks_match_one_block(n, samples):
+    # the row blocks across their edges against one evaluation of all the
+    # samples; a block-edge slip would move an energy by O(1)
+    N = 6
+    r = np.random.default_rng(2).standard_normal((N, N))
+    lam, v = np.linalg.eigh(1j * (r - r.T))
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    e = network._sphere_energies(rng, samples, n, N, lam, v)
+    x = ref_rng.standard_normal((samples, n * N))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    np.testing.assert_allclose(
+        e, _uniform_ring_energies(x.reshape(samples, n, N), lam, v),
+        rtol=1e-14, atol=0)
+    assert rng.random() == ref_rng.random()     # as many rows drawn
+
+
+def test_ek_comparison_holds_and_restores_blas_threads(monkeypatch):
+    get, put = _openblas_threads_or_skip()
+    seen = []
+    energies = network._sphere_energies
+
+    def spy(*args):
+        seen.append(get())
+        return energies(*args)
+
+    monkeypatch.setattr(network, "_sphere_energies", spy)
+    _usable_cpus(monkeypatch, 2)
+    old = get()
+    put(2)
+    try:
+        ek_comparison(n=3, N=4, beta=1.0, draws=3, samples=20, seed=1)
+        assert get() == 2
+    finally:
+        put(old)
+    assert seen == [1] * 6
+
+
+def test_ek_comparison_worker_error_reaches_caller(monkeypatch):
+    # a warning promoted to an error (pytest runs with filterwarnings =
+    # error) in the helper thread is raised by the call, and BLAS gets its
+    # thread count back
+    get, put = _openblas_threads_or_skip()
+    threads = []
+    energies = network._sphere_energies
+
+    def spy(*args):
+        threads.append(threading.current_thread())
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.05)                # leave a draw to the helper
+        else:
+            warnings.warn("from a helper thread", RuntimeWarning)
+        return energies(*args)
+
+    monkeypatch.setattr(network, "_sphere_energies", spy)
+    _usable_cpus(monkeypatch, 2)
+    old = get()
+    put(2)
+    try:
+        with pytest.raises(RuntimeWarning, match="from a helper thread"):
+            ek_comparison(n=3, N=4, beta=1.0, draws=4, samples=20, seed=1)
+        assert get() == 2
+    finally:
+        put(old)
+    assert any(t is not threading.main_thread() for t in threads)
+
+
+def test_each_draw_raises_the_lowest_failing_draw():
+    # draw 1 fails first, on the helper thread; the serial loop would have
+    # stopped at draw 0
+    def draw(d):
+        if d == 0:
+            time.sleep(0.05)
+        raise ValueError(str(d))
+
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^0$"):
+            network._each_draw(draw, 6, 2)
+
+
+def test_each_draw_stress_hands_out_each_draw_once():
+    done = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        network._each_draw(done.append, 3000, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(done) == list(range(3000))
 
 
 def test_ek_reduced_rejects_symmetric_connection():
