@@ -859,7 +859,10 @@ def run(cfg: RunConfig) -> dict[str, ResultTable]:
     return tables
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """semiq's parser: every subcommand with its help, and the flags of
+    ``only``, or of every subcommand when ``only`` is None.  The others
+    stay in place so that usage and error messages name them all."""
     ap = argparse.ArgumentParser(
         prog="semiq",
         description="semiclassical time, tunneling, and observer networks")
@@ -874,6 +877,8 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for sub, schema in _SCHEMAS.items():
         sp = subs.add_parser(sub, help=help_hdr[sub])
+        if only not in (None, sub):
+            continue
         for name, spec in schema.items():
             flag = _flag(name)
             if spec.coerce is _as_bool:
@@ -894,7 +899,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named subcommand parses flags; anything else gets them all
+    parser = _build_parser(argv[0] if argv and argv[0] in _SCHEMAS else None)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:

@@ -11,8 +11,9 @@ Floats are written as ``'%.17g' % v`` writes them, booleans as 1/0, integer
 arrays in decimal, and anything else (text, and lists of integers, in which
 a True stays ``True``) as ``str``.  The numbers come from array code
 (``_fmt17``): a block of rows is formatted column by column into one byte
-matrix, each distinct value once, and written as one ``bytes``.  The
-manifest formats its values the same way.
+matrix, each distinct value once, and written as one ``bytes``.  One value,
+as the manifest writes each of its own, goes through ``fmt_value``, the
+same rule applied with ``%``.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ _PAD = bytes([_fmt17.PAD])
 
 
 def _numeric(values, kind: str) -> bool:
-    """Whether a column (or a value) of numpy kind ``kind`` is written as a
-    number: floats, booleans, and integer arrays.  A list of ints is written
-    by ``str``, which keeps a True among them as ``True``."""
+    """Whether a column of numpy kind ``kind`` is written as a number:
+    floats, booleans, and integer arrays.  A list of ints is written by
+    ``str``, which keeps a True among them as ``True``."""
     return kind in "fb" or (kind in "iu" and isinstance(values, np.ndarray))
 
 
@@ -77,20 +78,15 @@ def _cells(columns: list, kind: str) -> list[np.ndarray]:
 
 
 def fmt_value(v) -> str:
-    """Bools as 1/0, floats at 17 significant digits, anything else str."""
-    return _fmt_values([v])[0]
-
-
-def _fmt_values(values: list) -> list[str]:
-    """``fmt_value`` of each value, the numbers of each kind formatted
-    together."""
-    columns = [np.asarray(v).reshape(1) for v in values]
-    out = list(map(str, values))
-    for kind, where in _kinds(columns).items():
-        if kind is not None:
-            for i, cell in zip(where, _cells([columns[i] for i in where], kind)):
-                out[i] = cell.tobytes().translate(None, _PAD).decode("ascii")
-    return out
+    """One value as a cell of its kind: bools (Python's and numpy's) as
+    1/0, floats as ``'%.17g'``, integers in decimal, anything else str."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (float, np.floating)):
+        return "%.17g" % v
+    if isinstance(v, (int, np.integer)):
+        return "%d" % v
+    return str(v)
 
 
 def _needs_quotes(text: str) -> bool:
@@ -195,7 +191,7 @@ def read_csv(path) -> ResultTable:
 def write_manifest(path, entries: dict, outputs: list[str]) -> None:
     """Flat key = value manifest; keys in insertion order, outputs listed."""
     lines = [f"format = {MANIFEST_FORMAT}"]
-    lines += [f"{k} = {v}" for k, v in zip(entries, _fmt_values(list(entries.values())))]
+    lines += [f"{k} = {fmt_value(v)}" for k, v in entries.items()]
     lines.append("outputs = " + ",".join(outputs))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -569,6 +569,39 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def _full_parser_outcome(argv, capsys):
+    """Exit code, stdout and stderr of the parser with every subcommand's
+    flags on argv, which it is expected to exit on."""
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(argv)
+    out = capsys.readouterr()
+    return int(exc.value.code or 0), out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    *([sub, "--help"] for sub in cli._SCHEMAS),
+    ["--help"], ["--version"], [], ["bogus"], ["bogus", "--hbar", "1"],
+    *([sub, "--bogus"] for sub in cli._SCHEMAS),
+    ["tunnel", "--hbar"], ["sweep", "--axis"], ["clock", "--energies"],
+    ["network", "--seed"], ["cosmo", "--matter"], ["tunnel", "--plot"],
+    ["tunnel", "--version"], ["clock", "--steps", "3", "tunnel"],
+], ids=repr)
+def test_main_parses_like_the_full_parser(capsys, argv):
+    # main adds only the named subcommand's flags; what it prints and
+    # returns must not show it
+    want = _full_parser_outcome(argv, capsys)
+    code = main(argv)
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == want
+
+
+def test_parser_for_one_subcommand_has_only_its_flags(capsys):
+    assert cli._build_parser("tunnel").parse_args(["tunnel", "--hbar", "2"]).hbar == "2"
+    with pytest.raises(SystemExit):
+        cli._build_parser("tunnel").parse_args(["clock", "--steps", "3"])
+    assert "unrecognized arguments: --steps 3" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2(tmp_path):
     assert main(["tunnel", "--frobnicate", "--output-dir",
                  str(tmp_path)]) == EXIT_VALIDATION

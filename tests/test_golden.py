@@ -35,7 +35,13 @@ Every column must match its text exactly, except:
 - the gauge check's two energies, which round differently from the dense
   expm that wrote them: 1e-14 relative, and its abs_difference, a defect
   at the roundoff of those energies that no relative bound can hold: 1e-16
-  absolute.
+  absolute;
+- the cosmo trajectory's chi and norm columns, which were written with
+  propagators from eigh: the two-level closed form that replaced it keeps
+  the t and a columns and is within 5.1e-15 (re_chi_0), 1.6e-15
+  (re_chi_1), 5.0e-15 (im_chi_0), 3.4e-15 (im_chi_1) and 6.8e-15 (norm)
+  of the file, whose norm column drifts from 1 by up to 6.4e-15 (the
+  closed form's by 8.9e-16): 1e-14 absolute.
 """
 
 import os
@@ -53,7 +59,8 @@ TOLERANCE = {"T_current_ratio": 1e-11, "coherence": 1e-12,
              "median_abs_discrepancy": 1e-12, "se": 1e-12,
              "hamiltonian": 1e-14, "transformed_hamiltonian": 1e-14}
 #: column -> absolute tolerance; every other column is compared as text
-ABS_TOLERANCE = {"abs_difference": 1e-16}
+ABS_TOLERANCE = {"abs_difference": 1e-16, "re_chi_0": 1e-14, "re_chi_1": 1e-14,
+                 "im_chi_0": 1e-14, "im_chi_1": 1e-14, "norm": 1e-14}
 
 CLOCK = ["clock", "--energies", "0,0.5,1.3", "--sigma", "0.5", "--steps", "40"]
 CLOCK_MC = [*CLOCK, "--samples", "50", "--seed", "1"]

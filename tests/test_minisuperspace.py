@@ -18,6 +18,7 @@ from semiq import (
     hamilton_jacobi_phase,
     wdw_residual,
 )
+from semiq import minisuperspace
 from semiq.cli import _parse_matter
 from semiq.minisuperspace import _unit_lapse
 
@@ -314,6 +315,12 @@ def test_constant_potential_linear_growth():
     assert cm(1.0) == pytest.approx(2.0 + 2.0 * 3.0, rel=1e-10)
 
 
+#: a fixed Hermitian 3 x 3 matrix, for the levels with no closed form
+THREE_LEVEL = np.array([[0.4, 0.2 - 0.1j, 0.0],
+                        [0.2 + 0.1j, -0.3, 0.5j],
+                        [0.0, -0.5j, 0.1]])
+
+
 def two_level(a, w=1.3):
     return 0.5 * w * np.array([[1.0, 1.0 / a], [1.0 / a, -1.0]], dtype=complex)
 
@@ -449,6 +456,52 @@ def test_wdw_residual_plane_wave_exact():
     assert math.isnan(rep.slope)
 
 
+def eigh_steps_minus_identity(h, tau):
+    """exp(-1j * tau_k * H_k) - I per step from eigh, as the evolution of
+    more than two levels builds it."""
+    vals, vecs = np.linalg.eigh(h)
+    u = np.matmul(vecs * np.exp(-1j * tau[:, None] * vals)[:, None, :],
+                  vecs.conj().swapaxes(1, 2))
+    return u - np.eye(h.shape[1])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["general", "scalar", "split"]),
+       st.floats(-3.0, 200.0), st.floats(-300.0, 0.0), st.floats(-6.0, 3.0),
+       st.booleans())
+def test_two_level_steps_match_eigh(seed, kind, scale_exp, mix_exp, tau_exp,
+                                    per_scale):
+    # U_k - I in closed form against eigh's exp(-i tau H) - I on random
+    # Hermitian stacks: a general H, H proportional to I (r = 0), and
+    # |h01| down to 1e-300 |bz|, with entries up to 1e200 and tau up to 1e3
+    # (or up to 1e3 over the entries' scale).  Each side is off by about
+    # eps (1 + tau |H|), the rounding of the phases tau E
+    rng = np.random.default_rng(seed)
+    steps = 16
+    scale = 10.0 ** scale_exp
+    h = np.zeros((steps, 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 1, 1] = scale * rng.normal(size=(2, steps))
+    if kind == "scalar":
+        h[:, 1, 1] = h[:, 0, 0]
+    else:
+        mix = scale * (10.0 ** mix_exp if kind == "split" else 1.0)
+        h[:, 1, 0] = mix * (rng.normal(size=steps) + 1j * rng.normal(size=steps))
+        h[:, 0, 1] = h[:, 1, 0].conj()
+    tau = 10.0 ** rng.uniform(tau_exp - 1.0, tau_exp, steps)
+    if per_scale:
+        tau /= scale
+    want = eigh_steps_minus_identity(h, tau)
+    with np.errstate(all="raise"):
+        got = minisuperspace._two_level_steps(h, tau)
+    assert got.shape == (2, 2, steps)
+    got = got[..., ::-1].transpose(2, 0, 1)
+    norm_h = np.max(np.abs(np.linalg.eigvalsh(h)), axis=1)
+    bound = 16 * np.finfo(float).eps * (1.0 + tau * norm_h)
+    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= bound)
+    # unitary to roundoff whatever the phases: |U - I| <= 2
+    assert np.all(np.abs(got) <= 2.0 + bound[:, None, None])
+
+
 def test_matter_hermiticity_checked():
     bad = lambda a: np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     m = quad_model(matter_hamiltonian=bad)
@@ -484,10 +537,12 @@ WORKLOAD_POINTS = 20001
 
 @pytest.mark.parametrize("h, bound", [
     (np.diag([0.7, -0.7]).astype(complex), 1e-12),
-    # eigh's eigenvectors are orthonormal only to roundoff; with a constant
-    # H every propagator repeats that roundoff, and it adds up over the
-    # 20 000 steps: 1.3e-12 here, as for a step-by-step product
-    (np.array([[0.7, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]]), 1e-11),
+    # a constant H repeats each propagator's roundoff at every step.  The
+    # closed form's U - I is 3.4e-16 off exp(-iHt) chi0 here after the
+    # 20 000 steps, with a norm drift of 1.1e-16; propagators from eigh,
+    # whose eigenvectors are orthonormal only to roundoff, were 1.3e-12
+    # off, with a drift of 1.0e-12
+    (np.array([[0.7, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]]), 1e-14),
 ])
 def test_matter_constant_hamiltonian_at_workload_size(h, bound):
     # chi(t) = exp(-i H t) chi0 at every one of the 20 001 grid points
@@ -499,6 +554,7 @@ def test_matter_constant_hamiltonian_at_workload_size(h, bound):
     vals, vecs = np.linalg.eigh(h)
     exact = (np.exp(-1j * np.outer(t, vals)) * (vecs.conj().T @ chi0)) @ vecs.T
     assert np.max(np.abs(traj.chis - exact)) < bound
+    assert traj.max_norm_drift < 1e-14
 
 
 @pytest.mark.parametrize("hbar, w, lapse", [
@@ -542,8 +598,29 @@ def test_matter_rejects_hamiltonian_turning_non_hermitian():
 
 
 def test_matter_norm_drift_names_first_bad_step(monkeypatch):
-    # propagators that stretch chi by 2e-9 at steps 7 and 12: the error
-    # names the first of them
+    # two-level propagators that stretch chi by 1e-9 at steps 7 and 12: the
+    # error names the first of them
+    closed_form = minisuperspace._two_level_steps
+
+    def leaky_steps(h, tau):
+        chain = closed_form(h, tau)
+        steps = chain.shape[-1]
+        for k in (7, 12):
+            u = chain[..., steps - 1 - k] + np.eye(2)
+            chain[..., steps - 1 - k] = (1.0 + 1e-9) * u - np.eye(2)
+        return chain
+
+    m = quad_model(matter_hamiltonian=two_level)
+    cm = clock_map(m, a0=1.0, t_span=(0.0, 0.3))
+    monkeypatch.setattr(minisuperspace, "_two_level_steps", leaky_steps)
+    with pytest.raises(RuntimeError, match="at step 7:"):
+        evolve_matter(m, cm, np.array([1.0, 0.0], dtype=complex),
+                      np.linspace(0.0, 0.3, 31))
+
+
+def test_matter_norm_drift_names_first_bad_step_beyond_two_levels(monkeypatch):
+    # eigenvectors that stretch chi by 2e-9 at steps 7 and 12 of a
+    # three-level evolution, which has no closed form and goes through eigh
     eigh = np.linalg.eigh
 
     def leaky_eigh(h):
@@ -551,10 +628,39 @@ def test_matter_norm_drift_names_first_bad_step(monkeypatch):
         vecs[[7, 12]] *= 1.0 + 1e-9
         return vals, vecs
 
-    m = quad_model(matter_hamiltonian=two_level)
+    m = quad_model(matter_hamiltonian=lambda a: a * THREE_LEVEL)
     cm = clock_map(m, a0=1.0, t_span=(0.0, 0.3))
     monkeypatch.setattr(np.linalg, "eigh", leaky_eigh)
     with pytest.raises(RuntimeError, match="at step 7:"):
+        evolve_matter(m, cm, np.array([1.0, 0.0, 0.0], dtype=complex),
+                      np.linspace(0.0, 0.3, 31))
+
+
+def test_matter_nan_propagator_fails_the_norm_check():
+    # hbar 1e-310 takes weight * E / hbar past the float range, and the
+    # eigh path's phases exp(-1j * inf) are nan from step 0 on
+    m = MiniSuperspaceModel(potential_u=lambda a: 4.0 * a * a, hbar=1e-310,
+                            matter_hamiltonian=lambda a: 10.0 * a * THREE_LEVEL)
+    cm = clock_map(m, a0=1.0, t_span=(0.0, 0.3))
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(RuntimeError, match="norm drift nan at step 0:"):
+            evolve_matter(m, cm, np.array([1.0, 0.0, 0.0], dtype=complex),
+                          np.linspace(0.0, 0.3, 31))
+
+
+def test_matter_nan_two_level_step_fails_the_norm_check(monkeypatch):
+    # a closed-form propagator that is nan at step 5 only
+    closed_form = minisuperspace._two_level_steps
+
+    def nan_steps(h, tau):
+        chain = closed_form(h, tau)
+        chain[..., chain.shape[-1] - 1 - 5] = np.nan
+        return chain
+
+    m = quad_model(matter_hamiltonian=two_level)
+    cm = clock_map(m, a0=1.0, t_span=(0.0, 0.3))
+    monkeypatch.setattr(minisuperspace, "_two_level_steps", nan_steps)
+    with pytest.raises(RuntimeError, match="norm drift nan at step 5:"):
         evolve_matter(m, cm, np.array([1.0, 0.0], dtype=complex),
                       np.linspace(0.0, 0.3, 31))
 

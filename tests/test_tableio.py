@@ -44,6 +44,30 @@ def test_fmt_value_pins_float_edges(value, text):
     assert fmt_value(value) == text == "{:.17g}".format(value)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(-2**63, 2**63 - 1), st.integers(-2**70, 2**70))
+@example(np.array(-0.0).view(np.int64).item(), 2**63)
+@example(np.array(math.nan).view(np.int64).item(), -2**64 - 1)
+@example(np.array(math.inf).view(np.int64).item(), 2**64)
+@example(np.array(-math.inf).view(np.int64).item(), 0)
+@example(1, 2**63 - 1)                          # the least subnormal
+@example(np.array(-2.2250738585072009e-308).view(np.int64).item(), 1)
+def test_fmt_value_is_the_percent_rule(bits, n):
+    # any float64 bit pattern (subnormals, infinities, nans), as a Python
+    # float, a numpy float64 and a numpy float32, and any integer, as a
+    # Python int and as the numpy integer that holds it
+    x = np.array(bits, np.int64).view(np.float64).item()
+    with np.errstate(over="ignore"):
+        floats = [x, np.float64(x), np.float32(x)]
+    for v in floats:
+        assert fmt_value(v) == "%.17g" % v
+    ints = [n, *(t(n) for t in (np.int64, np.uint64)
+                 if np.iinfo(t).min <= n <= np.iinfo(t).max)]
+    for v in ints:
+        assert fmt_value(v) == "%d" % n
+    assert fmt_value(np.bool_(n % 2)) == fmt_value(bool(n % 2)) == "%d" % (n % 2)
+
+
 def test_table_rejects_unequal_column_lengths():
     ResultTable({"a": [1.0], "b": [2.0]})
     with pytest.raises(ValueError):
