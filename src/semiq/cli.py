@@ -176,7 +176,12 @@ _SCHEMAS: dict[str, dict[str, Param]] = {
     "cosmo": {
         "potential": Param(_as_str, "quadratic:4",
                            "quadratic:c | constant:c | table:FILE"),
-        "hbar_list": Param(_ranged(_two_or_more, lambda v: min(v) > 0, "positive"),
+        # wdw_residual needs each hbar**2 to be a positive normal float
+        "hbar_list": Param(_ranged(_two_or_more,
+                                   lambda v: all(sys.float_info.min <= h * h < math.inf
+                                                 for h in v),
+                                   "positive, with hbar**2 a normal float "
+                                   "(about 1.5e-154 to 1.3e154)"),
                            [0.1, 0.05, 0.025], "hbar values"),
         "a0": Param(_positive, 1.0, "initial scale factor"),
         "t_max": Param(_positive, 0.3, "clock-time horizon"),

@@ -483,6 +483,8 @@ def evolve_matter(model: MiniSuperspaceModel, clock: ClockMap,
     if t.ndim != 1 or t.size < 2 or not np.all(np.diff(t) > 0):
         raise ValueError("t_grid must be strictly increasing")
     chi = np.asarray(chi0, dtype=complex)
+    if not np.all(np.isfinite(chi)):
+        raise ValueError(f"chi0 must be finite, got {chi0!r}")
     norm0 = np.linalg.norm(chi)
     if norm0 == 0.0:
         raise ValueError("chi0 must be nonzero")
@@ -549,7 +551,9 @@ def wdw_residual(model: MiniSuperspaceModel, a_span: tuple[float, float],
     with A'' = A (5 U'^2 / (16 U^2) - U'' / (4 U)).  The residual relative
     to ||U Psi|| is hbar**2 ||A''|| / ||U A|| on RESIDUAL_POINTS uniform
     points; the grid never has to resolve the phase.  A constant U gives
-    residual 0 and slope nan.  Matter is deliberately left out: chi
+    residual 0 and slope nan.  An hbar whose square is not a positive
+    normal float (hbar below about 1.5e-154) is refused, since its
+    residual would underflow to 0 as well.  Matter is deliberately left out: chi
     contributes a kinetic term of order hbar^0 that the semiclassical
     factorisation discards, so the hbar**2 scaling is a property of the
     gravitational factor alone.
@@ -557,6 +561,11 @@ def wdw_residual(model: MiniSuperspaceModel, a_span: tuple[float, float],
     hbars = np.asarray(sorted(hbar_list, reverse=True), dtype=float)
     if hbars.size < 2 or np.any(hbars <= 0):
         raise ValueError("need at least two positive hbar values")
+    # a subnormal or zero hbar**2 loses the residual's hbar**2 scaling
+    tiny = np.finfo(float).tiny
+    squashed = [h for h in hbars.tolist() if not tiny <= h * h < math.inf]
+    if squashed:
+        raise ValueError(f"hbar**2 is not a normal float for hbar = {squashed}")
     a = np.linspace(a_span[0], a_span[1], RESIDUAL_POINTS)
     u = _values(model.u, a)
     if np.any(u <= 0.0):

@@ -129,9 +129,15 @@ def _chunks(grid, values, E, hbar, mu):
         under = w > 0.0
         cells = w.size
         if under.any():
-            growth = np.cumsum(np.where(under, x, 0.0)[::-1])
-            cells = max(int(np.searchsorted(growth, _GROWTH_BOUND,
-                                            side="right")), 1)
+            kappa = np.where(under, x, 0.0)
+            # partial sums of non-negative terms never pass their total, and
+            # any order of summing n of them errs by less than n * 2**-52 of
+            # it: a pairwise total that far below the bound cannot cut the
+            # chunk, and the sequential cumsum is needed only near it
+            if not kappa.sum() * (1.0 + cells * 2.0**-50) <= _GROWTH_BOUND:
+                growth = np.cumsum(kappa[::-1])
+                cells = max(int(np.searchsorted(growth, _GROWTH_BOUND,
+                                                side="right")), 1)
         start = end - cells
         yield start, end, h[-cells:], q[-cells:], x[-cells:], under[-cells:]
         end = start

@@ -14,6 +14,14 @@ a True stays ``True``) as ``str``.  The numbers come from array code
 matrix, each distinct value once, and written as one ``bytes``.  One value,
 as the manifest writes each of its own, goes through ``fmt_value``, the
 same rule applied with ``%``.
+
+Two rules keep the formatting of a block cheap (``_cells``).  Rows are
+gathered only from C-ordered tables of distinct cells: gathering a cosmo
+block's 57 344 float cells from a column-major table took 4.8-7.2 ms, from
+a C-ordered one 1.4 ms (2-vCPU Xeon, numpy 2.4).  Integers that span no
+more values than the block holds are found by their offset from the
+least one, not by ``np.unique``: the step counters of a clock block hold
+about 19 distinct values in 8192 rows, and their sort is skipped.
 """
 
 from __future__ import annotations
@@ -60,7 +68,18 @@ def _cells(columns: list, kind: str) -> list[np.ndarray]:
     """The text of equal-length columns of numbers of one numpy kind (see
     ``_numeric``) as PAD-filled byte matrices, one row per value: floats by
     ``%.17g`` and integers from their digits, each distinct value of all
-    the columns formatted once, and booleans as 1/0."""
+    the columns formatted once, and booleans as 1/0.
+
+    Integers whose span max - min + 1 is no more than their count are
+    formatted as the whole range min..max and found at offset value - min,
+    with no sort: an 8192-row clock block holds about 19 distinct steps.
+    Otherwise the distinct values come from ``np.unique``.
+
+    Rows are gathered only from a C-ordered table, so that each row is one
+    run of bytes.  A boolean column index (``text[:, used]``) returns a
+    column-major matrix, from which gathering the 57 344 cells of a cosmo
+    block took 4.8-7.2 ms, against 1.4 ms from a C-ordered one.
+    """
     if kind == "b":
         return [np.where(np.asarray(c, bool), ord("1"), ord("0")).astype(np.uint8)[:, None]
                 for c in columns]
@@ -70,10 +89,22 @@ def _cells(columns: list, kind: str) -> list[np.ndarray]:
         distinct, where = np.unique(bits, return_inverse=True)
         text = _fmt17.float_cells(distinct.view(np.float64)).view(np.uint8)
     else:
-        distinct, where = np.unique(np.concatenate(columns), return_inverse=True)
+        values = np.concatenate(columns)
+        lo, hi = values.min(), values.max()
+        if int(hi) - int(lo) < values.size:
+            # offsets in 64 bits, where value - min cannot wrap as it can
+            # in a narrower dtype (int8: 50 - -128)
+            wide = np.int64 if kind == "i" else np.uint64
+            where = np.subtract(values, lo, dtype=wide).astype(np.intp)
+            distinct = np.arange(int(hi) - int(lo) + 1, dtype=wide) + wide(lo)
+        else:
+            distinct, where = np.unique(values, return_inverse=True)
         text = _fmt17.int_cells(distinct)
-    # the bytes that are PAD in every distinct value are PAD in every row
-    text = text[:, (text != _fmt17.PAD).any(axis=0)]
+    # the bytes that are PAD in every distinct value are PAD in every row;
+    # compress, unlike a boolean index, keeps the table C-ordered
+    used = (text != _fmt17.PAD).any(axis=0)
+    if not used.all():
+        text = text.compress(used, axis=1)
     return [np.take(text, w, axis=0) for w in np.split(where, len(columns))]
 
 

@@ -280,6 +280,17 @@ def test_cosmo_outputs_and_slope(tmp_path):
     assert traj.columns[:2] == ["t", "a"]
 
 
+@pytest.mark.parametrize("hbars", ["1e-200,1e-210", "0.1,1.49e-154", "0.1,1e155",
+                                   "0.1,0.05,0.0"])
+def test_cosmo_refuses_hbar_whose_square_is_not_normal(tmp_path, capsys, hbars):
+    # hbar**2 that underflows would write residual 0 and slope nan, which
+    # only a constant potential may give
+    out = tmp_path / "out"
+    assert main(["cosmo", "--hbar-list", hbars, "--output-dir", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+    assert "--hbar-list: must be" in capsys.readouterr().err
+
+
 def test_cosmo_matter_columns(tmp_path):
     assert run_cli(["cosmo", "--matter", "twolevel:1.3", "--t-max", "0.2",
                     "--t-points", "51"], tmp_path) == EXIT_OK

@@ -446,6 +446,13 @@ def test_wdw_residual_rejects_turning_point():
         wdw_residual(m, (2.0, 3.0), [0.1, 0.05])
 
 
+@pytest.mark.parametrize("hbars", [[1e-200, 1e-210], [0.1, 1.49e-154], [0.1, 1e155]],
+                         ids=["underflow", "subnormal", "overflow"])
+def test_wdw_residual_refuses_hbar_whose_square_is_not_normal(hbars):
+    with pytest.raises(ValueError, match="not a normal float"):
+        wdw_residual(quad_model(), (1.0, 4.0), hbars)
+
+
 def test_wdw_residual_plane_wave_exact():
     m = MiniSuperspaceModel(potential_u=lambda a: 1.0 + 0.0 * np.asarray(a),
                             hbar=1.0)
@@ -663,6 +670,22 @@ def test_matter_nan_two_level_step_fails_the_norm_check(monkeypatch):
     with pytest.raises(RuntimeError, match="norm drift nan at step 5:"):
         evolve_matter(m, cm, np.array([1.0, 0.0], dtype=complex),
                       np.linspace(0.0, 0.3, 31))
+
+
+@pytest.mark.parametrize("chi0", [[math.nan, 0.0], [1.0, math.inf],
+                                  [1.0, 0.0, complex(0.0, math.nan)],
+                                  [-math.inf, 1.0, 0.0]],
+                         ids=["nan-d2", "inf-d2", "nan-d3", "inf-d3"])
+def test_matter_refuses_non_finite_chi0(chi0):
+    # bad input is refused before the clock is evaluated, not blamed on
+    # the propagator by the norm check
+    def clock(t):
+        raise AssertionError("clock evaluated")
+
+    hamiltonian = two_level if len(chi0) == 2 else (lambda a: a * THREE_LEVEL)
+    m = quad_model(matter_hamiltonian=hamiltonian)
+    with pytest.raises(ValueError, match="chi0 must be finite"):
+        evolve_matter(m, clock, np.array(chi0, dtype=complex), np.linspace(0.0, 0.3, 11))
 
 
 def test_matter_leaves_the_hamiltonian_stack_alone():

@@ -414,6 +414,16 @@ def reference_chunks(grid, values, E, hbar, mu):
         end = end - cells
 
 
+@pytest.mark.parametrize("hbar, h0, cells", [(0.007, 4.0, 20000), (0.05, 1.0, 1_000_000)],
+                         ids=["cut_chunks", "tunnel_deep"])
+def test_chunk_bounds_match_the_cumsum_rule(hbar, h0, cells):
+    # the walk runs the cumsum only for a chunk whose pairwise total of
+    # kappa*h comes near the bound; the bounds must not move
+    pot = cap_barrier(BarrierProblem(hbar=hbar, mu=1.0, j0=1.0, h0=h0), n=cells)
+    args = (pot.grid, pot.values, 0.0, hbar, 1.0)
+    assert [c[:2] for c in _chunks(*args)] == [c[:2] for c in reference_chunks(*args)]
+
+
 def writer_profile(kind, cells, rng):
     """(grid, values, E) of one kind of cell mix; E is the plateau level."""
     n = cells + 1

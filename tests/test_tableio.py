@@ -203,8 +203,38 @@ def tables(draw):
 @example(ResultTable({"": []}))
 @example(ResultTable({"x": np.arange(TWO_BLOCKS + 1) * 0.5,
                       "s": ["p"] * TWO_BLOCKS + ["p,q"]}))
+# integers whose span equals their count are found by offset, one more by sort
+@example(ResultTable({"i": np.array([3, 8, 5, 5, 5, 5])}))
+@example(ResultTable({"i": np.array([3, 9, 5, 5, 5, 5])}))
+# offsets that wrap when formed in the column's own dtype
+@example(ResultTable({"i8": np.resize(np.arange(-128, 51, dtype=np.int8), 200)}))
+@example(ResultTable({"i8": np.resize(np.arange(-128, 128, dtype=np.int8), 300)}))
+@example(ResultTable({"i64": np.array([-2**63, -2**63 + 1] * 3, np.int64),
+                      "u64": np.array([2**64 - 2, 2**64 - 1] * 3, np.uint64)}))
+@example(ResultTable({"i64": np.array([2**63 - 2, 2**63 - 1] * 3, np.int64),
+                      "u64": np.array([0, 1] * 3, np.uint64)}))
+# floats that leave byte columns all PAD, and floats that use all 24 bytes
+@example(ResultTable({"x": np.array([0.5, 1.25] * 3)}))
+@example(ResultTable({"x": np.array([-1 / 3e3, 1 / 3e-300] * 3)}))
 def test_write_csv_bytes_match_csv_writer(table):
     assert _written(write_csv, table) == _written(_reference_write_csv, table)
+
+
+def test_write_csv_gathers_rows_from_c_ordered_tables(tmp_path, monkeypatch):
+    # a row of a column-major table of cells spans one cache line per byte
+    # column; timing on a small shared host cannot tell that layout apart
+    layouts = []
+    take = np.take
+
+    def spy(table, indices, *args, **kwargs):
+        layouts.append(table.flags.c_contiguous)
+        return take(table, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", spy)
+    n = tableio._BLOCK_ROWS + 3
+    x = np.random.default_rng(1).normal(size=n)
+    write_csv(ResultTable({"i": np.arange(n) % 7, "x": x}), tmp_path / "t.csv")
+    assert len(layouts) == 4 and all(layouts)
 
 
 @pytest.mark.parametrize("argv, tables", [
