@@ -25,12 +25,10 @@ import numpy as np
 
 __all__ = [
     "ClockModel",
-    "TimeDecomposition",
     "QuantumSystem",
     "CoherenceTrajectory",
     "QuantumClassRecord",
     "Reparametrization",
-    "sample_increments",
     "evolve_analytic",
     "evolve_monte_carlo",
     "retention_time",
@@ -90,18 +88,6 @@ class ClockModel:
         return np.array([self.mean(k) for k in range(steps)])
 
 
-@dataclass(frozen=True)
-class TimeDecomposition:
-    """Split of an elapsed time into its expectation and the zero-mean rest."""
-
-    expectation_part: float
-    fluctuation_part: float
-
-    @property
-    def total(self) -> float:
-        return self.expectation_part + self.fluctuation_part
-
-
 def _ticks(rng: np.random.Generator, means: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian tick durations around ``means``; non-positive draws are redrawn."""
     draws = rng.normal(means, sigma)
@@ -110,23 +96,6 @@ def _ticks(rng: np.random.Generator, means: np.ndarray, sigma: float) -> np.ndar
         draws[bad] = rng.normal(means[bad], sigma)
         bad = draws <= 0.0
     return draws
-
-
-def sample_increments(clock: ClockModel, k: int, seed: int) -> tuple[np.ndarray, TimeDecomposition]:
-    """Draw k tick durations and their decomposition, deterministically.
-
-    Each tick is Gaussian around its mean; non-positive draws are resampled
-    (the clock never runs backwards).  For sigma << mu the truncation bias
-    is negligible.
-    """
-    mus = clock.means(k)
-    draws = _ticks(np.random.default_rng(seed), mus, clock.fluctuation_std)
-    expectation = float(np.sum(mus))
-    fluctuation = float(np.sum(draws - mus))
-    total = float(np.sum(draws))
-    # the decomposition must reassemble the elapsed time
-    assert abs(total - (expectation + fluctuation)) <= 1e-9 * max(1.0, abs(total))
-    return draws, TimeDecomposition(expectation, fluctuation)
 
 
 class QuantumSystem:

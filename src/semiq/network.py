@@ -57,13 +57,10 @@ __all__ = [
     "GlialField",
     "GaugeTransformation",
     "QuenchedCouplings",
-    "ObserverTriple",
     "RolldownResult",
     "EkComparison",
-    "covariant_difference",
     "hamiltonian_full",
     "gauge_transform",
-    "ek_reduced_hamiltonian",
     "ek_comparison",
     "hamiltonian_quenched",
     "hebbian_couplings",
@@ -71,7 +68,6 @@ __all__ = [
     "plugin_entropy_rate",
     "entropy_rate",
     "window_counts",
-    "observer_triple",
 ]
 
 #: hamiltonian_full's largest norm of S/s per Taylor step, and most steps:
@@ -185,14 +181,6 @@ def _shift(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.matmul(blocks, np.roll(x, -1, axis=0)[..., None])[..., 0]
 
 
-def covariant_difference(state: NeuralState, g) -> np.ndarray:
-    """(D phi)_i = (1 + G_i) phi_{i+1} - phi_i, periodic in the site index.
-
-    Linear in phi and identically zero for a constant state with G = 0.
-    """
-    return _shift(state.phi, np.eye(state.N) + _connection(g, state)) - state.phi
-
-
 def hamiltonian_full(state: NeuralState, g, h0: float = 0.0) -> float:
     """H_int = -(1/2N) <<phi, exp(D) phi>> + H0, exp(D) phi = e^-1 exp(S) phi
     by s steps of the degree-m Taylor polynomial of S/s (Al-Mohy and Higham,
@@ -287,24 +275,6 @@ def _uniform_ring_energies(x: np.ndarray, lam: np.ndarray,
         z *= z
         energy += z @ weight[q]
     return -energy / (2.0 * n * N)
-
-
-def ek_reduced_hamiltonian(phi: np.ndarray, g: np.ndarray, h0: float = 0.0) -> float:
-    """Single-site reduction: H_red = -(1/2N) <phi, exp(G) phi> + H0.
-
-    For one periodic site the covariant difference loses its shift part and
-    D = G exactly, so this is the n = 1 case of hamiltonian_full.
-    """
-    phi = np.asarray(phi, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if phi.ndim != 1 or g.shape != (phi.size, phi.size):
-        raise ValueError("expected a length-N vector and an N x N matrix")
-    if not (np.max(np.abs(g + g.T)) <= 1e-12):
-        raise ValueError("connection matrix must be antisymmetric")
-    if not (abs(np.linalg.norm(phi) - 1.0) <= 1e-9):
-        raise ValueError("phi must be a unit vector")
-    lam, v = np.linalg.eigh(1j * g)
-    return float(_uniform_ring_energies(phi[None, None, :], lam, v)[0] + h0)
 
 
 @dataclass
@@ -622,38 +592,3 @@ def entropy_rate(spike_history: np.ndarray, window: int) -> float:
         warnings.warn(f"entropy histogram undersampled: {m} windows over "
                       f"{len(counts)} occupied bins")
     return plugin_entropy_rate(counts, window)
-
-
-@dataclass(frozen=True, eq=False)
-class ObserverTriple:
-    """The (retention time, entropy rate, couplings) summary of one run."""
-
-    tau: float | None                  # physical retention time
-    retention_steps: int | None
-    entropy_bits_per_step: float
-    couplings: QuenchedCouplings
-    order_parameter: np.ndarray        # mean spike vector over the run
-
-    @property
-    def is_trivial(self) -> bool:
-        """Retention at or below one step: effectively classical."""
-        return self.retention_steps is not None and self.retention_steps <= 1
-
-
-def observer_triple(record, spike_history: np.ndarray,
-                    couplings: QuenchedCouplings, window: int = 1) -> ObserverTriple:
-    """Bundle a retention record, a spike history and couplings; no physics.
-
-    ``record`` is a QuantumClassRecord; the entropy rate and the mean spike
-    vector are computed from the history.
-    """
-    if record is None or spike_history is None or couplings is None:
-        raise ValueError("all three components are required")
-    hist = np.atleast_2d(np.asarray(spike_history))
-    return ObserverTriple(
-        tau=record.retention_time_physical,
-        retention_steps=record.retention_time_steps,
-        entropy_bits_per_step=entropy_rate(hist, window),
-        couplings=couplings,
-        order_parameter=hist.mean(axis=0),
-    )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scan import products, suffix_products
+from .scan import products
 from .wkb import BarrierProblem, turning_points
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "TransmissionEstimate",
     "cap_barrier",
     "transfer_matrix_transmission",
-    "scattering_wavefunction",
-    "constraint_residual",
 ]
 
 #: cells per chunk of the walk: with _GROWTH_BOUND it keeps every product
@@ -214,18 +212,15 @@ def _carry(p, psi, dpsi, log_scale):
     return psi / m, dpsi / m, log_scale + math.log(m)
 
 
-def _propagate(grid, values, E, hbar, mu, keep_psi=False):
+def _propagate(grid, values, E, hbar, mu):
     """Propagate (psi, psi') from the right edge to the left edge.
 
     Starts from a pure outgoing wave psi = 1, psi' = i*k_R and walks left
     using the exact constant-potential propagator per cell (the cell value
     is the mean of its endpoint samples), in the chunks of _chunks.  Each
-    chunk's total product carries (psi, psi') across it, and the carried
-    pair is then renormalised into the returned log-scale.  The products
-    come from batched pairwise reductions; with keep_psi a suffix scan
-    gives every partial product of a chunk instead, its first element is
-    the same product bit for bit, and the last item holds psi on the grid
-    as mantissas and their log-scales, psi = m * exp(scale).
+    chunk's total product, from the batched pairwise reductions of
+    _chunk_products, carries (psi, psi') across it, and the carried pair
+    is then renormalised into the returned log-scale.
     """
     k_left_sq = 2.0 * mu * (E - values[0]) / hbar**2
     k_right_sq = 2.0 * mu * (E - values[-1]) / hbar**2
@@ -239,26 +234,13 @@ def _propagate(grid, values, E, hbar, mu, keep_psi=False):
     dpsi = 1j * k_right
     log_scale = 0.0
     chunks = _chunks(grid, values, E, hbar, mu)
-    if not keep_psi:
-        for p in _chunk_products(chunks, grid.size - 1):
-            psi, dpsi, log_scale = _carry(p, psi, dpsi, log_scale)
-        return psi, dpsi, log_scale, k_left, k_right, None
-
-    samples = np.empty(grid.size, dtype=complex)
-    scales = np.empty(grid.size)
-    samples[-1], scales[-1] = psi, log_scale
-    for start, end, h, q, x, under in chunks:
-        p = np.empty((2, 2, h.size))
-        _write_propagators(p, h, q, x, under)
-        suffix_products(p)
-        samples[start:end] = p[0, 0] * psi + p[0, 1] * dpsi
-        scales[start:end] = log_scale
-        psi, dpsi, log_scale = _carry(p[..., 0], psi, dpsi, log_scale)
-    return psi, dpsi, log_scale, k_left, k_right, (samples, scales)
+    for p in _chunk_products(chunks, grid.size - 1):
+        psi, dpsi, log_scale = _carry(p, psi, dpsi, log_scale)
+    return psi, dpsi, log_scale, k_left, k_right
 
 
 def _transmission_once(pot: PiecewisePotential, E, hbar, mu) -> float:
-    psi, dpsi, log_scale, k_left, k_right, _ = _propagate(
+    psi, dpsi, log_scale, k_left, k_right = _propagate(
         pot.grid, pot.values, E, hbar, mu)
     # decompose the left-edge solution into incident and reflected waves
     alpha = 0.5 * (psi + dpsi / (1j * k_left))
@@ -285,39 +267,3 @@ def transfer_matrix_transmission(pot: PiecewisePotential, E: float = 0.0,
         rich = math.nan
     return TransmissionEstimate(T_numeric=t_fine, grid_points=pot.grid.size,
                                 richardson_error=rich)
-
-
-def scattering_wavefunction(pot: PiecewisePotential, E: float = 0.0,
-                            hbar: float = 1.0, mu: float = 1.0) -> np.ndarray:
-    """Scattering solution sampled on pot.grid, normalised to max |psi| = 1.
-
-    The wave is purely outgoing at the right edge; the returned samples are
-    suitable for residual checks against the second-order operator.
-    """
-    *_, (m, scale) = _propagate(pot.grid, pot.values, E, hbar, mu,
-                                keep_psi=True)
-    # shift to the largest log-magnitude first: psi itself can overflow deep
-    # under a barrier
-    log_mag = np.log(np.abs(m)) + scale
-    psi = m * np.exp(scale - log_mag.max())
-    return psi / np.max(np.abs(psi))
-
-
-def constraint_residual(psi: np.ndarray, pot: PiecewisePotential,
-                        hbar: float = 1.0, mu: float = 1.0) -> float:
-    """RMS of (-hbar^2 D2 + 2*mu*V) psi over interior points.
-
-    D2 is the standard second-order finite-difference Laplacian, so even an
-    exact solution leaves an O(h^2) residual; the value is the quality
-    measure of the sampled solution at the null constraint E = 0.
-    """
-    psi = np.asarray(psi)
-    if psi.shape != pot.grid.shape:
-        raise ValueError("psi must be sampled on pot.grid")
-    h = np.diff(pot.grid)
-    if not np.allclose(h, h[0], rtol=1e-9, atol=0.0):
-        raise ValueError("constraint_residual needs a uniform grid")
-    step = h[0]
-    lap = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / step**2
-    res = -hbar**2 * lap + 2.0 * mu * pot.values[1:-1] * psi[1:-1]
-    return float(np.sqrt(np.mean(np.abs(res) ** 2)))

@@ -1,10 +1,9 @@
 """Products of a stack of square matrices laid out along the last axis.
 
-One place for both: the oracle's transfer-matrix walk (semiq.oracle) and
-the matter propagators of the emergent clock (semiq.minisuperspace).
-p has shape (d, d, ..., n), and p[..., i] is the i-th matrix.  The scan
-and the reduction multiply pairs with one einsum of the same subscripts,
-so the scan's first element equals the reduction bit for bit.
+The reduction serves the oracle's transfer-matrix walk (semiq.oracle), and
+the scan the matter propagators of the emergent clock (semiq.minisuperspace).
+p has shape (d, d, ..., n), and p[..., i] is the i-th matrix.  Both multiply
+pairs with one einsum of the same subscripts.
 """
 
 import numpy as np
@@ -12,23 +11,22 @@ import numpy as np
 _PAIRS = "ij...n,jk...n->ik...n"     # one product per pair, batched over ...
 
 
-def suffix_products(p, minus_identity=False):
+def suffix_products(p):
     """Scan over the last axis: p[..., i] becomes p_i @ p_{i+1} @ ... @ p_last.
 
     Hillis-Steele doubling, so log2(n) array steps replace n matrix products.
-    With minus_identity, p holds each matrix minus the identity, and so does
-    the result: (I + a)(I + b) - I = ab + a + b.  Products of near-identity
-    matrices then keep their small deviations from I to full precision,
-    where rounding them next to the 1 on the diagonal would add up over
+    p holds each matrix minus the identity, and so does the result:
+    (I + a)(I + b) - I = ab + a + b.  Products of near-identity matrices
+    then keep their small deviations from I to full precision, where
+    rounding them next to the 1 on the diagonal would add up over
     neighbouring, nearly equal products.
     """
     step = 1
     while step < p.shape[-1]:
         a, b = p[..., :-step], p[..., step:]
         q = np.einsum(_PAIRS, a, b)
-        if minus_identity:
-            q += a
-            q += b
+        q += a
+        q += b
         p[..., :-step] = q
         step *= 2
     return p
@@ -38,8 +36,7 @@ def products(p):
     """Reduce over the last axis: p_0 @ p_1 @ ... @ p_last.
 
     Pairwise: each level multiplies neighbours (2k, 2k+1) and carries an odd
-    last matrix up unchanged.  These are the blocks, in the same order, of
-    the first element of suffix_products.
+    last matrix up unchanged.
     """
     while p.shape[-1] > 1:
         q = np.einsum(_PAIRS, p[..., :-1:2], p[..., 1::2])

@@ -291,6 +291,25 @@ def test_cosmo_refuses_hbar_whose_square_is_not_normal(tmp_path, capsys, hbars):
     assert "--hbar-list: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--potential", "quadratic:1.4444534486892788e-05",
+     "--hbar-list", "3.716686886034444e-09,2.206770671254327e-105",
+     "--a0", "4.490630820763953e-11", "--t-max", "6.587264248730766e-13",
+     "--t-points", "188"],
+    ["--potential", "quadratic:1.368307824923521e-12",
+     "--hbar-list", "1533093271.4900444,8.497252017384294e+142",
+     "--a0", "8515.052231063642", "--t-max", "8.487096331521277e-09",
+     "--t-points", "203", "--matter", "twolevel:0.19943017752417364"],
+], ids=["35-ulps", "93-ulps"])
+def test_cosmo_refuses_a_residual_span_of_a_few_ulps(tmp_path, capsys, args):
+    # a(t) grows by 35 and 93 float spacings: the residual grid repeats
+    # points, and its derivatives would be nan
+    out = tmp_path / "out"
+    assert main(["cosmo", *args, "--output-dir", str(out)]) == EXIT_NUMERICAL
+    assert not out.exists()
+    assert "residual span" in capsys.readouterr().err
+
+
 def test_cosmo_matter_columns(tmp_path):
     assert run_cli(["cosmo", "--matter", "twolevel:1.3", "--t-max", "0.2",
                     "--t-points", "51"], tmp_path) == EXIT_OK

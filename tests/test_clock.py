@@ -15,9 +15,8 @@ from semiq import (
     reparametrize_events,
     rescale_class,
     retention_time,
-    sample_increments,
 )
-from semiq.clock import CoherenceTrajectory, TimeDecomposition
+from semiq.clock import CoherenceTrajectory
 
 SEED = 20260814
 
@@ -50,18 +49,6 @@ def test_clock_model_broken_vs_unbroken():
         ClockModel(-1.0, 0.1)
     with pytest.raises(ValueError):
         ClockModel(1.0, -0.5)
-
-
-def test_sample_increments_decomposition():
-    clock = ClockModel(1.0, 0.1)
-    draws, decomp = sample_increments(clock, k=5, seed=SEED)
-    assert isinstance(decomp, TimeDecomposition)
-    assert draws.shape == (5,)
-    assert np.all(draws > 0)
-    # the two-part split reassembles the elapsed time exactly
-    assert decomp.total == pytest.approx(decomp.expectation_part
-                                         + decomp.fluctuation_part)
-    assert decomp.expectation_part == pytest.approx(5.0)
 
 
 def test_density_matrix_validation():

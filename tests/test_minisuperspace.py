@@ -542,6 +542,12 @@ def test_matter_matches_per_step_reference():
 WORKLOAD_POINTS = 20001
 
 
+def random_hermitian(dim, seed):
+    re, im = np.random.default_rng(seed).normal(size=(2, dim, dim))
+    g = re + 1j * im
+    return 0.5 * (g + g.conj().T)
+
+
 @pytest.mark.parametrize("h, bound", [
     (np.diag([0.7, -0.7]).astype(complex), 1e-12),
     # a constant H repeats each propagator's roundoff at every step.  The
@@ -550,13 +556,19 @@ WORKLOAD_POINTS = 20001
     # whose eigenvectors are orthonormal only to roundoff, were 1.3e-12
     # off, with a drift of 1.0e-12
     (np.array([[0.7, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]]), 1e-14),
+    # beyond two levels, eigh's U_k - I as V (e^{-i theta} - 1) V^H:
+    # 8.1e-16 (d = 3) and 7.0e-16 (d = 5) off, with a drift of 2.2e-16;
+    # forming V e^{-i theta} V^H and then subtracting I was 1.3e-11 and
+    # 7.6e-12 off, with drifts of 1.3e-11 and 1.4e-12
+    (random_hermitian(3, 3), 1e-14),
+    (random_hermitian(5, 3), 1e-14),
 ])
 def test_matter_constant_hamiltonian_at_workload_size(h, bound):
     # chi(t) = exp(-i H t) chi0 at every one of the 20 001 grid points
     m = quad_model(matter_hamiltonian=lambda a: h)
     cm = clock_map(m, a0=1.0, t_span=(0.0, 0.4))
     t = np.linspace(0.0, 0.4, WORKLOAD_POINTS)
-    chi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+    chi0 = np.ones(len(h), dtype=complex) / math.sqrt(len(h))
     traj = evolve_matter(m, cm, chi0, t)
     vals, vecs = np.linalg.eigh(h)
     exact = (np.exp(-1j * np.outer(t, vals)) * (vecs.conj().T @ chi0)) @ vecs.T
@@ -626,13 +638,15 @@ def test_matter_norm_drift_names_first_bad_step(monkeypatch):
 
 
 def test_matter_norm_drift_names_first_bad_step_beyond_two_levels(monkeypatch):
-    # eigenvectors that stretch chi by 2e-9 at steps 7 and 12 of a
-    # three-level evolution, which has no closed form and goes through eigh
+    # eigenvectors stretched by 1e-6 at steps 7 and 12 of a three-level
+    # evolution, which has no closed form and goes through eigh; U - I is
+    # formed as V (e^{-i theta} - 1) V^H, so the stretch moves chi only by
+    # its product with |e^{-i theta} - 1|, about 1e-3 here
     eigh = np.linalg.eigh
 
     def leaky_eigh(h):
         vals, vecs = eigh(h)
-        vecs[[7, 12]] *= 1.0 + 1e-9
+        vecs[[7, 12]] *= 1.0 + 1e-6
         return vals, vecs
 
     m = quad_model(matter_hamiltonian=lambda a: a * THREE_LEVEL)

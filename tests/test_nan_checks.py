@@ -6,22 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from semiq import (GlialField, QuantumSystem, QuenchedCouplings,
-                   ek_reduced_hamiltonian, hamiltonian_quenched)
+from semiq import GlialField, QuantumSystem, QuenchedCouplings, hamiltonian_quenched
 from semiq.clock import CoherenceTrajectory
 
 NAN = math.nan
-UNIT = np.array([1.0, 0.0])
 
 CASES = {
     "glial_antisymmetry": (lambda: GlialField(np.full((1, 2, 2), NAN)),
                            "antisymmetric"),
-    "ek_reduced_antisymmetry": (
-        lambda: ek_reduced_hamiltonian(UNIT, np.full((2, 2), NAN)),
-        "antisymmetric"),
-    "ek_reduced_unit_norm": (
-        lambda: ek_reduced_hamiltonian(np.array([NAN, 0.0]), np.zeros((2, 2))),
-        "unit vector"),
     "quenched_unit_norm": (
         lambda: hamiltonian_quenched(np.array([NAN, 0.0]),
                                      QuenchedCouplings(np.zeros((2, 2)))),

@@ -15,21 +15,15 @@ from semiq import (
     GlialField,
     NeuralState,
     QuenchedCouplings,
-    covariant_difference,
     ek_comparison,
-    ek_reduced_hamiltonian,
     entropy_rate,
     gauge_transform,
     hamiltonian_full,
     hamiltonian_quenched,
     hebbian_couplings,
-    observer_triple,
-    retention_time,
     rolldown,
     window_counts,
 )
-from semiq import ClockModel, evolve_analytic
-from semiq import QuantumSystem
 from semiq import network
 from semiq.network import _median, _uniform_ring_energies
 
@@ -101,9 +95,6 @@ def test_site_fourier_energy_matches_dense_expm(n, N, seed, scale):
     dense = [dense_energy(NeuralState(phi), field)[0] for phi in x]
     lam, v = np.linalg.eigh(1j * g)
     assert _uniform_ring_energies(x, lam, v) == pytest.approx(dense, rel=1e-12)
-    if n == 1:
-        reduced = [ek_reduced_hamiltonian(phi[0], g) for phi in x]
-        assert reduced == pytest.approx(dense, rel=1e-12)
 
 
 @PROPERTY
@@ -143,40 +134,18 @@ def test_hamiltonian_full_at_large_norm(n, N, seed):
 
 
 def test_difference_operator_conjugates():
-    # the gauge rule makes the reference D conjugate, D' = O D O^T, and
-    # that D is the covariant difference
+    # the gauge rule makes the reference D conjugate, D' = O D O^T
     n, N = 6, 3
     state = NeuralState.random(n, N, seed=5)
     g = GlialField.random(n, N, seed=6, scale=0.4)
     o = GaugeTransformation.random(n, N, seed=7)
     d1 = dense_operator(g)
-    np.testing.assert_allclose(covariant_difference(state, g).ravel(),
-                               d1 @ state.phi.ravel(), rtol=0, atol=1e-15)
     _, g2 = gauge_transform(state, g, o)
     d2 = dense_operator(g2)
     ohat = np.zeros((n * N, n * N))
     for i in range(n):
         ohat[i * N:(i + 1) * N, i * N:(i + 1) * N] = o.matrices[i]
     assert np.max(np.abs(d2 - ohat @ d1 @ ohat.T)) < 1e-12
-
-
-def test_covariant_difference_vanishes_for_aligned_ring():
-    # constant field, zero connection: neighbours cancel exactly
-    n, N = 5, 3
-    phi = np.tile(np.array([1.0, 0.0, 0.0]), (n, 1)) / np.sqrt(n)
-    state = NeuralState(phi)
-    d = covariant_difference(state, GlialField.zero(n, N))
-    assert np.max(np.abs(d)) == 0.0
-
-
-def test_single_site_reduction_is_exact():
-    # on a one-site ring the covariant difference equals the connection
-    # acting alone, so the reduced hamiltonian is not an approximation
-    state = NeuralState.random(1, 4, seed=11)
-    g = GlialField.random(1, 4, seed=12, scale=0.7)
-    h_full = hamiltonian_full(state, g, h0=0.3)
-    h_red = ek_reduced_hamiltonian(state.phi[0], g.matrices[0], h0=0.3)
-    assert h_full == pytest.approx(h_red, abs=1e-14)
 
 
 def test_transformed_connection_need_not_be_antisymmetric():
@@ -353,11 +322,6 @@ def test_each_draw_stress_hands_out_each_draw_once():
     assert sorted(done) == list(range(3000))
 
 
-def test_ek_reduced_rejects_symmetric_connection():
-    with pytest.raises(ValueError):
-        ek_reduced_hamiltonian(np.array([0.6, 0.8]), np.ones((2, 2)))
-
-
 def test_ek_comparison_deterministic():
     a = ek_comparison(n=4, N=8, beta=1.0, draws=3, samples=500, seed=9)
     b = ek_comparison(n=4, N=8, beta=1.0, draws=3, samples=500, seed=9)
@@ -464,21 +428,6 @@ def test_window_counts_total():
     assert sum(counts.values()) == 30 - 5 + 1
 
 
-def test_observer_triple_roundtrip():
-    system = QuantumSystem.uniform_superposition([0.0, 1.0])
-    traj = evolve_analytic(system, ClockModel(1.0, 0.1), steps=300)
-    record = retention_time(traj)
-    rng = np.random.default_rng(31)
-    pats = np.where(rng.random((1, 8)) < 0.5, -1.0, 1.0)
-    couplings = hebbian_couplings(pats, h0=0.0)
-    hist = np.tile(pats[0], (40, 1))
-    trip = observer_triple(record, hist, couplings)
-    assert trip.tau == pytest.approx(200.0)
-    assert not trip.is_trivial
-    with pytest.raises(ValueError):
-        observer_triple(None, hist, couplings)
-
-
 def test_neural_state_validation():
     with pytest.raises(ValueError):
         NeuralState(np.ones((3, 2)))          # not unit norm
@@ -516,9 +465,8 @@ def test_gauge_transformation_names_first_bad_site():
 def test_hamiltonian_full_refusals():
     state = NeuralState.random(3, 2, seed=0)
     for g in (GlialField.random(3, 3, seed=1), np.zeros((2, 2, 2)), np.zeros((3, 2))):
-        for f in (hamiltonian_full, covariant_difference):
-            with pytest.raises(ValueError, match="does not match the state"):
-                f(state, g)
+        with pytest.raises(ValueError, match="does not match the state"):
+            hamiltonian_full(state, g)
     with pytest.raises(ValueError, match="finite"):
         hamiltonian_full(state, np.full((3, 2, 2), np.inf))
     # exp(S) phi past the float range at norm 4917

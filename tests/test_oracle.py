@@ -12,12 +12,11 @@ from semiq import (
     activation_rate,
     barrier_exponent_closed,
     cap_barrier,
-    constraint_residual,
-    scattering_wavefunction,
     transfer_matrix_transmission,
 )
-from semiq.oracle import (_BATCH, _CHUNK, _GROWTH_BOUND, _chunks, _propagate,
-                          _write_propagators)
+from semiq.oracle import (_BATCH, _CHUNK, _GROWTH_BOUND, _carry, _chunks,
+                          _propagate, _write_propagators)
+from semiq.scan import products
 
 # exact reference for the full inverted parabola at E = 0
 def parabola_T(bp):
@@ -121,43 +120,6 @@ def test_coarsened_halves_cells():
     assert np.array_equal(half.grid, pot.grid[::2])
 
 
-def test_scattering_wavefunction_and_residual():
-    bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=1.0)
-    pot = cap_barrier(bp, n=10000)
-    psi = scattering_wavefunction(pot, E=0.0, hbar=1.0, mu=1.0)
-    assert psi.shape == pot.grid.shape
-    assert np.max(np.abs(psi)) == pytest.approx(1.0)
-    r = constraint_residual(psi, pot, hbar=1.0, mu=1.0)
-    # measured 4.50e-6 at 10^4 points with the default L = 4b cap
-    assert r < 5e-6
-    # second-order operator: halving the step divides the residual by 4
-    pot2 = cap_barrier(bp, n=20000)
-    psi2 = scattering_wavefunction(pot2, E=0.0, hbar=1.0, mu=1.0)
-    r2 = constraint_residual(psi2, pot2, hbar=1.0, mu=1.0)
-    assert r / r2 == pytest.approx(4.0, rel=0.05)
-
-
-def test_residual_zero_for_constant_zero_potential():
-    grid = np.linspace(0.0, 1.0, 101)
-    pot = PiecewisePotential(grid=grid, values=np.zeros(101))
-    psi = np.ones(101, dtype=complex)
-    assert constraint_residual(psi, pot, 1.0, 1.0) == 0.0
-
-
-def test_residual_plane_wave_truncation_order():
-    # psi = e^{ik phi} with 2 mu V = -k^2: exact continuum solution,
-    # residual is pure finite-difference truncation, O(h^2)
-    k = 3.0
-    rs = []
-    for n in (200, 400):
-        grid = np.linspace(0.0, 2.0, n + 1)
-        pot = PiecewisePotential(grid=grid,
-                                 values=np.full(n + 1, -k * k / 2.0))
-        psi = np.exp(1j * k * grid)
-        rs.append(constraint_residual(psi, pot, 1.0, 1.0))
-    assert rs[0] / rs[1] == pytest.approx(4.0, rel=0.02)
-
-
 # --------------------------------------------------------------------------
 # golden values: (name, hbar, mu, h0, cells, T_numeric, richardson_error) at
 # j0 = 1, E = 0 on cap_barrier's default cap.  Generated with the per-cell
@@ -250,15 +212,6 @@ def test_transmission_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-
-
-def test_scattering_wavefunction_deep_barrier_is_finite():
-    # psi grows ~e^{Lambda} with Lambda ~ 740 across the barrier, beyond the
-    # float range before normalisation
-    bp = BarrierProblem(hbar=0.003, mu=1.0, j0=1.0, h0=1.0)
-    psi = scattering_wavefunction(cap_barrier(bp), E=0.0, hbar=0.003, mu=1.0)
-    assert np.all(np.isfinite(psi))
-    assert np.max(np.abs(psi)) == 1.0
 
 
 # --------------------------------------------------------------------------
@@ -354,12 +307,17 @@ def test_matches_per_cell_loop(case):
 
 
 def assert_walks_agree(pot, hbar, mu):
-    """The batched transmission walk and the suffix scan agree bit for bit."""
+    """The batched walk and one chunk product at a time agree bit for bit."""
     args = (pot.grid, pot.values, 0.0, hbar, mu)
     with np.errstate(all="raise"):
-        products = _propagate(*args)
-        scan = _propagate(*args, keep_psi=True)
-    assert products[:3] == scan[:3]      # psi, dpsi, log_scale
+        got = _propagate(*args)
+        k_right = got[4]
+        psi, dpsi, log_scale = 1.0 + 0.0j, 1j * k_right, 0.0
+        for _, _, h, q, x, under in _chunks(*args):
+            p = np.empty((2, 2, h.size))
+            _write_propagators(p, h, q, x, under)
+            psi, dpsi, log_scale = _carry(products(p), psi, dpsi, log_scale)
+    assert got[:3] == (psi, dpsi, log_scale)
 
 
 @PROPERTY

@@ -1,10 +1,15 @@
 """The package's public names are the layers' own export lists."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import semiq
 from semiq import clock, minisuperspace, network, oracle, wkb
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_package_exports_the_modules_lists():
@@ -23,8 +28,6 @@ def test_package_exports_the_modules_lists():
 RECORDS = {
     "BarrierProblem": lambda: wkb.BarrierProblem([1.0, 2.0], 1.0, 1.0, 1.0),
     "QuenchedCouplings": lambda: network.QuenchedCouplings(np.eye(2)),
-    "ObserverTriple": lambda: network.ObserverTriple(
-        1.0, 2, 0.5, network.QuenchedCouplings(np.eye(2)), np.zeros(2)),
     "QuantumClassRecord": lambda: clock.QuantumClassRecord(
         2, 1.0, 10, np.ones(3), 0.5, np.ones(3), np.ones(3)),
 }
@@ -38,3 +41,28 @@ def test_array_records_compare_by_identity(make):
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
+
+
+def referenced_names(paths):
+    """Names that the code in paths reads, as a name, an attribute or an
+    imported name."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_export_has_a_caller():
+    # an export stays only while the library, a demo or the acceptance gate
+    # reads it; a name that only its own tests call is not public API
+    callers = [*sorted((ROOT / "src" / "semiq").glob("*.py")),
+               *sorted((ROOT / "demos").glob("*.py")),
+               ROOT / "tests" / "test_acceptance.py"]
+    used = referenced_names(callers)
+    assert [name for name in semiq.__all__ if name not in used] == []
