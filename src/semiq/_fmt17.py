@@ -27,6 +27,9 @@ import numpy as np
 
 PAD = 0xFF
 
+#: bytes that make csv.QUOTE_MINIMAL quote a field
+QUOTED = b',"\r\n'
+
 #: exponents k of the 10**k table; a value's k = 16 - E lies in [-293, 341]
 _K_MIN, _K_MAX = -300, 350
 
@@ -293,7 +296,7 @@ def ascii_cells(x: np.ndarray):
     text = codes.astype(np.uint8)
     raw = text.tobytes()
     nul = text == 0
-    if any(c in raw for c in b',"\r\n') or (nul[:, :-1] & ~nul[:, 1:]).any():
+    if any(c in raw for c in QUOTED) or (nul[:, :-1] & ~nul[:, 1:]).any():
         return None
     text[nul] = PAD
     return text

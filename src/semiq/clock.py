@@ -43,6 +43,7 @@ DEFAULT_THRESHOLD = math.exp(-1.0)
 #: that a ratio landing exactly on the threshold counts as crossed
 _CROSSING_SLACK = 1e-9
 
+#: classify links records whose damping profiles agree to within this
 _PROFILE_TOL = 1e-9
 
 
@@ -68,11 +69,6 @@ class ClockModel:
             self.mu0 = mu0
         self.fluctuation_std = float(fluctuation_std)
 
-    @property
-    def symmetry_broken(self) -> bool:
-        """True exactly when every tick has the same (constant) mean."""
-        return self._mu is None
-
     def mean(self, k: int) -> float:
         """Mean increment of tick k."""
         if self._mu is None:
@@ -86,6 +82,25 @@ class ClockModel:
         if steps < 0:
             raise ValueError("steps must be non-negative")
         return np.array([self.mean(k) for k in range(steps)])
+
+
+def _tick_times(mus: np.ndarray) -> np.ndarray:
+    """T_k = mu_1 + ... + mu_k for k = 0 .. steps; ValueError past the
+    float range."""
+    with np.errstate(over="ignore"):
+        times = np.concatenate(([0.0], np.cumsum(mus)))
+    if not math.isfinite(times[-1]):
+        raise ValueError(f"clock time T_k is not finite at tick "
+                         f"{np.argmax(np.isinf(times))}")
+    return times
+
+
+def _refuse_pair(values: np.ndarray, what: str) -> None:
+    """ValueError naming the first levels i < j, in row-major order, at
+    which the (d, d) matrix values is not finite."""
+    bad = np.argwhere(~np.isfinite(np.triu(values, 1)))
+    if bad.size:
+        raise ValueError(f"{what} is not finite for levels {bad[0, 0]}-{bad[0, 1]}")
 
 
 def _ticks(rng: np.random.Generator, means: np.ndarray, sigma: float) -> np.ndarray:
@@ -131,9 +146,13 @@ class QuantumSystem:
         return self.energies.size
 
     def omegas(self) -> np.ndarray:
-        """Transition frequencies w_ij = (E_i - E_j)/hbar."""
+        """Transition frequencies w_ij = (E_i - E_j)/hbar; one past the
+        float range raises ValueError naming its levels."""
         e = self.energies
-        return (e[:, None] - e[None, :]) / self.hbar
+        with np.errstate(over="ignore"):
+            w = (e[:, None] - e[None, :]) / self.hbar
+        _refuse_pair(w, "transition frequency (E_i - E_j)/hbar")
+        return w
 
     @staticmethod
     def uniform_superposition(energies: Sequence[float], hbar: float = 1.0) -> "QuantumSystem":
@@ -176,15 +195,6 @@ class CoherenceTrajectory:
     def steps(self) -> int:
         return self.rhos.shape[0] - 1
 
-    @property
-    def dim(self) -> int:
-        return self.rhos.shape[1]
-
-    @property
-    def populations(self) -> np.ndarray:
-        """(steps+1, d) real diagonal history."""
-        return np.real(np.einsum("kii->ki", self.rhos))
-
     def coherence_magnitudes(self) -> dict[tuple[int, int], np.ndarray]:
         """Map (i, j), i < j, to the |rho_ij| history (a view of coherences)."""
         return dict(zip(self.pairs, self.coherences.T))
@@ -197,21 +207,17 @@ class CoherenceTrajectory:
             raise ValueError("trajectory has no nonzero initial coherence")
         return self.pairs[int(np.argmax(start))]
 
-    def step_factors(self, pair: tuple[int, int] | None = None) -> np.ndarray:
-        """Complex per-step multipliers rho_ij(k+1)/rho_ij(k) for one pair."""
-        i, j = self.dominant_pair() if pair is None else pair
+    def step_factors(self) -> np.ndarray:
+        """Complex per-step multipliers rho_ij(k+1)/rho_ij(k) of the
+        dominant pair."""
+        i, j = self.dominant_pair()
         series = self.rhos[:, i, j]
-        if abs(series[0]) == 0.0:
-            raise ValueError(f"pair {(i, j)} has zero initial coherence")
         return series[1:] / series[:-1]
 
-    def step_damping_exponents(self, pair: tuple[int, int] | None = None) -> np.ndarray:
-        """Per-step damping exponents -log|rho(k+1)/rho(k)|."""
-        return -np.log(np.abs(self.step_factors(pair)))
-
-    def step_phases(self, pair: tuple[int, int] | None = None) -> np.ndarray:
-        """Per-step phase advances arg(rho(k+1)/rho(k))."""
-        return np.angle(self.step_factors(pair))
+    def step_damping_exponents(self) -> np.ndarray:
+        """Per-step damping exponents -log|rho(k+1)/rho(k)| of the
+        dominant pair."""
+        return -np.log(np.abs(self.step_factors()))
 
     def max_coherence_ratio(self) -> np.ndarray:
         """max_ij |rho_ij(k)| / |rho_ij(0)| over pairs with nonzero start."""
@@ -238,14 +244,23 @@ def evolve_analytic(system: QuantumSystem, clock: ClockModel,
     with T_k the cumulative sum of the tick means, evaluated as one array
     expression.  Each entry is one exp of its exponent, so the rounding
     error stays a few ulps times (1 + the damping exponent) at any k.
+    A frequency w_ij, a damping exponent per tick w_ij**2 sigma**2 / 2, a
+    phase w_ij*T_k or a time T_k past the float range raises ValueError
+    naming it.
     """
     mus = clock.means(steps)
-    times = np.concatenate(([0.0], np.cumsum(mus)))
+    times = _tick_times(mus)
     w = system.omegas()
-    # the phase -1j*w*T_k has a zero real part, which takes the damping
-    expo = np.multiply.outer(times, -1j * w)
-    expo.real = np.multiply.outer(np.arange(steps + 1),
-                                  -0.5 * w**2 * clock.fluctuation_std**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # numpy's power gives inf where a float's raises OverflowError
+        damping = -0.5 * w**2 * np.float64(clock.fluctuation_std)**2
+        # the phase -1j*w*T_k has a zero real part, which takes the damping
+        expo = np.multiply.outer(times, -1j * w)
+    _refuse_pair(damping, "damping exponent per tick "
+                 "(E_i - E_j)**2 sigma**2 / (2 hbar**2)")
+    # |w*T_k| grows with k, so the last tick overflows first
+    _refuse_pair(expo[-1].imag, f"phase (E_i - E_j) T_k / hbar by tick {steps}")
+    expo.real = np.multiply.outer(np.arange(steps + 1), damping)
     rhos = np.exp(expo, out=expo)
     rhos *= system.initial_density
     return _trajectory(rhos, times, mus, clock.fluctuation_std)
@@ -259,11 +274,14 @@ def evolve_monte_carlo(system: QuantumSystem, clock: ClockModel, steps: int,
     c_ii = 1 exactly, and rho(k) = rho(0) * c(1) * ... * c(k) elementwise:
     one cumulative product over the stacked factors.  Each tick draws its
     own batch of durations from an independent seeded stream, so the result
-    is deterministic and independent of any batching of the work.
+    is deterministic and independent of any batching of the work.  A time
+    T_k or a tick's phase E_i*dt/hbar past the float range raises
+    ValueError naming it.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     mus = clock.means(steps)
+    times = _tick_times(mus)
     e = system.energies
     sigma = clock.fluctuation_std
     stack = np.empty((steps + 1, system.dim, system.dim), dtype=complex)
@@ -271,12 +289,17 @@ def evolve_monte_carlo(system: QuantumSystem, clock: ClockModel, steps: int,
     streams = np.random.SeedSequence(seed).spawn(steps)
     for k, (mu, stream) in enumerate(zip(mus, streams), 1):
         draws = _ticks(np.random.default_rng(stream), np.full(samples, mu), sigma)
-        f = np.exp(-1j * np.outer(e, draws) / system.hbar)   # (d, samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = -1j * np.outer(e, draws) / system.hbar   # (d, samples)
+        bad = np.flatnonzero(~np.isfinite(phase).all(axis=1))
+        if bad.size:
+            raise ValueError(f"tick phase E_i*dt/hbar of level {bad[0]} is "
+                             f"not finite at tick {k}")
+        f = np.exp(phase)
         stack[k] = (f @ f.conj().T) / samples
     diag = np.arange(system.dim)
     stack[1:, diag, diag] = 1.0    # populations are exactly preserved
-    return _trajectory(np.cumprod(stack, axis=0, out=stack),
-                       np.concatenate(([0.0], np.cumsum(mus))), mus, sigma)
+    return _trajectory(np.cumprod(stack, axis=0, out=stack), times, mus, sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,9 +307,7 @@ class QuantumClassRecord:
     """Retention time plus the profile used for equivalence classing.
 
     ``damping_profile`` is the per-step damping exponent sequence of the
-    dominant coherence; ``dimensionless_profile`` is the same sequence
-    normalised by its first nonzero entry.  Records with retention at or
-    below one step describe effectively classical systems (``is_trivial``).
+    dominant coherence.
     """
 
     retention_time_steps: int | None
@@ -295,7 +316,6 @@ class QuantumClassRecord:
     mean_increments: np.ndarray
     threshold: float
     damping_profile: np.ndarray
-    dimensionless_profile: np.ndarray
 
     @property
     def reached(self) -> bool:
@@ -305,10 +325,6 @@ class QuantumClassRecord:
     def mean_increment(self) -> float:
         """mu0 when the schedule is constant, else the schedule mean."""
         return float(np.mean(self.mean_increments))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.reached and self.retention_time_steps <= 1
 
     def __repr__(self):
         if self.reached:
@@ -333,9 +349,6 @@ def retention_time(traj: CoherenceTrajectory,
         raise ValueError("threshold must be in (0, 1)")
     ratio = traj.max_coherence_ratio()
     crossed = np.nonzero(ratio <= threshold * (1.0 + _CROSSING_SLACK))[0]
-    damping = traj.step_damping_exponents()
-    nz = np.nonzero(damping != 0.0)[0]
-    profile = damping / damping[nz[0]] if nz.size else damping.copy()
     k = int(crossed[0]) if crossed.size else None
     return QuantumClassRecord(
         retention_time_steps=k,
@@ -343,8 +356,7 @@ def retention_time(traj: CoherenceTrajectory,
         horizon_steps=traj.steps,
         mean_increments=traj.mean_increments.copy(),
         threshold=threshold,
-        damping_profile=damping,
-        dimensionless_profile=profile,
+        damping_profile=traj.step_damping_exponents(),
     )
 
 
@@ -371,13 +383,13 @@ class Reparametrization:
     """Strictly increasing, differentiable map of physical time."""
 
     def __init__(self, fn: Callable[[float], float],
-                 domain: tuple[float, float], check_points: int = 257):
+                 domain: tuple[float, float]):
         lo, hi = domain
         if not lo < hi:
             raise ValueError("domain must be an increasing interval")
         self.fn = fn
         self.domain = (float(lo), float(hi))
-        xs = np.linspace(lo, hi, check_points)
+        xs = np.linspace(lo, hi, 257)     # points where f must increase
         ys = np.array([fn(x) for x in xs])
         if not np.all(np.diff(ys) > 0):
             raise ValueError("map is not strictly increasing on its domain")
@@ -405,14 +417,13 @@ def reparametrize_events(traj: CoherenceTrajectory,
                                new_events)
 
 
-def classify(records: Sequence[QuantumClassRecord],
-             tol: float = _PROFILE_TOL) -> list[list[QuantumClassRecord]]:
+def classify(records: Sequence[QuantumClassRecord]) -> list[list[QuantumClassRecord]]:
     """Partition records into equivalence classes by damping profile.
 
     Two records are linked when their per-step damping exponent sequences
-    agree elementwise within tol; classes are the connected components of
-    that relation (union-find), which makes the partition an equivalence by
-    construction.
+    agree elementwise within _PROFILE_TOL; classes are the connected
+    components of that relation (union-find), which makes the partition an
+    equivalence by construction.
     """
     n = len(records)
     parent = list(range(n))
@@ -432,7 +443,8 @@ def classify(records: Sequence[QuantumClassRecord],
         for j in range(i + 1, n):
             pi = records[i].damping_profile
             pj = records[j].damping_profile
-            if pi.shape == pj.shape and np.max(np.abs(pi - pj), initial=0.0) <= tol:
+            if (pi.shape == pj.shape
+                    and np.max(np.abs(pi - pj), initial=0.0) <= _PROFILE_TOL):
                 union(i, j)
 
     groups: dict[int, list[QuantumClassRecord]] = {}

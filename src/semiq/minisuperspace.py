@@ -73,9 +73,6 @@ class MiniSuperspaceModel:
         if not (self.hbar > 0 and math.isfinite(self.hbar)):
             raise ValueError("hbar must be positive and finite")
 
-    def u(self, a):
-        return self.potential_u(a)
-
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
     """Raise unless h is a (steps, d, d) stack of finite Hermitian matrices."""
@@ -117,7 +114,7 @@ def hamilton_jacobi_phase(model: MiniSuperspaceModel, a_grid: np.ndarray) -> np.
     a = np.asarray(a_grid, dtype=float)
     if a.ndim != 1 or a.size < 2 or not np.all(np.diff(a) > 0):
         raise ValueError("a_grid must be strictly increasing with >= 2 points")
-    table = _Primitive(lambda x: np.sqrt(_values(model.u, x)), a)
+    table = _Primitive(lambda x: np.sqrt(_values(model.potential_u, x)), a)
     if table.gap is not None:
         raise ValueError(f"U is not positive near a = {table.gap[1]:.17g}: "
                          "Euclidean region or turning point")
@@ -218,16 +215,18 @@ class _Primitive:
         kron, err, ok, mono = _qk21(f, lo, hi)
         self.gap = None
         while True:
-            width = hi - lo
-            ulp = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-            wide = width > NARROW_ULPS * ulp
+            # the width in units in the last place, exact since a spacing
+            # is a power of two; err * span stays in range on panels so
+            # wide that err * width overflows
+            span = (hi - lo) / np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+            wide = span > NARROW_ULPS
             # A pole of f inside a panel breaks monotony, so only the first
             # test could accept it: a scan of pole positions found
             # |Kronrod - Gauss| nowhere below 1e-8 of the Kronrod sum.  A
             # jump of f is accepted once the panel holding it is narrow; a
             # narrow panel next to a pole still adds order 1 to F.
             good = ok & ((err <= PANEL_RTOL * kron)
-                         | (mono & wide & (err * width <= NOISE_ULPS * ulp * kron))
+                         | (mono & wide & (err * span <= NOISE_ULPS * kron))
                          | (~wide & (err <= PANEL_RTOL * np.cumsum(kron))))
             n = int(np.argmin(good)) if not good.all() else lo.size
             reached = np.flatnonzero((np.cumsum(kron[:n]) >= f_end) | (hi[:n] >= x_end))
@@ -352,12 +351,12 @@ def clock_map(model: MiniSuperspaceModel, a0: float,
         raise ValueError("t_span must be increasing")
     if not (a0 > 0.0 and math.isfinite(a0)):
         raise ValueError("a0 must be positive and finite")
-    if not model.u(a0) > 0.0:
+    if not model.potential_u(a0) > 0.0:
         raise ValueError("U(a0) <= 0: Euclidean region or turning point")
 
     def pace(a):
         """dG/da = 1/(2 sqrt(U))."""
-        return 0.5 / np.sqrt(_values(model.u, a))
+        return 0.5 / np.sqrt(_values(model.potential_u, a))
 
     tau = _Primitive(lambda t: _values(model.lapse, t),
                      np.linspace(t0, t1, LAPSE_PANELS + 1))
@@ -401,7 +400,7 @@ def _refuse(model: MiniSuperspaceModel, lo: float, hi: float, t1: float) -> None
     a = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.concatenate(
         ([-1.0], quadrature.KRONROD_X, [1.0]))
     with np.errstate(all="ignore"):
-        u = _values(model.u, a)
+        u = _values(model.potential_u, a)
     first = int(np.argmin(_positive(u)))
     if not (_positive(u[first]) or u[first] <= 0.0):
         raise OverflowError(f"U is not finite at a = {a[first]:.6g}, which a(t) "
@@ -576,7 +575,7 @@ def wdw_residual(model: MiniSuperspaceModel, a_span: tuple[float, float],
     if not np.all(np.diff(a) > 0.0):
         raise ValueError(f"residual span [{a_span[0]!r}, {a_span[1]!r}] is too "
                          f"short for {RESIDUAL_POINTS} increasing points")
-    u = _values(model.u, a)
+    u = _values(model.potential_u, a)
     if np.any(u <= 0.0):
         raise ValueError(f"U({a[np.argmin(u)]}) <= 0 on the residual span: "
                          "Euclidean region or turning point")
@@ -584,10 +583,14 @@ def wdw_residual(model: MiniSuperspaceModel, a_span: tuple[float, float],
     # the one-sided edge weights -1.5/h, 2/h, -0.5/h do not cancel in
     # floating point; differencing u - u[0] keeps a constant U's U' at 0
     du = np.gradient(u - u[0], h, edge_order=2)
-    d2u = np.gradient(du, h, edge_order=2)
-    amp = (u[0] / u) ** 0.25
-    amp_dd = amp * (5.0 * du**2 / (16.0 * u**2) - d2u / (4.0 * u))
-    ratio = np.linalg.norm(amp_dd) / np.linalg.norm(u * amp)
+    if du.any():
+        d2u = np.gradient(du, h, edge_order=2)
+        amp = (u[0] / u) ** 0.25
+        amp_dd = amp * (5.0 * du**2 / (16.0 * u**2) - d2u / (4.0 * u))
+        ratio = np.linalg.norm(amp_dd) / np.linalg.norm(u * amp)
+    else:
+        # a constant U has A'' = 0, also where u**2 underflows or overflows
+        ratio = 0.0
     residuals = hbars**2 * ratio
     slope = (float(np.polyfit(np.log(hbars), np.log(residuals), 1)[0])
              if ratio > 0.0 else math.nan)

@@ -82,6 +82,9 @@ _MAX_TAYLOR_STEPS = 10_000
 #: the samples does, which keeps the bytes of the golden and benchmark runs.
 _EK_ROWS = 128
 
+#: sweeps after which rolldown reports that it has not converged
+_SWEEP_LIMIT = 100
+
 
 class NeuralState:
     """Unit-Frobenius-norm n x N state matrix."""
@@ -130,10 +133,6 @@ class GlialField:
     @property
     def N(self) -> int:
         return self.matrices.shape[1]
-
-    @staticmethod
-    def zero(n: int, N: int) -> "GlialField":
-        return GlialField(np.zeros((n, N, N)))
 
     @staticmethod
     def random(n: int, N: int, seed: int, scale: float = 1.0) -> "GlialField":
@@ -510,14 +509,13 @@ class RolldownResult:
         return self.states[-1]
 
 
-def rolldown(start: np.ndarray, couplings: QuenchedCouplings,
-             max_sweeps: int = 100) -> RolldownResult:
+def rolldown(start: np.ndarray, couplings: QuenchedCouplings) -> RolldownResult:
     """Asynchronous sign updates in fixed index order until a fixed point.
 
     s_i <- sign(sum_j J_ij s_j), ties resolved to +1.  Each flip lowers (or
     keeps, on a tie) the energy -(1/2n) s^T J s + H0 of the sqrt(n)-
     normalised state, so the recorded energy sequence is non-increasing
-    whenever diag(J) >= 0.  Non-convergence within max_sweeps is reported
+    whenever diag(J) >= 0.  Non-convergence within _SWEEP_LIMIT is reported
     in the result, not raised.
     """
     s = np.asarray(start)
@@ -536,7 +534,7 @@ def rolldown(start: np.ndarray, couplings: QuenchedCouplings,
     energies = [energy(s)]
     converged = False
     sweeps = 0
-    for sweep in range(max_sweeps):
+    for sweep in range(_SWEEP_LIMIT):
         sweeps = sweep + 1
         changed = False
         for i in range(n):

@@ -3,7 +3,7 @@
 The barrier of :mod:`semiq.wkb` is capped at |phi| = L (flat continuation
 beyond), which turns the zero-energy constraint
 
-    -hbar**2 psi'' + 2*mu*(H_int(phi) - E) psi = 0
+    -hbar**2 psi'' + 2*mu*H_int(phi) psi = 0
 
 into an ordinary scattering problem with propagating waves on both sides.
 Transmission is then computed with no semiclassical input at all: the
@@ -77,7 +77,6 @@ class PiecewisePotential:
 @dataclass(frozen=True)
 class TransmissionEstimate:
     T_numeric: float
-    grid_points: int
     richardson_error: float
 
     def __post_init__(self):
@@ -103,12 +102,12 @@ def cap_barrier(bp: BarrierProblem, L: float | None = None, n: int = 20000) -> P
     return PiecewisePotential(grid, bp.interaction_energy(grid))
 
 
-def _chunks(grid, values, E, hbar, mu):
+def _chunks(grid, values, hbar, mu):
     """Yield (start, end, h, q, x, under) per chunk, walking right to left.
 
     A chunk [start, end) holds at most _CHUNK cells and ends early where its
     integrated kappa passes _GROWTH_BOUND.  Each cell's geometry is computed
-    once: w = 2*mu*(V - E)/hbar^2 from the mean of the cell's endpoint
+    once: w = 2*mu*V/hbar^2 from the mean of the cell's endpoint
     samples, the width h, q = sqrt(|w|), the phase x = q*h and the mask
     under = w > 0 of the cells under the barrier, where kappa = q.
     """
@@ -116,10 +115,9 @@ def _chunks(grid, values, E, hbar, mu):
     while end > 0:
         lo = max(end - _CHUNK, 0)
         h = grid[lo + 1:end + 1] - grid[lo:end]
-        # w in place, with the operations of 2*mu*(V - E)/hbar^2 in order
+        # w in place, with the operations of 2*mu*V/hbar^2 in order
         w = np.add(values[lo + 1:end + 1], values[lo:end])
         w *= 0.5
-        w -= E
         w *= 2.0 * mu
         w /= hbar**2
         q = np.sqrt(np.abs(w))
@@ -212,7 +210,7 @@ def _carry(p, psi, dpsi, log_scale):
     return psi / m, dpsi / m, log_scale + math.log(m)
 
 
-def _propagate(grid, values, E, hbar, mu):
+def _propagate(grid, values, hbar, mu):
     """Propagate (psi, psi') from the right edge to the left edge.
 
     Starts from a pure outgoing wave psi = 1, psi' = i*k_R and walks left
@@ -222,26 +220,26 @@ def _propagate(grid, values, E, hbar, mu):
     _chunk_products, carries (psi, psi') across it, and the carried pair
     is then renormalised into the returned log-scale.
     """
-    k_left_sq = 2.0 * mu * (E - values[0]) / hbar**2
-    k_right_sq = 2.0 * mu * (E - values[-1]) / hbar**2
+    k_left_sq = -2.0 * mu * values[0] / hbar**2
+    k_right_sq = -2.0 * mu * values[-1] / hbar**2
     if k_left_sq <= 0 or k_right_sq <= 0:
-        raise ValueError("E must exceed both asymptotic levels so that "
-                         "waves propagate on both sides")
+        raise ValueError("both asymptotic levels must be negative so that "
+                         "zero-energy waves propagate on both sides")
     k_left = math.sqrt(k_left_sq)
     k_right = math.sqrt(k_right_sq)
 
     psi = 1.0 + 0.0j
     dpsi = 1j * k_right
     log_scale = 0.0
-    chunks = _chunks(grid, values, E, hbar, mu)
+    chunks = _chunks(grid, values, hbar, mu)
     for p in _chunk_products(chunks, grid.size - 1):
         psi, dpsi, log_scale = _carry(p, psi, dpsi, log_scale)
     return psi, dpsi, log_scale, k_left, k_right
 
 
-def _transmission_once(pot: PiecewisePotential, E, hbar, mu) -> float:
+def _transmission_once(pot: PiecewisePotential, hbar, mu) -> float:
     psi, dpsi, log_scale, k_left, k_right = _propagate(
-        pot.grid, pot.values, E, hbar, mu)
+        pot.grid, pot.values, hbar, mu)
     # decompose the left-edge solution into incident and reflected waves
     alpha = 0.5 * (psi + dpsi / (1j * k_left))
     log_T = (math.log(k_right / k_left)
@@ -250,20 +248,19 @@ def _transmission_once(pot: PiecewisePotential, E, hbar, mu) -> float:
     return math.exp(min(log_T, 0.0))
 
 
-def transfer_matrix_transmission(pot: PiecewisePotential, E: float = 0.0,
-                                 hbar: float = 1.0, mu: float = 1.0) -> TransmissionEstimate:
-    """Transmission probability through the sampled potential at energy E.
+def transfer_matrix_transmission(pot: PiecewisePotential, hbar: float = 1.0,
+                                 mu: float = 1.0) -> TransmissionEstimate:
+    """Transmission probability through the sampled potential at zero energy.
 
     T = (k_right/k_left) / |incident amplitude|^2.  The same computation on
     the 2x-coarsened grid feeds a Richardson error estimate (the scheme is
     second order in the cell width).
     """
-    t_fine = _transmission_once(pot, E, hbar, mu)
+    t_fine = _transmission_once(pot, hbar, mu)
     if pot.cells % 2 == 0:
-        t_coarse = _transmission_once(pot.coarsened(), E, hbar, mu)
+        t_coarse = _transmission_once(pot.coarsened(), hbar, mu)
         rich = abs(t_fine - t_coarse) / 3.0
     else:
         warnings.warn("odd cell count: no Richardson pair, error estimate is NaN")
         rich = math.nan
-    return TransmissionEstimate(T_numeric=t_fine, grid_points=pot.grid.size,
-                                richardson_error=rich)
+    return TransmissionEstimate(T_numeric=t_fine, richardson_error=rich)

@@ -42,7 +42,7 @@ MANIFEST_FORMAT = "1"
 _BLOCK_ROWS = 8192
 
 #: characters that make csv.QUOTE_MINIMAL quote a field
-_SPECIAL = (",", '"', "\r", "\n")
+_SPECIAL = _fmt17.QUOTED.decode("ascii")
 
 _PAD = bytes([_fmt17.PAD])
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,25 +205,20 @@ def activation_rate(bp: BarrierProblem):
 class WkbSolution:
     """Connection-formula solution of a BarrierProblem.
 
-    The three-region wavefunction is normalised by the outgoing amplitude c;
-    the incoming branch carries the exp(Lambda) enhancement that encodes the
-    smallness of the transmitted flux.
+    The three-region wavefunction has unit outgoing amplitude; the incoming
+    branch carries the exp(Lambda) enhancement that encodes the smallness
+    of the transmitted flux.
     """
 
     problem: BarrierProblem
     barrier_exponent: float | np.ndarray
     transmission: float | np.ndarray
-    c: complex = field(default=1.0 + 0.0j)
-
-    def __post_init__(self):
-        if self.c == 0:
-            raise ValueError("normalization c must be nonzero")
 
 
-def solve_barrier(bp: BarrierProblem, c: complex = 1.0 + 0.0j) -> WkbSolution:
+def solve_barrier(bp: BarrierProblem) -> WkbSolution:
     lam = barrier_exponent(bp)
     return WkbSolution(problem=bp, barrier_exponent=lam,
-                       transmission=_transmission(bp, lam), c=c)
+                       transmission=_transmission(bp, lam))
 
 
 def _allowed_action(x, b, k):
@@ -260,10 +255,10 @@ def _refuse(bad, message):
 def wkb_wavefunction(sol: WkbSolution, region: str, phi):
     """Evaluate the three-region wavefunction at phi, one value per point.
 
-    incoming  (phi < a): exp(L) * (-i c)/sqrt(p) * exp(i*(FI - pi/4)),
+    incoming  (phi < a): exp(L) * (-i)/sqrt(p) * exp(i*(FI - pi/4)),
                          FI = (1/hbar) * integral_phi^a p
-    under     (a<phi<b): (-i c)/sqrt(rho) * exp((1/hbar) * integral_phi^b rho)
-    outgoing  (phi > b): c/sqrt(p) * exp(i*(FO - pi/4)),
+    under     (a<phi<b): (-i)/sqrt(rho) * exp((1/hbar) * integral_phi^b rho)
+    outgoing  (phi > b): 1/sqrt(p) * exp(i*(FO - pi/4)),
                          FO = (1/hbar) * integral_b^phi p
 
     phi is a float or one value per point; a one-point problem at a float
@@ -286,24 +281,23 @@ def wkb_wavefunction(sol: WkbSolution, region: str, phi):
 
     k = np.sqrt(2.0 * mu * j0)
     lam = sol.barrier_exponent
-    c = np.asarray(sol.c, dtype=complex)
     if region == "incoming":
         _refuse(~(phi < a), lambda i: (
             f"phi={phi[i]} is not in the incoming region (phi < {a[i]})"))
         action, p = _allowed_action(-phi, b, k)
-        psi = (np.exp(lam) * (-1j) * c / np.sqrt(p)
+        psi = (np.exp(lam) * (-1j) / np.sqrt(p)
                * np.exp(1j * (action / hbar - math.pi / 4.0)))
     elif region == "under_barrier":
         _refuse(~((a < phi) & (phi < b)), lambda i: (
             f"phi={phi[i]} is not under the barrier ({a[i]}, {b[i]})"))
         # the amplitude grows towards the entrance face
         action, rho = _forbidden_action(phi, b, k)
-        psi = (-1j) * c / np.sqrt(rho) * np.exp(action / hbar)
+        psi = (-1j) / np.sqrt(rho) * np.exp(action / hbar)
     else:
         _refuse(~(phi > b), lambda i: (
             f"phi={phi[i]} is not in the outgoing region (phi > {b[i]})"))
         action, p = _allowed_action(phi, b, k)
-        psi = c / np.sqrt(p) * np.exp(1j * (action / hbar - math.pi / 4.0))
+        psi = 1.0 / np.sqrt(p) * np.exp(1j * (action / hbar - math.pi / 4.0))
     return _result(sol.problem, psi, complex) if one else psi
 
 
@@ -320,11 +314,11 @@ def current_ratio(sol: WkbSolution, bp: BarrierProblem | None = None):
     """|j_outgoing| / |j_incoming| from finite-difference currents, per point.
 
     bp, if given, must be the solution's problem.  Both currents are
-    checked against their closed-form values (|c|^2/mu outgoing,
-    exp(2*Lambda)*|c|^2/mu incoming); a deviation beyond 1e-4 (a coarse
-    step, or the rounding of phi +- h at h0 < 1e-11) is an error naming
-    the first such point.  exp(2*Lambda) past the float range
-    (Lambda > 354) raises FloatingPointError.  The ratio is independent of c.
+    checked against their closed-form values (1/mu outgoing,
+    exp(2*Lambda)/mu incoming); a deviation beyond 1e-4 (a coarse step, or
+    the rounding of phi +- h at h0 < 1e-11) is an error naming the first
+    such point.  exp(2*Lambda) past the float range (Lambda > 354) raises
+    FloatingPointError.
     """
     cols = _columns(sol.problem)
     if bp is not None and not all(map(np.array_equal, _columns(bp), cols)):
@@ -346,9 +340,8 @@ def current_ratio(sol: WkbSolution, bp: BarrierProblem | None = None):
     j_in = _fd_currents(sol, hbar / mu, "incoming", phi_in, h)
     j_out = _fd_currents(sol, hbar / mu, "outgoing", phi_out, h)
 
-    c2 = abs(np.asarray(sol.c, dtype=complex)) ** 2
-    j_out_exact = c2 / mu
-    j_in_exact = np.exp(2.0 * np.asarray(sol.barrier_exponent, dtype=float)) * c2 / mu
+    j_out_exact = 1.0 / mu
+    j_in_exact = np.exp(2.0 * np.asarray(sol.barrier_exponent, dtype=float)) / mu
     for name, got, want in (("outgoing", abs(j_out), j_out_exact),
                             ("incoming", abs(j_in), j_in_exact)):
         dev = abs(got - want) / want

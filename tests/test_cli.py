@@ -370,6 +370,26 @@ def test_cosmo_constant_potential_has_no_residual(tmp_path, plot):
         assert (tmp_path / "cosmo_residual.svg").exists()
 
 
+@pytest.mark.parametrize("args", [
+    # u**2 and ||U A|| underflow to 0, and the G table's panels grow past
+    # 1e100 wide
+    ["--potential", "constant:1.7717624996016865e-266",
+     "--hbar-list", "7.493632731735561e-05,8.672624915662086e-34",
+     "--a0", "1814417.6991403832", "--t-max", "7.209080056826315e+233",
+     "--t-points", "240"],
+    # u**2 and ||U A|| overflow
+    ["--potential", "constant:1.164752469259125e+219",
+     "--hbar-list", "2.894535222828425e+86,3.243377750444577e+39",
+     "--a0", "2.8165556273894845", "--t-max", "0.00012512344667736696",
+     "--t-points", "193", "--matter", "twolevel:89152.56590591482"],
+], ids=["tiny", "huge"])
+def test_cosmo_extreme_constant_potential_has_no_residual(tmp_path, args):
+    # warnings are errors here, so a raw RuntimeWarning fails the run
+    assert run_cli(["cosmo", *args], tmp_path) == EXIT_OK
+    for _, residual, slope in residual_rows(tmp_path):
+        assert residual == 0.0 and math.isnan(slope)
+
+
 def test_cosmo_table_potential_is_splined(tmp_path):
     grid = [0.5 + 0.1 * k for k in range(26)]
     quad, flat = tmp_path / "quad.csv", tmp_path / "flat.csv"
@@ -492,6 +512,30 @@ def test_cosmo_input_tables_refuse_non_finite_cells(tmp_path, capsys, kind,
                  "--output-dir", str(out)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert str(path) in err and f"column {column} is not finite" in err
+    assert not out.exists()
+
+
+CLOCK_OVERFLOW = ["clock", "--energies", "0.0186905846232307,-124226.66785073421,"
+                  "0.03418267716298257,-10.329787929538064",
+                  "--hbar", "9.119875255135033e-160", "--mu0", "3740844.6628812877",
+                  "--sigma", "7.085248594635016e+167", "--steps", "151"]
+
+
+@pytest.mark.parametrize("args, named", [
+    # Monte Carlo: E_0*dt/hbar of a draw near sigma = 7e167 passes 1e308
+    (CLOCK_OVERFLOW + ["--samples", "3", "--seed", "4"],
+     "tick phase E_i*dt/hbar of level 0 is not finite at tick 1"),
+    # closed form: sigma**2 past the float range
+    (CLOCK_OVERFLOW, "damping exponent per tick (E_i - E_j)**2 sigma**2 / "
+                     "(2 hbar**2) is not finite for levels 0-1"),
+    # (1e300 - 0)/1e-10: this run once blamed "no nonzero initial coherence"
+    (["clock", "--energies", "0,1e300", "--hbar", "1e-10", "--steps", "5"],
+     "transition frequency (E_i - E_j)/hbar is not finite for levels 0-1"),
+], ids=["monte_carlo", "closed_form", "frequency"])
+def test_clock_overflow_exits_3_naming_it(tmp_path, capsys, args, named):
+    out = tmp_path / "out"
+    assert run_cli(args, out) == EXIT_NUMERICAL
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -791,6 +835,24 @@ def test_phase_leaves_out_scipy_integrate():
     assert out.stdout.strip().splitlines()[-1] == "False"
 
 
+def test_runs_without_plot_leave_out_svgplot(tmp_path):
+    # the SVG writer is imported by --plot alone: every other run would
+    # compile its source on a fresh checkout
+    runs = list(MANIFEST_RUNS.values())
+    code = ("import sys, semiq.cli\n"
+            f"for i, args in enumerate({runs!r}):\n"
+            f"    out = {str(tmp_path)!r} + '/' + str(i)\n"
+            "    assert semiq.cli.main([*args, '--output-dir', out]) == 0, args\n"
+            "loaded = ['semiq.svgplot' in sys.modules]\n"
+            f"semiq.cli.main({runs[-1]!r} + ['--plot', '--output-dir', {str(tmp_path)!r}])\n"
+            "print(loaded + ['semiq.svgplot' in sys.modules])")
+    src = os.path.dirname(os.path.dirname(semiq.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "[False, True]"
+
+
 def test_cli_tables_leave_out_numpy_ma_fractions_decimal(tmp_path):
     # the CSV writer's tables are built on first use from integers and
     # numpy: a plain np.unique would import numpy.ma, and a table of
@@ -932,7 +994,7 @@ def outside_values(spec):
     one value and at the default's; a parameter without a range gives
     none."""
     default = spec.default
-    if spec.coerce in (cli._as_bool, cli._as_str):
+    if spec.coerce in (cli._as_bool, str):
         return []
     floats = [float(f(b)) for b in (0.0, 1.0)
               for f in (lambda b: np.nextafter(b, -1.0), float,

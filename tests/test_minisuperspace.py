@@ -412,11 +412,11 @@ def finite_difference_residual(model, a_lo, a_hi, hbar, n):
     truncation error can dwarf the O(hbar^2) defect unless n is large.
     """
     grid = np.linspace(a_lo, a_hi, n + 1)
-    u = model.u(grid)
+    u = model.potential_u(grid)
     nodes, wts = np.polynomial.legendre.leggauss(5)
     h = grid[1] - grid[0]
     x = grid[:-1, None] + 0.5 * h * (nodes[None, :] + 1.0)
-    s = np.concatenate(([0.0], np.cumsum(0.5 * h * (np.sqrt(model.u(x)) @ wts))))
+    s = np.concatenate(([0.0], np.cumsum(0.5 * h * (np.sqrt(model.potential_u(x)) @ wts))))
     ds = np.sqrt(u)
     psi = np.sqrt(ds[0] / ds) * np.exp(1j * s / hbar)
 

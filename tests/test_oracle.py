@@ -26,21 +26,21 @@ def parabola_T(bp):
 def test_free_potential_transmits_fully():
     grid = np.linspace(-5.0, 5.0, 501)
     pot = PiecewisePotential(grid=grid, values=np.full(501, -1.0))
-    est = transfer_matrix_transmission(pot, E=0.0, hbar=1.0, mu=1.0)
+    est = transfer_matrix_transmission(pot, hbar=1.0, mu=1.0)
     assert est.T_numeric == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rectangular_barrier_closed_form():
-    # height 2, width 1, E = 1, hbar = 1, mu = 1/2: k = kappa = 1 and
-    # T = 1 / (1 + sinh(1)^2) = 0.41997...
+    # a step of height 2 and width 1 on a plateau 1 below E = 0, hbar = 1,
+    # mu = 1/2: k = kappa = 1 and T = 1 / (1 + sinh(1)^2) = 0.41997...
     exact = 1.0 / (1.0 + math.sinh(1.0) ** 2)
     assert exact == pytest.approx(0.4199743, rel=1e-6)
     errs = []
     for n in (9000, 18000):
         grid = np.linspace(-4.0, 5.0, n + 1)
-        vals = np.where((grid >= 0.0) & (grid <= 1.0), 2.0, 0.0)
+        vals = np.where((grid >= 0.0) & (grid <= 1.0), 1.0, -1.0)
         pot = PiecewisePotential(grid=grid, values=vals)
-        est = transfer_matrix_transmission(pot, E=1.0, hbar=1.0, mu=0.5)
+        est = transfer_matrix_transmission(pot, hbar=1.0, mu=0.5)
         errs.append(abs(est.T_numeric - exact) / exact)
     assert errs[0] < 2.5e-3
     # half-height edge cells make the step convergence first order
@@ -50,7 +50,7 @@ def test_rectangular_barrier_closed_form():
 def test_capped_parabola_unit_parameters():
     bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=1.0)
     pot = cap_barrier(bp)                      # L = 4b, n = 20000 defaults
-    est = transfer_matrix_transmission(pot, E=0.0, hbar=1.0, mu=1.0)
+    est = transfer_matrix_transmission(pot, hbar=1.0, mu=1.0)
     # measured: 1.2191e-2, 4.9% above the infinite-parabola value (the cap
     # reflects); both the formula and the semiclassical rate sit within 10%
     assert abs(est.T_numeric - parabola_T(bp)) / parabola_T(bp) < 0.10
@@ -61,7 +61,7 @@ def test_capped_parabola_unit_parameters():
 @pytest.mark.parametrize("h0", np.linspace(6.0, 20.0, 8) / (math.pi * math.sqrt(2)))
 def test_thick_barrier_row(h0):
     bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=float(h0))
-    est = transfer_matrix_transmission(cap_barrier(bp), E=0.0, hbar=1.0, mu=1.0)
+    est = transfer_matrix_transmission(cap_barrier(bp), hbar=1.0, mu=1.0)
     wkb = activation_rate(bp)
     assert abs(est.T_numeric - wkb) / wkb <= 0.3
     assert abs(est.T_numeric - parabola_T(bp)) / parabola_T(bp) <= 0.10
@@ -71,17 +71,15 @@ def test_log_domain_no_overflow():
     # 2*Lambda = 60: T ~ 1e-27, e^{Lambda} alone overflows float range
     # several times over if propagated linearly
     bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=60.0 / (2 * math.pi / math.sqrt(2)))
-    est = transfer_matrix_transmission(cap_barrier(bp), E=0.0, hbar=1.0, mu=1.0)
+    est = transfer_matrix_transmission(cap_barrier(bp), hbar=1.0, mu=1.0)
     assert math.isfinite(est.T_numeric)
     assert est.T_numeric == pytest.approx(parabola_T(bp), rel=0.1)
 
 
 def test_richardson_error_tracks_grid():
     bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=1.0)
-    fine = transfer_matrix_transmission(cap_barrier(bp, n=20000), E=0.0,
-                                        hbar=1.0, mu=1.0)
-    coarse = transfer_matrix_transmission(cap_barrier(bp, n=2000), E=0.0,
-                                          hbar=1.0, mu=1.0)
+    fine = transfer_matrix_transmission(cap_barrier(bp, n=20000), hbar=1.0, mu=1.0)
+    coarse = transfer_matrix_transmission(cap_barrier(bp, n=2000), hbar=1.0, mu=1.0)
     assert fine.richardson_error < coarse.richardson_error
     # both estimates agree to far better than their physical deviation
     assert fine.T_numeric == pytest.approx(coarse.T_numeric, rel=1e-4)
@@ -90,8 +88,7 @@ def test_richardson_error_tracks_grid():
 def test_transmission_bounds_enforced():
     with pytest.raises(ValueError):
         from semiq.oracle import TransmissionEstimate
-        TransmissionEstimate(T_numeric=1.5, grid_points=100,
-                             richardson_error=0.0)
+        TransmissionEstimate(T_numeric=1.5, richardson_error=0.0)
 
 
 def test_cap_barrier_validation():
@@ -169,8 +166,7 @@ def test_golden_rows_straddle_the_chunk():
                          ids=[row[0] for row in GOLDEN])
 def test_transmission_golden(name, hbar, mu, h0, cells, T, rich):
     bp = BarrierProblem(hbar=hbar, mu=mu, j0=1.0, h0=h0)
-    est = transfer_matrix_transmission(cap_barrier(bp, n=cells), E=0.0,
-                                       hbar=hbar, mu=mu)
+    est = transfer_matrix_transmission(cap_barrier(bp, n=cells), hbar=hbar, mu=mu)
     assert est.T_numeric == pytest.approx(T, rel=1e-12, abs=0.0)
     if math.isnan(rich):
         assert math.isnan(est.richardson_error)
@@ -193,8 +189,7 @@ def test_deep_barrier_underflows_without_fp_errors():
     # integrated kappa per chunk is what keeps every product finite.
     bp = BarrierProblem(hbar=0.002, mu=1.0, j0=1.0, h0=1.0)
     with np.errstate(all="raise"):
-        est = transfer_matrix_transmission(cap_barrier(bp), E=0.0,
-                                           hbar=0.002, mu=1.0)
+        est = transfer_matrix_transmission(cap_barrier(bp), hbar=0.002, mu=1.0)
     assert est.T_numeric == 0.0
     assert est.richardson_error == 0.0
 
@@ -207,7 +202,7 @@ def test_transmission_memory_stays_bounded():
     pot = cap_barrier(bp, n=1_000_000)
     tracemalloc.start()
     try:
-        transfer_matrix_transmission(pot, E=0.0, hbar=0.05, mu=1.0)
+        transfer_matrix_transmission(pot, hbar=0.05, mu=1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -218,10 +213,10 @@ def test_transmission_memory_stays_bounded():
 # properties on random piecewise potentials
 
 
-def loop_transmission(grid, values, E, hbar, mu):
+def loop_transmission(grid, values, hbar, mu):
     """Per-cell reference walk without rescaling: small barriers only."""
-    w = 2.0 * mu * (0.5 * (values[1:] + values[:-1]) - E) / hbar**2
-    k_l, k_r = (math.sqrt(2.0 * mu * (E - v)) / hbar for v in values[[0, -1]])
+    w = 2.0 * mu * (0.5 * (values[1:] + values[:-1])) / hbar**2
+    k_l, k_r = (math.sqrt(-2.0 * mu * v) / hbar for v in values[[0, -1]])
     psi, dpsi = 1.0 + 0.0j, 1j * k_r
     for wi, h in zip(w[::-1], np.diff(grid)[::-1]):
         q = cmath.sqrt(wi)          # imaginary in allowed cells: cosh -> cos
@@ -274,7 +269,7 @@ def rounding_slack(cells):
 
 
 def _T(pot, hbar, mu):
-    return transfer_matrix_transmission(pot, E=0.0, hbar=hbar, mu=mu).T_numeric
+    return transfer_matrix_transmission(pot, hbar=hbar, mu=mu).T_numeric
 
 
 @pytest.mark.filterwarnings("ignore:odd cell count")
@@ -302,13 +297,13 @@ def test_flat_potential_transmits_fully(case):
 @given(potentials(cells=st.integers(1, 300)))
 def test_matches_per_cell_loop(case):
     pot, hbar, mu = case
-    ref = loop_transmission(pot.grid, pot.values, 0.0, hbar, mu)
+    ref = loop_transmission(pot.grid, pot.values, hbar, mu)
     assert _T(pot, hbar, mu) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def assert_walks_agree(pot, hbar, mu):
     """The batched walk and one chunk product at a time agree bit for bit."""
-    args = (pot.grid, pot.values, 0.0, hbar, mu)
+    args = (pot.grid, pot.values, hbar, mu)
     with np.errstate(all="raise"):
         got = _propagate(*args)
         k_right = got[4]
@@ -335,7 +330,7 @@ def test_chunk_products_match_the_scan_on_a_deep_barrier(cells):
     bp = BarrierProblem(hbar=0.007, mu=1.0, j0=1.0, h0=4.0)
     pot = cap_barrier(bp, n=cells)
     sizes = [end - start for start, end, *_ in
-             _chunks(pot.grid, pot.values, 0.0, 0.007, 1.0)]
+             _chunks(pot.grid, pot.values, 0.007, 1.0)]
     assert min(sizes[:-1]) < _CHUNK
     assert_walks_agree(pot, 0.007, 1.0)
 
@@ -358,14 +353,14 @@ def reference_cell_propagators(w, h):
     return np.array([[diag, -s_over_q], [-np.sign(w) * q * s, diag]])
 
 
-def reference_chunks(grid, values, E, hbar, mu):
+def reference_chunks(grid, values, hbar, mu):
     """Chunk bounds by the growth rule sqrt(max(w, 0))*h: (start, end, w, h)."""
     end = grid.size - 1
     while end > 0:
         lo = max(end - _CHUNK, 0)
         h = np.diff(grid[lo:end + 1])
         cell_v = 0.5 * (values[lo + 1:end + 1] + values[lo:end])
-        w = 2.0 * mu * (cell_v - E) / hbar**2
+        w = 2.0 * mu * cell_v / hbar**2
         growth = np.cumsum((np.sqrt(np.maximum(w, 0.0)) * h)[::-1])
         cells = max(int(np.searchsorted(growth, _GROWTH_BOUND, side="right")), 1)
         yield end - cells, end, w[-cells:], h[-cells:]
@@ -378,40 +373,38 @@ def test_chunk_bounds_match_the_cumsum_rule(hbar, h0, cells):
     # the walk runs the cumsum only for a chunk whose pairwise total of
     # kappa*h comes near the bound; the bounds must not move
     pot = cap_barrier(BarrierProblem(hbar=hbar, mu=1.0, j0=1.0, h0=h0), n=cells)
-    args = (pot.grid, pot.values, 0.0, hbar, 1.0)
+    args = (pot.grid, pot.values, hbar, 1.0)
     assert [c[:2] for c in _chunks(*args)] == [c[:2] for c in reference_chunks(*args)]
 
 
 def writer_profile(kind, cells, rng):
-    """(grid, values, E) of one kind of cell mix; E is the plateau level."""
+    """(grid, values) of one kind of cell mix around the level V = 0 of
+    the walk's energy."""
     n = cells + 1
     grid = np.cumsum(rng.uniform(0.5, 1.5, n)) * (1e-3 if cells > 2 else 0.1)
-    E = 0.25
     if kind == "allowed":
-        values = E - rng.uniform(0.1, 2.0, n)
+        values = -rng.uniform(0.1, 2.0, n)
     elif kind == "forbidden":
-        values = E + rng.uniform(0.1, 2.0, n)
+        values = rng.uniform(0.1, 2.0, n)
     elif kind == "mixed":
-        values = E + rng.uniform(-1.0, 1.0, n)
+        values = rng.uniform(-1.0, 1.0, n)
     elif kind == "plateau":
-        # runs of V == E exactly, so cells with w == 0, between both kinds
-        values = E + rng.choice([-1.0, 0.0, 0.0, 1.0], n)
+        # runs of V == 0 exactly, so cells with w == 0, between both kinds
+        values = rng.choice([-1.0, 0.0, 0.0, 1.0], n)
     elif kind == "signed_zero":
-        # V = -0.0 at E = 0: cell means -0.0 and w == -0.0
-        E = 0.0
+        # V = -0.0: cell means -0.0 and w == -0.0
         values = rng.choice([-0.0, 0.0, -1.0, 1.0], n)
     elif kind == "subnormal":
         # |w| a few units of the smallest subnormal (even multiples keep the
         # cell means exact); wide cells keep q*s, about |w|*h, normal
-        E = 0.0
         values = 5e-324 * rng.choice([-4.0, -2.0, 0.0, 2.0, 4.0], n)
         grid = np.cumsum(rng.uniform(0.5, 1.5, n)) * 1e20
     elif kind == "deep":
-        # |w|*h^2 ~ 1 per cell on both sides of E: the growth bound, which
-        # counts only the cells under the barrier, ends chunks early
-        values = E + rng.uniform(-2.0, 2.0, n)
+        # |w|*h^2 ~ 1 per cell on both sides of V = 0: the growth bound,
+        # which counts only the cells under the barrier, ends chunks early
+        values = rng.uniform(-2.0, 2.0, n)
         grid = np.cumsum(rng.uniform(0.5, 1.5, n))
-    return grid, values, E
+    return grid, values
 
 
 @pytest.mark.parametrize("cells", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1])
@@ -419,11 +412,11 @@ def writer_profile(kind, cells, rng):
                                   "signed_zero", "subnormal", "deep"])
 def test_writer_matches_the_reference_bit_for_bit(kind, cells):
     rng = np.random.default_rng([cells, len(kind)])
-    grid, values, E = writer_profile(kind, cells, rng)
+    grid, values = writer_profile(kind, cells, rng)
     buf = np.full((2, 2, 2, _CHUNK), np.nan)
     with np.errstate(all="raise"):
-        ours = list(_chunks(grid, values, E, 1.0, 1.0))
-        ref = list(reference_chunks(grid, values, E, 1.0, 1.0))
+        ours = list(_chunks(grid, values, 1.0, 1.0))
+        ref = list(reference_chunks(grid, values, 1.0, 1.0))
         assert [c[:2] for c in ours] == [c[:2] for c in ref]
         for (_, _, h, q, x, under), (_, _, w, h_ref) in zip(ours, ref):
             out = buf[:, :, 1, :h.size]      # a view, as in the batch buffer

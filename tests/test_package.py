@@ -29,7 +29,7 @@ RECORDS = {
     "BarrierProblem": lambda: wkb.BarrierProblem([1.0, 2.0], 1.0, 1.0, 1.0),
     "QuenchedCouplings": lambda: network.QuenchedCouplings(np.eye(2)),
     "QuantumClassRecord": lambda: clock.QuantumClassRecord(
-        2, 1.0, 10, np.ones(3), 0.5, np.ones(3), np.ones(3)),
+        2, 1.0, 10, np.ones(3), 0.5, np.ones(3)),
 }
 
 

@@ -97,17 +97,6 @@ def test_under_barrier_growth_toward_incoming_side():
     assert left > right * 2.0
 
 
-def test_outgoing_amplitude_sets_scale():
-    bp = BarrierProblem(1.0, 1.0, 1.0, 1.0)
-    s1 = solve_barrier(bp, c=1.0 + 0j)
-    s2 = solve_barrier(bp, c=2.0 + 0j)
-    r = (wkb_wavefunction(s2, "outgoing", 3.0)
-         / wkb_wavefunction(s1, "outgoing", 3.0))
-    assert r == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        solve_barrier(bp, c=0.0 + 0j)
-
-
 # hbar = 0.01: the wavelength hbar/p is 1/200 of the barrier width, and the
 # finite-difference step has to follow it
 @pytest.mark.parametrize("hbar,mu,j0", GRID[::3] + [(0.01, 1.0, 1.0)])
