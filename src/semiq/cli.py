@@ -448,12 +448,24 @@ def _run_sweep(cfg: RunConfig):
         cols[name] = grid.ravel()
     bars = wkb.BarrierProblem(**cols)
     _, b = wkb.turning_points(bars)
-    # cap_barrier refuses this too, but only once the walks have begun
+
+    def point(i):
+        return " ".join(f"{k}={cols[k][i]:.17g}" for k in _SWEEP_AXES)
+
+    # cap_barrier refuses these too, but only once the walks have begun
     low = np.flatnonzero((p["cap"] > 0) & (b >= p["cap"]))
     if low.size:
-        point = " ".join(f"{k}={cols[k][low[0]]:.17g}" for k in _SWEEP_AXES)
         raise ValidationError(f"--cap {p['cap']:.17g} must exceed the turning "
-                              f"point b={b[low[0]]:.17g} of {point}")
+                              f"point b={b[low[0]]:.17g} of {point(low[0])}")
+    if p["oracle"]:
+        caps = np.where(p["cap"] > 0, p["cap"], 4.0 * b)
+        bad = np.flatnonzero(oracle.cap_faults(bars.j0, bars.h0, caps,
+                                               p["points"]))
+        if bad.size:
+            raise ValidationError(
+                f"the cap L={caps[bad[0]]:.17g} of {point(bad[0])} on "
+                f"{p['points']} cells: the level -j0*L^2 + h0 must be finite "
+                "and the step 2L/n above 3 ulps of L")
     sol = wkb.solve_barrier(bars)
     cols.update({"lambda": wkb.barrier_exponent_closed(bars),
                  "T_closed": wkb.activation_rate(bars),
@@ -467,7 +479,7 @@ def _run_sweep(cfg: RunConfig):
             est = oracle.transfer_matrix_transmission(pot, hbar=bp.hbar, mu=bp.mu)
             est_cols["T_numeric"].append(est.T_numeric)
             est_cols["richardson_error"].append(est.richardson_error)
-            est_cols["L"].append(0.5 * (pot.grid[-1] - pot.grid[0]))
+            est_cols["L"].append(pot.L)
         cols.update(est_cols, n=[p["points"]] * total)
     table = ResultTable(cols)
 

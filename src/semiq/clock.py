@@ -209,15 +209,20 @@ class CoherenceTrajectory:
 
     def step_factors(self) -> np.ndarray:
         """Complex per-step multipliers rho_ij(k+1)/rho_ij(k) of the
-        dominant pair."""
+        dominant pair.  A step from a coherence that is exactly 0 (one
+        that underflowed) has no multiplier: its factor is nan+nanj."""
         i, j = self.dominant_pair()
         series = self.rhos[:, i, j]
-        return series[1:] / series[:-1]
+        prev = series[:-1]
+        return np.divide(series[1:], prev, where=prev != 0.0,
+                         out=np.full(prev.shape, complex(math.nan, math.nan)))
 
     def step_damping_exponents(self) -> np.ndarray:
         """Per-step damping exponents -log|rho(k+1)/rho(k)| of the
-        dominant pair."""
-        return -np.log(np.abs(self.step_factors()))
+        dominant pair: inf for the step in which the coherence falls to
+        exactly 0, and nan for every step after it."""
+        with np.errstate(divide="ignore"):
+            return -np.log(np.abs(self.step_factors()))
 
     def max_coherence_ratio(self) -> np.ndarray:
         """max_ij |rho_ij(k)| / |rho_ij(0)| over pairs with nonzero start."""

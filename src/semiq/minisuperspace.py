@@ -351,7 +351,10 @@ def clock_map(model: MiniSuperspaceModel, a0: float,
         raise ValueError("t_span must be increasing")
     if not (a0 > 0.0 and math.isfinite(a0)):
         raise ValueError("a0 must be positive and finite")
-    if not model.potential_u(a0) > 0.0:
+    # a U(a0) past the float range is refused below, where a(t) meets it
+    with np.errstate(all="ignore"):
+        u0 = model.potential_u(a0)
+    if not u0 > 0.0:
         raise ValueError("U(a0) <= 0: Euclidean region or turning point")
 
     def pace(a):

@@ -11,6 +11,12 @@ potential is replaced by a piecewise-constant profile, each cell is crossed
 with the exact constant-coefficient propagator, and the flux carries the
 wavenumber ratio of the two asymptotic regions.  Richardson extrapolation
 over a grid-halving pair supplies the truncation-error estimate.
+
+The walk asks its profile for the samples of one chunk of cells at a time.
+A PiecewisePotential slices the arrays it holds; the capped barrier of
+cap_barrier holds none and computes each chunk's grid points and samples
+as the walk reaches them, so the memory of a walk does not grow with its
+number of cells.
 """
 
 from __future__ import annotations
@@ -67,11 +73,62 @@ class PiecewisePotential:
     def cells(self) -> int:
         return self.grid.size - 1
 
+    def samples(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Grid points and values lo .. hi, the edges of cells lo .. hi-1."""
+        return self.grid[lo:hi + 1], self.values[lo:hi + 1]
+
     def coarsened(self) -> "PiecewisePotential":
         """Every other sample; requires an even number of cells."""
         if self.cells % 2 != 0:
             raise ValueError("coarsening needs an even number of cells")
         return PiecewisePotential(self.grid[::2], self.values[::2])
+
+
+@dataclass(frozen=True)
+class CappedBarrier:
+    """-j0*phi^2 + h0 on n uniform cells over [-L, L], sampled on demand.
+
+    It holds no per-cell array: samples() computes the points the walk
+    asks for, with the bits of np.linspace(-L, L, n + 1) (point i is
+    i*step + (-L) with step = (L - (-L))/n, and the last point is L) and
+    of bp.interaction_energy on them.  grid and values build the whole
+    arrays, for callers that want them.
+    """
+
+    bp: BarrierProblem
+    L: float
+    n: int
+
+    @property
+    def cells(self) -> int:
+        return self.n
+
+    def samples(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Grid points and values lo .. hi, the edges of cells lo .. hi-1."""
+        phi = np.arange(lo, hi + 1, dtype=float)
+        phi *= (self.L - (-self.L)) / self.n
+        phi += -self.L
+        if hi == self.n:
+            phi[-1] = self.L
+        # -j0*(phi*phi) + h0 in place, as _interaction evaluates it
+        v = phi * phi
+        v *= -self.bp.j0
+        v += self.bp.h0
+        return phi, v
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self.samples(0, self.n)[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.samples(0, self.n)[1]
+
+    def coarsened(self) -> "CappedBarrier":
+        """The same barrier on half the cells: every other point."""
+        if self.n % 2 != 0:
+            raise ValueError("coarsening needs an even number of cells")
+        return CappedBarrier(self.bp, self.L, self.n // 2)
 
 
 @dataclass(frozen=True)
@@ -84,58 +141,95 @@ class TransmissionEstimate:
             raise ValueError(f"transmission {self.T_numeric} outside [0, 1]")
 
 
-def cap_barrier(bp: BarrierProblem, L: float | None = None, n: int = 20000) -> PiecewisePotential:
-    """Sample -j0*phi^2 + h0 on n uniform cells over [-L, L].
+def cap_faults(j0, h0, L, n):
+    """Which caps -j0*phi^2 + h0 on n cells over [-L, L] cannot be walked.
+
+    True where the flat level -j0*L^2 + h0 is not finite, or where the
+    step 2L/n is too small for the points i*step + (-L) to strictly
+    increase: each is rounded twice, by at most an ulp of L in all, so a
+    step above 3 ulps of L keeps them apart.  Where the level is finite,
+    so is every sample inside the cap.  Works on floats and on arrays.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        level = -j0 * (L * L) + h0
+        step = (L - (-L)) / n
+        return ~(np.isfinite(level) & (step > 3.0 * np.spacing(L)))
+
+
+def cap_barrier(bp: BarrierProblem, L: float | None = None, n: int = 20000) -> CappedBarrier:
+    """-j0*phi^2 + h0 on n uniform cells over [-L, L], sampled as walked.
 
     The default cap is L = 4*b (b the outer turning point).  The flat
     continuation level -j0*L^2 + h0 is negative for L > b, so a zero-energy
-    wave propagates on both sides.
+    wave propagates on both sides.  The profile holds no per-cell array,
+    so its memory does not grow with n.  A cap whose level is not finite,
+    or whose step cannot keep the grid strictly increasing, raises
+    ValueError.
     """
     _, b = turning_points(bp)
-    if L is None:
-        L = 4.0 * b
+    L = 4.0 * b if L is None else float(L)
     if not L > b:
         raise ValueError(f"cap L={L} must exceed the turning point b={b}")
     if n < 100:
         raise ValueError("need at least 100 cells")
-    grid = np.linspace(-L, L, n + 1)
-    return PiecewisePotential(grid, bp.interaction_energy(grid))
+    if cap_faults(bp.j0, bp.h0, L, n):
+        raise ValueError(f"cap L={L} on {n} cells: the level -j0*L^2 + h0 "
+                         "must be finite and the step 2L/n above 3 ulps of L")
+    return CappedBarrier(bp, L, n)
 
 
-def _chunks(grid, values, hbar, mu):
+def _chunks(pot, hbar, mu):
     """Yield (start, end, h, q, x, under) per chunk, walking right to left.
 
     A chunk [start, end) holds at most _CHUNK cells and ends early where its
     integrated kappa passes _GROWTH_BOUND.  Each cell's geometry is computed
-    once: w = 2*mu*V/hbar^2 from the mean of the cell's endpoint
-    samples, the width h, q = sqrt(|w|), the phase x = q*h and the mask
-    under = w > 0 of the cells under the barrier, where kappa = q.
+    once, from pot.samples of its edges: w = 2*mu*V/hbar^2 from the mean of
+    the cell's endpoint samples, the width h, q = sqrt(|w|), the phase
+    x = q*h and the mask under = w > 0 of the cells under the barrier,
+    where kappa = q.  The cells of a window that the bound cuts off are
+    carried into the next window, which computes only its new cells.  A
+    non-finite or non-increasing sample raises ValueError, found from the
+    sum of x and the least h.
     """
-    end = grid.size - 1
+    end = lo = pot.cells
+    carried = ()                    # the cells lo .. end-1 a cut left over
     while end > 0:
-        lo = max(end - _CHUNK, 0)
-        h = grid[lo + 1:end + 1] - grid[lo:end]
+        new_lo = max(end - _CHUNK, 0)
+        grid, values = pot.samples(new_lo, lo)
+        h = grid[1:] - grid[:-1]
         # w in place, with the operations of 2*mu*V/hbar^2 in order
-        w = np.add(values[lo + 1:end + 1], values[lo:end])
+        w = np.add(values[1:], values[:-1])
         w *= 0.5
         w *= 2.0 * mu
         w /= hbar**2
         q = np.sqrt(np.abs(w))
-        x = q * h
-        under = w > 0.0
-        cells = w.size
-        if under.any():
+        window = (h, q, q * h, w > 0.0)
+        if carried:
+            window = tuple(map(np.concatenate, zip(window, carried)))
+        lo = new_lo
+        h, q, x, under = window
+        total = x.sum()
+        # a nan or inf sample or width makes x, so its sum, not finite
+        if not math.isfinite(total):
+            raise ValueError("grid and values must be finite")
+        if not h.min() > 0.0:
+            raise ValueError("grid must be strictly increasing")
+        cells = h.size
+        # kappa is x under the barrier and 0 elsewhere.  Partial sums of
+        # non-negative terms never pass their total, and any order of
+        # summing n of them errs by less than n * 2**-52 of it: a pairwise
+        # total of x, or of kappa, that far below the bound cannot cut the
+        # chunk, and the sequential cumsum is needed only near it
+        slack = 1.0 + cells * 2.0**-50
+        if not total * slack <= _GROWTH_BOUND:
             kappa = np.where(under, x, 0.0)
-            # partial sums of non-negative terms never pass their total, and
-            # any order of summing n of them errs by less than n * 2**-52 of
-            # it: a pairwise total that far below the bound cannot cut the
-            # chunk, and the sequential cumsum is needed only near it
-            if not kappa.sum() * (1.0 + cells * 2.0**-50) <= _GROWTH_BOUND:
+            if not kappa.sum() * slack <= _GROWTH_BOUND:
                 growth = np.cumsum(kappa[::-1])
                 cells = max(int(np.searchsorted(growth, _GROWTH_BOUND,
                                                 side="right")), 1)
         start = end - cells
         yield start, end, h[-cells:], q[-cells:], x[-cells:], under[-cells:]
+        carried = tuple(a[:start - lo] for a in window) if start > lo else ()
         end = start
 
 
@@ -210,7 +304,7 @@ def _carry(p, psi, dpsi, log_scale):
     return psi / m, dpsi / m, log_scale + math.log(m)
 
 
-def _propagate(grid, values, hbar, mu):
+def _propagate(pot, hbar, mu):
     """Propagate (psi, psi') from the right edge to the left edge.
 
     Starts from a pure outgoing wave psi = 1, psi' = i*k_R and walks left
@@ -220,8 +314,8 @@ def _propagate(grid, values, hbar, mu):
     _chunk_products, carries (psi, psi') across it, and the carried pair
     is then renormalised into the returned log-scale.
     """
-    k_left_sq = -2.0 * mu * values[0] / hbar**2
-    k_right_sq = -2.0 * mu * values[-1] / hbar**2
+    k_left_sq = -2.0 * mu * pot.samples(0, 0)[1][0] / hbar**2
+    k_right_sq = -2.0 * mu * pot.samples(pot.cells, pot.cells)[1][0] / hbar**2
     if k_left_sq <= 0 or k_right_sq <= 0:
         raise ValueError("both asymptotic levels must be negative so that "
                          "zero-energy waves propagate on both sides")
@@ -231,15 +325,13 @@ def _propagate(grid, values, hbar, mu):
     psi = 1.0 + 0.0j
     dpsi = 1j * k_right
     log_scale = 0.0
-    chunks = _chunks(grid, values, hbar, mu)
-    for p in _chunk_products(chunks, grid.size - 1):
+    for p in _chunk_products(_chunks(pot, hbar, mu), pot.cells):
         psi, dpsi, log_scale = _carry(p, psi, dpsi, log_scale)
     return psi, dpsi, log_scale, k_left, k_right
 
 
-def _transmission_once(pot: PiecewisePotential, hbar, mu) -> float:
-    psi, dpsi, log_scale, k_left, k_right = _propagate(
-        pot.grid, pot.values, hbar, mu)
+def _transmission_once(pot, hbar, mu) -> float:
+    psi, dpsi, log_scale, k_left, k_right = _propagate(pot, hbar, mu)
     # decompose the left-edge solution into incident and reflected waves
     alpha = 0.5 * (psi + dpsi / (1j * k_left))
     log_T = (math.log(k_right / k_left)
@@ -248,7 +340,8 @@ def _transmission_once(pot: PiecewisePotential, hbar, mu) -> float:
     return math.exp(min(log_T, 0.0))
 
 
-def transfer_matrix_transmission(pot: PiecewisePotential, hbar: float = 1.0,
+def transfer_matrix_transmission(pot: PiecewisePotential | CappedBarrier,
+                                 hbar: float = 1.0,
                                  mu: float = 1.0) -> TransmissionEstimate:
     """Transmission probability through the sampled potential at zero energy.
 

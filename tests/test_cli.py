@@ -390,6 +390,18 @@ def test_cosmo_extreme_constant_potential_has_no_residual(tmp_path, args):
         assert residual == 0.0 and math.isnan(slope)
 
 
+def test_cosmo_huge_a0_names_the_overflow_without_a_warning(tmp_path, capsys):
+    # U(a0) = c*a0**2 overflows; the check of U(a0) > 0 once warned of it
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["cosmo", "--potential", "quadratic:1149.841885969033",
+                        "--a0", "2.587965004472719e+199"], out) == EXIT_NUMERICAL
+    assert not out.exists()
+    assert ("U is not finite at a = 2.58797e+199, which a(t) reaches before "
+            "t=0.3") in capsys.readouterr().err
+
+
 def test_cosmo_table_potential_is_splined(tmp_path):
     grid = [0.5 + 0.1 * k for k in range(26)]
     quad, flat = tmp_path / "quad.csv", tmp_path / "flat.csv"
@@ -521,6 +533,23 @@ CLOCK_OVERFLOW = ["clock", "--energies", "0.0186905846232307,-124226.66785073421
                   "--sigma", "7.085248594635016e+167", "--steps", "151"]
 
 
+def test_clock_coherence_underflow_prints_no_warning(tmp_path):
+    # the dominant coherence underflows to 0 after one tick; the step
+    # factors past it once divided 0 by 0 and took the log of 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["clock", "--sigma", "100", "--steps", "10"],
+                       tmp_path) == EXIT_OK
+    assert (tmp_path / "clock_summary.csv").read_text() == (
+        "pair,retention_steps,retention_time,threshold,horizon_steps,"
+        "reached,mean_increment,sigma\n"
+        "0-1,1,1,0.36787944117144233,10,1,1,100\n")
+    assert (tmp_path / "clock_trajectory.csv").read_text() == (
+        "step,time,pair,coherence,events_so_far\n"
+        "0,0,0-1,0.49999999999999989,0\n"
+        + "".join(f"{k},{k},0-1,0,{k}\n" for k in range(1, 11)))
+
+
 @pytest.mark.parametrize("args, named", [
     # Monte Carlo: E_0*dt/hbar of a draw near sigma = 7e167 passes 1e308
     (CLOCK_OVERFLOW + ["--samples", "3", "--seed", "4"],
@@ -604,6 +633,25 @@ def test_network_ek_large_run_peak_memory(tmp_path, samples):
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert int(out.stdout.split()[-1]) * 1024 <= 120e6
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_tunnel_oracle_peak_memory_does_not_grow_with_points(tmp_path):
+    # the capped profile computes each chunk's samples as the walk reaches
+    # them: about 37 MB at 4e6 cells, where whole grid and values arrays
+    # (and their checks) took about 130 MB
+    args = ["tunnel", "--hbar", "0.05", "--oracle", "--points", "4000000",
+            "--output-dir", str(tmp_path)]
+    code = ("import semiq.cli\n"
+            f"assert semiq.cli.main({args!r}) == 0\n"
+            "print([l.split()[1] for l in open('/proc/self/status')\n"
+            "       if l.startswith('VmHWM:')][0])")
+    src = os.path.dirname(os.path.dirname(semiq.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout.split()[-1]) * 1024 <= 64e6
 
 
 def test_network_rolldown_mode(tmp_path):
@@ -973,6 +1021,23 @@ def test_input_errors_exit_2_before_computing(tmp_path, capsys, args):
     assert "--cap" in err and "turning point" in err
     if args[0] == "sweep":
         assert "h0=1.25" in err
+
+
+@pytest.mark.parametrize("args, named", [
+    # -j0*L^2 overflows; the walk once warned of it and then exited 3
+    (["tunnel", "--hbar", "1", "--oracle", "--cap", "1e200"], "hbar=1 mu=1 j0=1 h0=1"),
+    # L^2 = 1e308 is finite, and -j0*L^2 too at j0 = 1 but not at j0 = 2
+    (["sweep", "--axis", "j0=1:2:2", "--oracle", "--cap", "1e154"], "j0=2 "),
+])
+def test_caps_past_the_float_range_exit_2_without_warnings(tmp_path, capsys, args,
+                                                           named):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(args, out) == EXIT_VALIDATION
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "the level -j0*L^2 + h0 must be finite" in err and named in err
 
 
 @pytest.mark.parametrize("args", [

@@ -1,10 +1,11 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semiq import (
     BarrierProblem,
@@ -14,8 +15,9 @@ from semiq import (
     cap_barrier,
     transfer_matrix_transmission,
 )
-from semiq.oracle import (_BATCH, _CHUNK, _GROWTH_BOUND, _carry, _chunks,
-                          _propagate, _write_propagators)
+from semiq.oracle import (_BATCH, _CHUNK, _GROWTH_BOUND, CappedBarrier,
+                          _carry, _chunks, _propagate, _write_propagators,
+                          cap_faults)
 from semiq.scan import products
 
 # exact reference for the full inverted parabola at E = 0
@@ -195,13 +197,28 @@ def test_deep_barrier_underflows_without_fp_errors():
 
 
 def test_transmission_memory_stays_bounded():
-    # the walk streams its chunks: 4.3 MiB at 10^6 cells, where a single
+    # the walk streams its chunks: 3.7 MiB at 10^6 cells, where a single
     # (2, 2, cells) array of propagators would take 32 MB and one more
     # per-cell array of floats 8 MB
     bp = BarrierProblem(hbar=0.05, mu=1.0, j0=1.0, h0=1.0)
     pot = cap_barrier(bp, n=1_000_000)
     tracemalloc.start()
     try:
+        transfer_matrix_transmission(pot, hbar=0.05, mu=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_capped_profile_and_walk_memory_stay_bounded():
+    # cap_barrier keeps no per-cell array: the profile and both walks peak
+    # at 3.7 MiB at 10^6 cells, where a grid and a values array of 8 MB each
+    # took the peak to 23.8 MiB
+    bp = BarrierProblem(hbar=0.05, mu=1.0, j0=1.0, h0=1.0)
+    tracemalloc.start()
+    try:
+        pot = cap_barrier(bp, n=1_000_000)
         transfer_matrix_transmission(pot, hbar=0.05, mu=1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -303,7 +320,7 @@ def test_matches_per_cell_loop(case):
 
 def assert_walks_agree(pot, hbar, mu):
     """The batched walk and one chunk product at a time agree bit for bit."""
-    args = (pot.grid, pot.values, hbar, mu)
+    args = (pot, hbar, mu)
     with np.errstate(all="raise"):
         got = _propagate(*args)
         k_right = got[4]
@@ -329,8 +346,7 @@ def test_chunk_products_match_the_scan_on_a_deep_barrier(cells):
     # their products are reduced together with identity padding
     bp = BarrierProblem(hbar=0.007, mu=1.0, j0=1.0, h0=4.0)
     pot = cap_barrier(bp, n=cells)
-    sizes = [end - start for start, end, *_ in
-             _chunks(pot.grid, pot.values, 0.007, 1.0)]
+    sizes = [end - start for start, end, *_ in _chunks(pot, 0.007, 1.0)]
     assert min(sizes[:-1]) < _CHUNK
     assert_walks_agree(pot, 0.007, 1.0)
 
@@ -374,7 +390,7 @@ def test_chunk_bounds_match_the_cumsum_rule(hbar, h0, cells):
     # kappa*h comes near the bound; the bounds must not move
     pot = cap_barrier(BarrierProblem(hbar=hbar, mu=1.0, j0=1.0, h0=h0), n=cells)
     args = (pot.grid, pot.values, hbar, 1.0)
-    assert [c[:2] for c in _chunks(*args)] == [c[:2] for c in reference_chunks(*args)]
+    assert [c[:2] for c in _chunks(pot, hbar, 1.0)] == [c[:2] for c in reference_chunks(*args)]
 
 
 def writer_profile(kind, cells, rng):
@@ -415,7 +431,7 @@ def test_writer_matches_the_reference_bit_for_bit(kind, cells):
     grid, values = writer_profile(kind, cells, rng)
     buf = np.full((2, 2, 2, _CHUNK), np.nan)
     with np.errstate(all="raise"):
-        ours = list(_chunks(grid, values, 1.0, 1.0))
+        ours = list(_chunks(PiecewisePotential(grid, values), 1.0, 1.0))
         ref = list(reference_chunks(grid, values, 1.0, 1.0))
         assert [c[:2] for c in ours] == [c[:2] for c in ref]
         for (_, _, h, q, x, under), (_, _, w, h_ref) in zip(ours, ref):
@@ -425,3 +441,128 @@ def test_writer_matches_the_reference_bit_for_bit(kind, cells):
             assert out.tobytes() == expect.tobytes()
     if kind == "deep" and cells >= _CHUNK:
         assert len(ours) > 2             # the bound cut the chunks short
+
+
+# --------------------------------------------------------------------------
+# the capped profile computes the samples the walk asks for
+
+
+CAPPED_CELLS = st.one_of(st.integers(100, 300),
+                         st.integers(_CHUNK - 2, _CHUNK + 2),
+                         st.integers(2 * _CHUNK - 3, 2 * _CHUNK + 3))
+
+
+@PROPERTY
+@given(j0=st.floats(0.1, 10.0), h0=st.floats(0.01, 10.0),
+       over=st.floats(1.001, 8.0), cells=CAPPED_CELLS,
+       stride=st.sampled_from([1, 2]),
+       picks=st.tuples(st.integers(0, 7), st.integers(0, 7)))
+# 100 * step + (-L) rounds to one ulp above L, and linspace's last point is L
+@example(j0=1.0, h0=1.0, over=1.5682026013006503, cells=100, stride=1,
+         picks=(0, 1))
+def test_capped_samples_are_linspace_and_interaction_energy(j0, h0, over, cells,
+                                                            stride, picks):
+    bp = BarrierProblem(hbar=1.0, mu=1.0, j0=j0, h0=h0)
+    L = over * math.sqrt(h0 / j0)
+    cells += cells % stride
+    pot = cap_barrier(bp, L=L, n=cells)
+    grid = np.linspace(-L, L, cells + 1)[::stride]
+    if stride == 2:
+        pot = pot.coarsened()
+    values = bp.interaction_energy(grid)
+    n = pot.cells
+    # the walk's windows end at n, and its chunk edges lie _CHUNK apart
+    edges = sorted({0, n} | {e for k in (1, 2) for d in (-1, 0, 1)
+                             if 0 <= (e := n - k * _CHUNK + d) <= n})
+    lo, hi = sorted(edges[k % len(edges)] for k in picks)
+    got_grid, got_values = pot.samples(lo, hi)
+    assert got_grid.tobytes() == grid[lo:hi + 1].tobytes()
+    assert got_values.tobytes() == values[lo:hi + 1].tobytes()
+    assert pot.samples(n, n)[0].tolist() == [L]
+
+
+class CountingProfile:
+    """A profile that records the cell ranges the walk samples."""
+
+    def __init__(self, pot):
+        self.pot = pot
+        self.cells = pot.cells
+        self.ranges = []
+
+    def samples(self, lo, hi):
+        self.ranges.append((lo, hi))
+        return self.pot.samples(lo, hi)
+
+
+@pytest.mark.parametrize("hbar, h0, cells", [(0.007, 4.0, 20000), (0.05, 1.0, 100_000)],
+                         ids=["cut_chunks", "uncut"])
+def test_each_cell_is_sampled_once(hbar, h0, cells):
+    # a chunk cut short by the growth bound carries its other cells into
+    # the next window, which samples only the cells new to it
+    pot = CountingProfile(cap_barrier(BarrierProblem(hbar, 1.0, 1.0, h0), n=cells))
+    bounds = [c[:2] for c in _chunks(pot, hbar, 1.0)]
+    covered = np.zeros(cells, dtype=int)
+    for lo, hi in pot.ranges:
+        covered[lo:hi] += 1
+    assert covered.min() == covered.max() == 1
+    assert sum(hi - lo for lo, hi in pot.ranges) == cells
+    ref = reference_chunks(pot.pot.grid, pot.pot.values, hbar, 1.0)
+    assert bounds == [c[:2] for c in ref]
+    cut = [end - start < _CHUNK for start, end in bounds[:-1]]
+    assert any(cut) == (hbar == 0.007)
+
+
+@pytest.mark.parametrize("L, n, why", [
+    (1e200, 20000, "level"),           # -j0*L^2 overflows
+    (1.5e154, 100, "level"),           # L^2 overflows, 2L does not
+    (4.0, 10**16, "step"),             # 2L/n is under one ulp of L
+    (4.0, 4 * 10**15, "step"),         # 2.25 ulps: within the rounding
+])
+def test_cap_barrier_refuses_caps_it_cannot_walk(L, n, why):
+    bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cap_faults(1.0, 1.0, L, n)
+        with pytest.raises(ValueError, match="must be finite and the step"):
+            cap_barrier(bp, L=L, n=n)
+
+
+@pytest.mark.parametrize("L", [4.0, 1e-3, 3.0e153])
+def test_steps_just_above_three_ulps_keep_the_grid_increasing(L):
+    # the smallest accepted step: samples around each end and the middle
+    # of the 10^15-cell grid strictly increase; the profile holds none of it
+    n = int(2.0 * L / (3.0 * np.spacing(L)))
+    while cap_faults(1.0, 0.0, L, n):
+        n -= 1
+    pot = CappedBarrier(BarrierProblem(1.0, 1.0, 1.0, 0.0), L, n)
+    for lo in (0, n // 2 - 2000, n // 4, n - 4000):
+        grid, _ = pot.samples(lo, lo + 4000)
+        assert np.all(np.diff(grid) > 0.0)
+    assert pot.samples(n - 1, n)[0][1] == L
+
+
+class BadSamples:
+    """A two-window profile with one bad sample in its left window."""
+
+    cells = _CHUNK + 10
+
+    def __init__(self, index, value):
+        self.grid = np.linspace(-5.0, 5.0, self.cells + 1)
+        self.values = np.full(self.cells + 1, -1.0)
+        self.grid[index] = value
+
+    def samples(self, lo, hi):
+        return self.grid[lo:hi + 1], self.values[lo:hi + 1]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"),
+    (-4.999, "strictly increasing"), (-5.0 + 1e-300, "strictly increasing")])
+def test_walk_refuses_samples_the_profile_cannot_check(value, message):
+    # the capped profile checks no sample up front; the walk checks each
+    # window's widths and w, found from the sum of x and the least width
+    # (numpy warns of inf - inf on the way)
+    with pytest.raises(ValueError, match=message):
+        for _ in _chunks(BadSamples(3, value), 1.0, 1.0):
+            pass
