@@ -91,8 +91,7 @@ class CappedBarrier:
     It holds no per-cell array: samples() computes the points the walk
     asks for, with the bits of np.linspace(-L, L, n + 1) (point i is
     i*step + (-L) with step = (L - (-L))/n, and the last point is L) and
-    of bp.interaction_energy on them.  grid and values build the whole
-    arrays, for callers that want them.
+    of bp.interaction_energy on them.
     """
 
     bp: BarrierProblem
@@ -115,14 +114,6 @@ class CappedBarrier:
         v *= -self.bp.j0
         v += self.bp.h0
         return phi, v
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.samples(0, self.n)[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.samples(0, self.n)[1]
 
     def coarsened(self) -> "CappedBarrier":
         """The same barrier on half the cells: every other point."""
@@ -182,20 +173,16 @@ def _chunks(pot, hbar, mu):
     """Yield (start, end, h, q, x, under) per chunk, walking right to left.
 
     A chunk [start, end) holds at most _CHUNK cells and ends early where its
-    integrated kappa passes _GROWTH_BOUND.  Each cell's geometry is computed
-    once, from pot.samples of its edges: w = 2*mu*V/hbar^2 from the mean of
-    the cell's endpoint samples, the width h, q = sqrt(|w|), the phase
-    x = q*h and the mask under = w > 0 of the cells under the barrier,
-    where kappa = q.  The cells of a window that the bound cuts off are
-    carried into the next window, which computes only its new cells.  A
-    non-finite or non-increasing sample raises ValueError, found from the
-    sum of x and the least h.
+    integrated kappa passes _GROWTH_BOUND.  Each chunk's geometry is computed
+    from pot.samples of its window: w = 2*mu*V/hbar^2 from the mean of the
+    cell's endpoint samples, the width h, q = sqrt(|w|), the phase x = q*h
+    and the mask under = w > 0 of the cells under the barrier, where
+    kappa = q.
     """
-    end = lo = pot.cells
-    carried = ()                    # the cells lo .. end-1 a cut left over
+    end = pot.cells
     while end > 0:
-        new_lo = max(end - _CHUNK, 0)
-        grid, values = pot.samples(new_lo, lo)
+        lo = max(end - _CHUNK, 0)
+        grid, values = pot.samples(lo, end)
         h = grid[1:] - grid[:-1]
         # w in place, with the operations of 2*mu*V/hbar^2 in order
         w = np.add(values[1:], values[:-1])
@@ -203,25 +190,16 @@ def _chunks(pot, hbar, mu):
         w *= 2.0 * mu
         w /= hbar**2
         q = np.sqrt(np.abs(w))
-        window = (h, q, q * h, w > 0.0)
-        if carried:
-            window = tuple(map(np.concatenate, zip(window, carried)))
-        lo = new_lo
-        h, q, x, under = window
-        total = x.sum()
-        # a nan or inf sample or width makes x, so its sum, not finite
-        if not math.isfinite(total):
-            raise ValueError("grid and values must be finite")
-        if not h.min() > 0.0:
-            raise ValueError("grid must be strictly increasing")
-        cells = h.size
+        x = q * h
+        under = w > 0.0
+        cells = w.size
         # kappa is x under the barrier and 0 elsewhere.  Partial sums of
         # non-negative terms never pass their total, and any order of
         # summing n of them errs by less than n * 2**-52 of it: a pairwise
         # total of x, or of kappa, that far below the bound cannot cut the
         # chunk, and the sequential cumsum is needed only near it
         slack = 1.0 + cells * 2.0**-50
-        if not total * slack <= _GROWTH_BOUND:
+        if not x.sum() * slack <= _GROWTH_BOUND:
             kappa = np.where(under, x, 0.0)
             if not kappa.sum() * slack <= _GROWTH_BOUND:
                 growth = np.cumsum(kappa[::-1])
@@ -229,7 +207,6 @@ def _chunks(pot, hbar, mu):
                                                 side="right")), 1)
         start = end - cells
         yield start, end, h[-cells:], q[-cells:], x[-cells:], under[-cells:]
-        carried = tuple(a[:start - lo] for a in window) if start > lo else ()
         end = start
 
 

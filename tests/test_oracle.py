@@ -101,7 +101,8 @@ def test_cap_barrier_validation():
         cap_barrier(bp, n=10)
     pot = cap_barrier(bp, L=4.0, n=200)
     assert pot.cells == 200
-    assert pot.grid[0] == -4.0 and pot.grid[-1] == 4.0
+    grid, _ = pot.samples(0, pot.cells)
+    assert grid[0] == -4.0 and grid[-1] == 4.0
 
 
 def test_piecewise_validation():
@@ -116,7 +117,8 @@ def test_coarsened_halves_cells():
     pot = cap_barrier(BarrierProblem(1.0, 1.0, 1.0, 1.0), n=400)
     half = pot.coarsened()
     assert half.cells == 200
-    assert np.array_equal(half.grid, pot.grid[::2])
+    assert np.array_equal(half.samples(0, half.cells)[0],
+                          pot.samples(0, pot.cells)[0][::2])
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +391,7 @@ def test_chunk_bounds_match_the_cumsum_rule(hbar, h0, cells):
     # the walk runs the cumsum only for a chunk whose pairwise total of
     # kappa*h comes near the bound; the bounds must not move
     pot = cap_barrier(BarrierProblem(hbar=hbar, mu=1.0, j0=1.0, h0=h0), n=cells)
-    args = (pot.grid, pot.values, hbar, 1.0)
+    args = (*pot.samples(0, pot.cells), hbar, 1.0)
     assert [c[:2] for c in _chunks(pot, hbar, 1.0)] == [c[:2] for c in reference_chunks(*args)]
 
 
@@ -481,37 +483,6 @@ def test_capped_samples_are_linspace_and_interaction_energy(j0, h0, over, cells,
     assert pot.samples(n, n)[0].tolist() == [L]
 
 
-class CountingProfile:
-    """A profile that records the cell ranges the walk samples."""
-
-    def __init__(self, pot):
-        self.pot = pot
-        self.cells = pot.cells
-        self.ranges = []
-
-    def samples(self, lo, hi):
-        self.ranges.append((lo, hi))
-        return self.pot.samples(lo, hi)
-
-
-@pytest.mark.parametrize("hbar, h0, cells", [(0.007, 4.0, 20000), (0.05, 1.0, 100_000)],
-                         ids=["cut_chunks", "uncut"])
-def test_each_cell_is_sampled_once(hbar, h0, cells):
-    # a chunk cut short by the growth bound carries its other cells into
-    # the next window, which samples only the cells new to it
-    pot = CountingProfile(cap_barrier(BarrierProblem(hbar, 1.0, 1.0, h0), n=cells))
-    bounds = [c[:2] for c in _chunks(pot, hbar, 1.0)]
-    covered = np.zeros(cells, dtype=int)
-    for lo, hi in pot.ranges:
-        covered[lo:hi] += 1
-    assert covered.min() == covered.max() == 1
-    assert sum(hi - lo for lo, hi in pot.ranges) == cells
-    ref = reference_chunks(pot.pot.grid, pot.pot.values, hbar, 1.0)
-    assert bounds == [c[:2] for c in ref]
-    cut = [end - start < _CHUNK for start, end in bounds[:-1]]
-    assert any(cut) == (hbar == 0.007)
-
-
 @pytest.mark.parametrize("L, n, why", [
     (1e200, 20000, "level"),           # -j0*L^2 overflows
     (1.5e154, 100, "level"),           # L^2 overflows, 2L does not
@@ -539,30 +510,3 @@ def test_steps_just_above_three_ulps_keep_the_grid_increasing(L):
         grid, _ = pot.samples(lo, lo + 4000)
         assert np.all(np.diff(grid) > 0.0)
     assert pot.samples(n - 1, n)[0][1] == L
-
-
-class BadSamples:
-    """A two-window profile with one bad sample in its left window."""
-
-    cells = _CHUNK + 10
-
-    def __init__(self, index, value):
-        self.grid = np.linspace(-5.0, 5.0, self.cells + 1)
-        self.values = np.full(self.cells + 1, -1.0)
-        self.grid[index] = value
-
-    def samples(self, lo, hi):
-        return self.grid[lo:hi + 1], self.values[lo:hi + 1]
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("value, message", [
-    (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"),
-    (-4.999, "strictly increasing"), (-5.0 + 1e-300, "strictly increasing")])
-def test_walk_refuses_samples_the_profile_cannot_check(value, message):
-    # the capped profile checks no sample up front; the walk checks each
-    # window's widths and w, found from the sum of x and the least width
-    # (numpy warns of inf - inf on the way)
-    with pytest.raises(ValueError, match=message):
-        for _ in _chunks(BadSamples(3, value), 1.0, 1.0):
-            pass
