@@ -39,7 +39,7 @@ for h0, two_lam, tw in zip(h0s, two_lams, t_wkb):
 # out/in flux of the connected wavefunction reproduces exp(-2*Lambda)
 bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=1.0)
 sol = solve_barrier(bp)
-print("\ncurrent ratio :", current_ratio(sol, bp))
+print("\ncurrent ratio :", current_ratio(sol))
 print("exp(-2Lambda) :", activation_rate(bp))
 
 plot = LinePlot(title="activation rate vs barrier height",

@@ -6,8 +6,9 @@ Four physics layers plus I/O utilities:
   imprint on quantum coherences; retention times and equivalence classes.
 - ``wkb``: barrier penetration through an inverted-parabola interaction,
   closed form against quadrature, matched semiclassical wavefunctions.
-- ``oracle``: independent transfer-matrix transmission for capped
-  potentials, used to cross-check the semiclassical rates.
+- ``oracle``: independent transfer-matrix transmission through the capped
+  barrier, ``transfer_matrix_transmission(cap_barrier(bp))`` at bp's hbar
+  and mu, used to cross-check the semiclassical rates.
 - ``network``: gauge-covariant couplings on a ring of units, reduced
   single-site comparisons, quenched pattern memories, spike entropy.
 - ``minisuperspace``: phase/amplitude transport for a one-dimensional

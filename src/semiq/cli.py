@@ -446,41 +446,28 @@ def _run_sweep(cfg: RunConfig):
     for (name, _), grid in zip(axes, np.meshgrid(*(v for _, v in axes),
                                                  indexing="ij")):
         cols[name] = grid.ravel()
-    bars = wkb.BarrierProblem(**cols)
-    _, b = wkb.turning_points(bars)
-
-    def point(i):
-        return " ".join(f"{k}={cols[k][i]:.17g}" for k in _SWEEP_AXES)
-
-    # cap_barrier refuses these too, but only once the walks have begun
-    low = np.flatnonzero((p["cap"] > 0) & (b >= p["cap"]))
-    if low.size:
-        raise ValidationError(f"--cap {p['cap']:.17g} must exceed the turning "
-                              f"point b={b[low[0]]:.17g} of {point(low[0])}")
-    if p["oracle"]:
-        caps = np.where(p["cap"] > 0, p["cap"], 4.0 * b)
-        bad = np.flatnonzero(oracle.cap_faults(bars.j0, bars.h0, caps,
-                                               p["points"]))
-        if bad.size:
-            raise ValidationError(
-                f"the cap L={caps[bad[0]]:.17g} of {point(bad[0])} on "
-                f"{p['points']} cells: the level -j0*L^2 + h0 must be finite "
-                "and the step 2L/n above 3 ulps of L")
+    try:
+        bars = wkb.BarrierProblem(**cols)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    # every point's capped barrier, before any column is computed
+    points = zip(*(cols[k].tolist() for k in _SWEEP_AXES)) if p["oracle"] else ()
+    try:
+        pots = [oracle.cap_barrier(wkb.BarrierProblem(*point),
+                                   L=p["cap"] or None, n=p["points"])
+                for point in points]
+    except ValueError as exc:
+        raise ValidationError(f"{_flag('cap')}: {exc}") from None
     sol = wkb.solve_barrier(bars)
     cols.update({"lambda": wkb.barrier_exponent_closed(bars),
                  "T_closed": wkb.activation_rate(bars),
                  "T_quadrature": sol.transmission,
                  "T_current_ratio": wkb.current_ratio(sol)})
     if p["oracle"]:
-        est_cols = {"T_numeric": [], "richardson_error": [], "L": []}
-        for point in zip(*(cols[k].tolist() for k in _SWEEP_AXES)):
-            bp = wkb.BarrierProblem(*point)
-            pot = oracle.cap_barrier(bp, L=p["cap"] or None, n=p["points"])
-            est = oracle.transfer_matrix_transmission(pot, hbar=bp.hbar, mu=bp.mu)
-            est_cols["T_numeric"].append(est.T_numeric)
-            est_cols["richardson_error"].append(est.richardson_error)
-            est_cols["L"].append(pot.L)
-        cols.update(est_cols, n=[p["points"]] * total)
+        ests = [oracle.transfer_matrix_transmission(pot) for pot in pots]
+        cols.update(T_numeric=[e.T_numeric for e in ests],
+                    richardson_error=[e.richardson_error for e in ests],
+                    L=[pot.L for pot in pots], n=[p["points"]] * total)
     table = ResultTable(cols)
 
     def plots():

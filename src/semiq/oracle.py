@@ -12,11 +12,11 @@ with the exact constant-coefficient propagator, and the flux carries the
 wavenumber ratio of the two asymptotic regions.  Richardson extrapolation
 over a grid-halving pair supplies the truncation-error estimate.
 
-The walk asks its profile for the samples of one chunk of cells at a time.
-A PiecewisePotential slices the arrays it holds; the capped barrier of
-cap_barrier holds none and computes each chunk's grid points and samples
-as the walk reaches them, so the memory of a walk does not grow with its
-number of cells.
+transfer_matrix_transmission(cap_barrier(bp)) walks at bp's hbar and mu.
+The walk asks its profile for the samples of one chunk of cells at a time;
+the capped barrier holds no per-cell array and computes each chunk's grid
+points and samples as the walk reaches them, so the memory of a walk does
+not grow with its number of cells.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .scan import products
 from .wkb import BarrierProblem, turning_points
 
 __all__ = [
-    "PiecewisePotential",
     "TransmissionEstimate",
     "cap_barrier",
     "transfer_matrix_transmission",
@@ -46,42 +45,6 @@ _GROWTH_BOUND = 300.0
 #: chunks whose products one pairwise reduction computes together
 _BATCH = 16
 _IDENTITY = np.eye(2)[:, :, None]
-
-
-@dataclass(frozen=True)
-class PiecewisePotential:
-    """Sampled potential: values[i] at grid[i], flat continuation outside."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be a 1-D array with at least 2 points")
-        if values.shape != grid.shape:
-            raise ValueError("grid and values must have the same shape")
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-            raise ValueError("grid and values must be finite")
-
-    @property
-    def cells(self) -> int:
-        return self.grid.size - 1
-
-    def samples(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Grid points and values lo .. hi, the edges of cells lo .. hi-1."""
-        return self.grid[lo:hi + 1], self.values[lo:hi + 1]
-
-    def coarsened(self) -> "PiecewisePotential":
-        """Every other sample; requires an even number of cells."""
-        if self.cells % 2 != 0:
-            raise ValueError("coarsening needs an even number of cells")
-        return PiecewisePotential(self.grid[::2], self.values[::2])
 
 
 @dataclass(frozen=True)
@@ -132,40 +95,35 @@ class TransmissionEstimate:
             raise ValueError(f"transmission {self.T_numeric} outside [0, 1]")
 
 
-def cap_faults(j0, h0, L, n):
-    """Which caps -j0*phi^2 + h0 on n cells over [-L, L] cannot be walked.
-
-    True where the flat level -j0*L^2 + h0 is not finite, or where the
-    step 2L/n is too small for the points i*step + (-L) to strictly
-    increase: each is rounded twice, by at most an ulp of L in all, so a
-    step above 3 ulps of L keeps them apart.  Where the level is finite,
-    so is every sample inside the cap.  Works on floats and on arrays.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        level = -j0 * (L * L) + h0
-        step = (L - (-L)) / n
-        return ~(np.isfinite(level) & (step > 3.0 * np.spacing(L)))
-
-
 def cap_barrier(bp: BarrierProblem, L: float | None = None, n: int = 20000) -> CappedBarrier:
     """-j0*phi^2 + h0 on n uniform cells over [-L, L], sampled as walked.
 
     The default cap is L = 4*b (b the outer turning point).  The flat
     continuation level -j0*L^2 + h0 is negative for L > b, so a zero-energy
     wave propagates on both sides.  The profile holds no per-cell array,
-    so its memory does not grow with n.  A cap whose level is not finite,
-    or whose step cannot keep the grid strictly increasing, raises
-    ValueError.
+    so its memory does not grow with n.
+
+    A cap that cannot be walked raises ValueError naming the point: one
+    not beyond b, or one whose level is not finite, or whose step 2L/n is
+    too small for the points i*step + (-L) to strictly increase (each is
+    rounded twice, by at most an ulp of L in all, so a step above 3 ulps
+    of L keeps them apart).  Where the level is finite, so is every sample
+    inside the cap.
     """
     _, b = turning_points(bp)
     L = 4.0 * b if L is None else float(L)
+    point = " ".join(f"{k}={getattr(bp, k):.17g}" for k in ("hbar", "mu", "j0", "h0"))
     if not L > b:
-        raise ValueError(f"cap L={L} must exceed the turning point b={b}")
+        raise ValueError(f"cap L={L:.17g} must exceed the turning point "
+                         f"b={b:.17g} of {point}")
     if n < 100:
         raise ValueError("need at least 100 cells")
-    if cap_faults(bp.j0, bp.h0, L, n):
-        raise ValueError(f"cap L={L} on {n} cells: the level -j0*L^2 + h0 "
-                         "must be finite and the step 2L/n above 3 ulps of L")
+    with np.errstate(over="ignore", invalid="ignore"):
+        level = -bp.j0 * (L * L) + bp.h0
+    if not (math.isfinite(level) and (L - (-L)) / n > 3.0 * np.spacing(L)):
+        raise ValueError(f"cap L={L:.17g} of {point} on {n} cells: the level "
+                         "-j0*L^2 + h0 must be finite and the step 2L/n above "
+                         "3 ulps of L")
     return CappedBarrier(bp, L, n)
 
 
@@ -308,6 +266,7 @@ def _propagate(pot, hbar, mu):
 
 
 def _transmission_once(pot, hbar, mu) -> float:
+    """T through any profile with cells and samples(lo, hi), at hbar and mu."""
     psi, dpsi, log_scale, k_left, k_right = _propagate(pot, hbar, mu)
     # decompose the left-edge solution into incident and reflected waves
     alpha = 0.5 * (psi + dpsi / (1j * k_left))
@@ -317,15 +276,15 @@ def _transmission_once(pot, hbar, mu) -> float:
     return math.exp(min(log_T, 0.0))
 
 
-def transfer_matrix_transmission(pot: PiecewisePotential | CappedBarrier,
-                                 hbar: float = 1.0,
-                                 mu: float = 1.0) -> TransmissionEstimate:
-    """Transmission probability through the sampled potential at zero energy.
+def transfer_matrix_transmission(pot: CappedBarrier) -> TransmissionEstimate:
+    """Transmission probability through the capped barrier at zero energy.
 
-    T = (k_right/k_left) / |incident amplitude|^2.  The same computation on
-    the 2x-coarsened grid feeds a Richardson error estimate (the scheme is
-    second order in the cell width).
+    The walk uses the hbar and mu of pot.bp.  T = (k_right/k_left) /
+    |incident amplitude|^2.  The same computation on the 2x-coarsened grid
+    feeds a Richardson error estimate (the scheme is second order in the
+    cell width); an odd cell count has no such pair, warns, and gives NaN.
     """
+    hbar, mu = pot.bp.hbar, pot.bp.mu
     t_fine = _transmission_once(pot, hbar, mu)
     if pot.cells % 2 == 0:
         t_coarse = _transmission_once(pot.coarsened(), hbar, mu)

@@ -74,6 +74,10 @@ def _validate(hbar, mu, j0, h0):
             raise ValueError(f"{name} must be positive and finite")
     if not np.all((h0 >= 0) & np.isfinite(h0)):
         raise ValueError("h0 must be non-negative and finite")
+    # past the float range, h0/j0 would make the turning point b infinite
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(np.divide(h0, j0))):
+            raise ValueError("h0/j0 must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,20 +314,16 @@ def _fd_currents(sol, hbar_over_mu, region, phi, h):
 
 
 @_strict
-def current_ratio(sol: WkbSolution, bp: BarrierProblem | None = None):
-    """|j_outgoing| / |j_incoming| from finite-difference currents, per point.
+def current_ratio(sol: WkbSolution):
+    """|j_outgoing| / |j_incoming| per point of sol.problem, by finite differences.
 
-    bp, if given, must be the solution's problem.  Both currents are
-    checked against their closed-form values (1/mu outgoing,
-    exp(2*Lambda)/mu incoming); a deviation beyond 1e-4 (a coarse step, or
-    the rounding of phi +- h at h0 < 1e-11) is an error naming the first
-    such point.  exp(2*Lambda) past the float range (Lambda > 354) raises
+    Both currents are checked against their closed-form values (1/mu
+    outgoing, exp(2*Lambda)/mu incoming); a deviation beyond 1e-4 (a coarse
+    step, or the rounding of phi +- h at h0 < 1e-11) is an error naming the
+    first such point.  exp(2*Lambda) past the float range (Lambda > 354) raises
     FloatingPointError.
     """
-    cols = _columns(sol.problem)
-    if bp is not None and not all(map(np.array_equal, _columns(bp), cols)):
-        raise ValueError("bp must be the problem the solution solves")
-    hbar, mu, j0, h0 = cols
+    hbar, mu, j0, h0 = _columns(sol.problem)
     b = np.sqrt(h0 / j0)
     a = -b
     scale = np.where(b > a, b - a, 1.0)

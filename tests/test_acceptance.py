@@ -109,7 +109,7 @@ def test_criterion_03_current_ratio():
     t0 = time.perf_counter()
     bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=1.0)
     sol = solve_barrier(bp)
-    ratio = current_ratio(sol, bp)
+    ratio = current_ratio(sol)
     target = activation_rate(bp)
     err = abs(ratio - target) / target
     dt = time.perf_counter() - t0

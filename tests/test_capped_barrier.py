@@ -141,7 +141,7 @@ def test_barriers_cover_the_chunk_edges():
                               for r in BARRIERS])
 def test_oracle_within_its_richardson_bound(hbar, mu, j0, h0, cells):
     pot = cap_barrier(BarrierProblem(hbar, mu, j0, h0), n=cells)
-    est = transfer_matrix_transmission(pot, hbar=hbar, mu=mu)
+    est = transfer_matrix_transmission(pot)
     exact = capped_transmission(hbar, mu, j0, h0, pot.L)
     err = abs(est.T_numeric - exact)
     # an ulp of rounding per cell, on top of the O(h^2) error

@@ -1051,6 +1051,53 @@ def test_cap_just_above_every_turning_point_runs(tmp_path, args):
     assert all(math.isfinite(float(v)) for v in t.column("T_numeric"))
 
 
+def test_sweep_oracle_rows_walk_at_each_points_hbar_and_mu(tmp_path):
+    # each row is the library's walk of that point's capped barrier, bit for
+    # bit: the walk reads hbar and mu from the barrier, not from defaults
+    assert run_cli(["sweep", "--axis", "hbar=0.5:2:3", "--axis", "mu=0.5:2:2",
+                    "--oracle", "--points", "2000"], tmp_path) == EXIT_OK
+    t = read_csv(tmp_path / "sweep.csv")
+    assert len(t.rows) == 6
+    for row in t.rows:
+        row = dict(zip(t.columns, row))
+        bp = semiq.BarrierProblem(*(float(row[k]) for k in ("hbar", "mu", "j0", "h0")))
+        est = semiq.transfer_matrix_transmission(semiq.cap_barrier(bp, n=2000))
+        assert float(row["T_numeric"]) == est.T_numeric
+        assert float(row["richardson_error"]) == est.richardson_error
+    # hbar = mu = 0.5: Kemble's 1/(1 + e^(2*pi)) = 1.86e-3 within the cap's
+    # few percent, where a walk at hbar = mu = 1 gives 1.22e-2
+    first = dict(zip(t.columns, t.rows[0]))
+    assert float(first["T_numeric"]) == pytest.approx(
+        1.0 / (1.0 + math.exp(2.0 * math.pi)), rel=0.05)
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_turning_point_past_the_float_range_exits_2(tmp_path, capsys, oracle):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["tunnel", "--h0", "1e300", "--j0", "1e-300", *oracle],
+                       out) == EXIT_VALIDATION
+    assert not out.exists()
+    assert "h0/j0 must be finite" in capsys.readouterr().err
+
+
+def test_odd_points_give_a_nan_richardson_error(tmp_path):
+    # an odd cell count has no grid-halving pair: the walk runs, warns once
+    # and writes nan as its error estimate
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["tunnel", "--oracle", "--points", "20001"],
+                       tmp_path) == EXIT_OK
+    assert [str(w.message) for w in caught
+            if "odd cell count" in str(w.message)] == [
+        "odd cell count: no Richardson pair, error estimate is NaN"]
+    t = read_csv(tmp_path / "tunnel.csv")
+    row = dict(zip(t.columns, t.rows[0]))
+    assert row["richardson_error"] == "nan"
+    assert math.isfinite(float(row["T_numeric"])) and row["n"] == "20001"
+
+
 def outside_values(spec):
     """Values just outside spec's range, as the text a user would give:
     in each row of probes, those the coercer refuses next to one it

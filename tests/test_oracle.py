@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,16 +10,34 @@ from hypothesis import example, given, settings, strategies as st
 
 from semiq import (
     BarrierProblem,
-    PiecewisePotential,
     activation_rate,
     barrier_exponent_closed,
     cap_barrier,
     transfer_matrix_transmission,
 )
-from semiq.oracle import (_BATCH, _CHUNK, _GROWTH_BOUND, CappedBarrier,
-                          _carry, _chunks, _propagate, _write_propagators,
-                          cap_faults)
+from semiq.oracle import (_BATCH, _CHUNK, _GROWTH_BOUND, _carry, _chunks,
+                          _propagate, _transmission_once, _write_propagators)
 from semiq.scan import products
+
+
+@dataclass(frozen=True)
+class PiecewisePotential:
+    """Any sampled profile: values[i] at grid[i], flat continuation outside.
+
+    The walk takes it as it takes a capped barrier, through cells and
+    samples(); _transmission_once walks it at a given hbar and mu.
+    """
+
+    grid: np.ndarray
+    values: np.ndarray
+
+    @property
+    def cells(self) -> int:
+        return self.grid.size - 1
+
+    def samples(self, lo, hi):
+        return self.grid[lo:hi + 1], self.values[lo:hi + 1]
+
 
 # exact reference for the full inverted parabola at E = 0
 def parabola_T(bp):
@@ -28,8 +47,7 @@ def parabola_T(bp):
 def test_free_potential_transmits_fully():
     grid = np.linspace(-5.0, 5.0, 501)
     pot = PiecewisePotential(grid=grid, values=np.full(501, -1.0))
-    est = transfer_matrix_transmission(pot, hbar=1.0, mu=1.0)
-    assert est.T_numeric == pytest.approx(1.0, abs=1e-10)
+    assert _transmission_once(pot, 1.0, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rectangular_barrier_closed_form():
@@ -42,8 +60,7 @@ def test_rectangular_barrier_closed_form():
         grid = np.linspace(-4.0, 5.0, n + 1)
         vals = np.where((grid >= 0.0) & (grid <= 1.0), 1.0, -1.0)
         pot = PiecewisePotential(grid=grid, values=vals)
-        est = transfer_matrix_transmission(pot, hbar=1.0, mu=0.5)
-        errs.append(abs(est.T_numeric - exact) / exact)
+        errs.append(abs(_transmission_once(pot, 1.0, 0.5) - exact) / exact)
     assert errs[0] < 2.5e-3
     # half-height edge cells make the step convergence first order
     assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.1)
@@ -52,7 +69,7 @@ def test_rectangular_barrier_closed_form():
 def test_capped_parabola_unit_parameters():
     bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=1.0)
     pot = cap_barrier(bp)                      # L = 4b, n = 20000 defaults
-    est = transfer_matrix_transmission(pot, hbar=1.0, mu=1.0)
+    est = transfer_matrix_transmission(pot)
     # measured: 1.2191e-2, 4.9% above the infinite-parabola value (the cap
     # reflects); both the formula and the semiclassical rate sit within 10%
     assert abs(est.T_numeric - parabola_T(bp)) / parabola_T(bp) < 0.10
@@ -63,7 +80,7 @@ def test_capped_parabola_unit_parameters():
 @pytest.mark.parametrize("h0", np.linspace(6.0, 20.0, 8) / (math.pi * math.sqrt(2)))
 def test_thick_barrier_row(h0):
     bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=float(h0))
-    est = transfer_matrix_transmission(cap_barrier(bp), hbar=1.0, mu=1.0)
+    est = transfer_matrix_transmission(cap_barrier(bp))
     wkb = activation_rate(bp)
     assert abs(est.T_numeric - wkb) / wkb <= 0.3
     assert abs(est.T_numeric - parabola_T(bp)) / parabola_T(bp) <= 0.10
@@ -73,15 +90,15 @@ def test_log_domain_no_overflow():
     # 2*Lambda = 60: T ~ 1e-27, e^{Lambda} alone overflows float range
     # several times over if propagated linearly
     bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=60.0 / (2 * math.pi / math.sqrt(2)))
-    est = transfer_matrix_transmission(cap_barrier(bp), hbar=1.0, mu=1.0)
+    est = transfer_matrix_transmission(cap_barrier(bp))
     assert math.isfinite(est.T_numeric)
     assert est.T_numeric == pytest.approx(parabola_T(bp), rel=0.1)
 
 
 def test_richardson_error_tracks_grid():
     bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=1.0)
-    fine = transfer_matrix_transmission(cap_barrier(bp, n=20000), hbar=1.0, mu=1.0)
-    coarse = transfer_matrix_transmission(cap_barrier(bp, n=2000), hbar=1.0, mu=1.0)
+    fine = transfer_matrix_transmission(cap_barrier(bp, n=20000))
+    coarse = transfer_matrix_transmission(cap_barrier(bp, n=2000))
     assert fine.richardson_error < coarse.richardson_error
     # both estimates agree to far better than their physical deviation
     assert fine.T_numeric == pytest.approx(coarse.T_numeric, rel=1e-4)
@@ -103,14 +120,6 @@ def test_cap_barrier_validation():
     assert pot.cells == 200
     grid, _ = pot.samples(0, pot.cells)
     assert grid[0] == -4.0 and grid[-1] == 4.0
-
-
-def test_piecewise_validation():
-    with pytest.raises(ValueError):
-        PiecewisePotential(grid=np.array([0.0, 0.0, 1.0]),
-                           values=np.zeros(3))
-    with pytest.raises(ValueError):
-        PiecewisePotential(grid=np.array([0.0, 1.0]), values=np.zeros(3))
 
 
 def test_coarsened_halves_cells():
@@ -170,7 +179,7 @@ def test_golden_rows_straddle_the_chunk():
                          ids=[row[0] for row in GOLDEN])
 def test_transmission_golden(name, hbar, mu, h0, cells, T, rich):
     bp = BarrierProblem(hbar=hbar, mu=mu, j0=1.0, h0=h0)
-    est = transfer_matrix_transmission(cap_barrier(bp, n=cells), hbar=hbar, mu=mu)
+    est = transfer_matrix_transmission(cap_barrier(bp, n=cells))
     assert est.T_numeric == pytest.approx(T, rel=1e-12, abs=0.0)
     if math.isnan(rich):
         assert math.isnan(est.richardson_error)
@@ -179,12 +188,11 @@ def test_transmission_golden(name, hbar, mu, h0, cells, T, rich):
                                                      abs=1e-12 * T)
 
 
-@pytest.mark.filterwarnings("ignore:odd cell count")
 def test_flat_profile_never_exceeds_one():
     # identical cells round coherently: uncapped, this walk gave
     # T = 1 + 3.4e-13 (and the per-cell loop 1 + 2.9e-13)
     pot = PiecewisePotential(np.linspace(0.0, 1.0, 4094), np.full(4094, -1.0))
-    assert _T(pot, 0.3125, 1.0) <= 1.0
+    assert _transmission_once(pot, 0.3125, 1.0) <= 1.0
 
 
 def test_deep_barrier_underflows_without_fp_errors():
@@ -193,7 +201,7 @@ def test_deep_barrier_underflows_without_fp_errors():
     # integrated kappa per chunk is what keeps every product finite.
     bp = BarrierProblem(hbar=0.002, mu=1.0, j0=1.0, h0=1.0)
     with np.errstate(all="raise"):
-        est = transfer_matrix_transmission(cap_barrier(bp), hbar=0.002, mu=1.0)
+        est = transfer_matrix_transmission(cap_barrier(bp))
     assert est.T_numeric == 0.0
     assert est.richardson_error == 0.0
 
@@ -206,7 +214,7 @@ def test_transmission_memory_stays_bounded():
     pot = cap_barrier(bp, n=1_000_000)
     tracemalloc.start()
     try:
-        transfer_matrix_transmission(pot, hbar=0.05, mu=1.0)
+        transfer_matrix_transmission(pot)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -221,7 +229,7 @@ def test_capped_profile_and_walk_memory_stay_bounded():
     tracemalloc.start()
     try:
         pot = cap_barrier(bp, n=1_000_000)
-        transfer_matrix_transmission(pot, hbar=0.05, mu=1.0)
+        transfer_matrix_transmission(pot)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -287,37 +295,30 @@ def rounding_slack(cells):
     return max(1e-12, 4 * cells * np.finfo(float).eps)
 
 
-def _T(pot, hbar, mu):
-    return transfer_matrix_transmission(pot, hbar=hbar, mu=mu).T_numeric
-
-
-@pytest.mark.filterwarnings("ignore:odd cell count")
 @PROPERTY
 @given(potentials())
 def test_reciprocity_and_bounds(case):
     pot, hbar, mu = case
     mirrored = PiecewisePotential(-pot.grid[::-1], pot.values[::-1])
-    t = _T(pot, hbar, mu)
+    t = _transmission_once(pot, hbar, mu)
     assert 0.0 < t <= 1.0 + rounding_slack(pot.cells)
-    assert _T(mirrored, hbar, mu) == pytest.approx(t, rel=1e-10, abs=0.0)
+    assert _transmission_once(mirrored, hbar, mu) == pytest.approx(t, rel=1e-10, abs=0.0)
 
 
-@pytest.mark.filterwarnings("ignore:odd cell count")
 @PROPERTY
 @given(potentials(flat=True))
 def test_flat_potential_transmits_fully(case):
     pot, hbar, mu = case
-    assert _T(pot, hbar, mu) == pytest.approx(
+    assert _transmission_once(pot, hbar, mu) == pytest.approx(
         1.0, rel=0.0, abs=rounding_slack(pot.cells))
 
 
-@pytest.mark.filterwarnings("ignore:odd cell count")
 @PROPERTY
 @given(potentials(cells=st.integers(1, 300)))
 def test_matches_per_cell_loop(case):
     pot, hbar, mu = case
     ref = loop_transmission(pot.grid, pot.values, hbar, mu)
-    assert _T(pot, hbar, mu) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert _transmission_once(pot, hbar, mu) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def assert_walks_agree(pot, hbar, mu):
@@ -493,19 +494,36 @@ def test_cap_barrier_refuses_caps_it_cannot_walk(L, n, why):
     bp = BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cap_faults(1.0, 1.0, L, n)
         with pytest.raises(ValueError, match="must be finite and the step"):
             cap_barrier(bp, L=L, n=n)
+
+
+@pytest.mark.parametrize("L, n, why", [
+    (0.3, 20000, "must exceed the turning point"),     # b = 0.39
+    (1e200, 20000, "the level -j0\\*L\\^2 \\+ h0 must be finite"),
+    (4.0, 10**16, "the step 2L/n above 3 ulps"),
+])
+def test_cap_barrier_refusals_name_the_point(L, n, why):
+    params = dict(hbar=0.1, mu=0.7, j0=1.3, h0=0.2)
+    point = " ".join(f"{k}={v:.17g}" for k, v in params.items())
+    assert point.startswith("hbar=0.10000000000000001 mu=0.69999999999999996 ")
+    with pytest.raises(ValueError, match=why) as exc:
+        cap_barrier(BarrierProblem(**params), L=L, n=n)
+    assert point in str(exc.value) and f"L={L:.17g}" in str(exc.value)
 
 
 @pytest.mark.parametrize("L", [4.0, 1e-3, 3.0e153])
 def test_steps_just_above_three_ulps_keep_the_grid_increasing(L):
     # the smallest accepted step: samples around each end and the middle
     # of the 10^15-cell grid strictly increase; the profile holds none of it
+    bp = BarrierProblem(1.0, 1.0, 1.0, 0.0)
     n = int(2.0 * L / (3.0 * np.spacing(L)))
-    while cap_faults(1.0, 0.0, L, n):
-        n -= 1
-    pot = CappedBarrier(BarrierProblem(1.0, 1.0, 1.0, 0.0), L, n)
+    while True:
+        try:
+            pot = cap_barrier(bp, L=L, n=n)
+            break
+        except ValueError:
+            n -= 1
     for lo in (0, n // 2 - 2000, n // 4, n - 4000):
         grid, _ = pot.samples(lo, lo + 4000)
         assert np.all(np.diff(grid) > 0.0)

@@ -312,23 +312,17 @@ def test_columns_are_validated():
         BarrierProblem(hbar=[1.0, 0.0], mu=1.0, j0=1.0, h0=1.0)
     with pytest.raises(ValueError, match="h0"):
         BarrierProblem(hbar=1.0, mu=1.0, j0=1.0, h0=[1.0, math.nan])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        BarrierProblem(hbar=[[0.5, 1.0]], mu=1.0, j0=1.0, h0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # b = sqrt(h0/j0) past the float range, refused without a warning
+        with pytest.raises(ValueError, match="h0/j0 must be finite"):
+            BarrierProblem(hbar=1.0, mu=1.0, j0=[1.0, 1e-10], h0=[1.0, 1e300])
+        assert turning_points(BarrierProblem(1.0, 1.0, 1.0, 1.7e308))[1] > 1e154
     with pytest.raises(ValueError, match="under the barrier"):
         wkb_wavefunction(solve_barrier(BarrierProblem(1.0, 1.0, 1.0, [1.0, 1.0])),
                          "under_barrier", [0.0, 2.0])
-
-
-def test_current_ratio_refuses_another_problem():
-    for params, other in (((1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 2.0)),
-                          (([0.5, 1.0], 1.0, 1.0, 1.0), ([0.5, 1.0], 1.0, 1.0, 2.0)),
-                          (([0.5, 1.0], 1.0, 1.0, 1.0), (0.5, 1.0, 1.0, 1.0))):
-        sol = solve_barrier(BarrierProblem(*params))
-        # an equal problem is the same problem
-        assert np.array_equal(current_ratio(sol, BarrierProblem(*params)),
-                              current_ratio(sol))
-        with pytest.raises(ValueError, match="the problem the solution solves"):
-            current_ratio(sol, BarrierProblem(*other))
-    with pytest.raises(ValueError, match="one-dimensional"):
-        BarrierProblem(hbar=[[0.5, 1.0]], mu=1.0, j0=1.0, h0=1.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
