@@ -69,6 +69,8 @@ EK = ["network", "--mode", "ek", "--n", "3", "--N", "4", "--draws", "4",
       "--samples", "100", "--seed", "3"]
 EK32 = ["network", "--mode", "ek", "--n", "4", "--N", "32", "--draws", "8",
         "--samples", "2000", "--seed", "1123"]
+EK64 = ["network", "--mode", "ek", "--n", "8", "--N", "64", "--draws", "8",
+        "--samples", "2000", "--seed", "91"]
 ROLLDOWN = ["network", "--mode", "rolldown", "--n", "24", "--patterns", "2",
             "--flips", "5", "--seed", "4"]
 COSMO = ["cosmo", "--matter", "twolevel:5"]
@@ -101,6 +103,8 @@ CASES = [
     ("network_ek_summary.csv", "network_ek_summary.csv", EK),
     ("network_ek_n4_N32.csv", "network_ek.csv", EK32),
     ("network_ek_n4_N32_summary.csv", "network_ek_summary.csv", EK32),
+    ("network_ek_n8_N64.csv", "network_ek.csv", EK64),
+    ("network_ek_n8_N64_summary.csv", "network_ek_summary.csv", EK64),
     ("network_rolldown.csv", "network_rolldown.csv", ROLLDOWN),
     ("network_rolldown_summary.csv", "network_rolldown_summary.csv", ROLLDOWN),
     ("network_entropy.csv", "network_entropy.csv",
