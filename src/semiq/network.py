@@ -29,12 +29,15 @@ eigenvectors of the Hermitian iG.  One N x N eigendecomposition per draw
 gives the ring energies and, as the n = 1 case, the reduced ones.  The
 samples are real, so site modes k and n - k contribute complex-conjugate
 terms and only the n//2 + 1 modes k <= n/2 are evaluated, by real matrix
-products: about samples (n//2 + 1) (2nN + 4N^2) multiply-adds plus the
-O(N^3) eigendecomposition, with no (nN) x (nN) matrix.  Each draw samples
-its spheres a fixed number of rows at a time, so memory does not grow with
-the samples, and the independent draws run on up to two threads with
-numpy's OpenBLAS held at one thread; the results do not depend on the
-number of threads.
+products.  The r real modes (k = 0 and, for even n, k = n/2: all of the
+reduction) are N x N quadratic forms and the c others 2N x 2N products, so
+a draw costs about samples (n^2 N + (r + 4c) N^2) multiply-adds, with
+r + 4c = 2n - 1 for odd n and 2n - 2 for even n, plus the O(N^3)
+eigendecomposition, with no (nN) x (nN) matrix.  Each draw builds its
+mode tables once per sphere and samples the sphere a fixed number of rows
+at a time, so memory does not grow with the samples, and the independent
+draws run on up to two threads with numpy's OpenBLAS held at one thread;
+the results do not depend on the number of threads.
 
 The quenched Hopfield limit keeps an n x n coupling matrix J and the
 energy -(1/2) <phi, J phi> + H0 on unit n-vectors.
@@ -76,10 +79,8 @@ _TAYLOR_THETA = 4.0
 _MAX_TAYLOR_STEPS = 10_000
 
 #: rows of sphere samples that ek_comparison draws and evaluates at a time.
-#: A product's last bits depend on how BLAS splits its rows, so this is a
-#: constant.  A multiple of 4, it puts each row in the same kernel of
-#: OpenBLAS's four-rows-at-a-time matrix-vector product as one product of all
-#: the samples does, which keeps the bytes of the golden and benchmark runs.
+#: A product's last bits may depend on how BLAS splits its rows, so the
+#: bytes of the golden and benchmark runs hold for this constant only.
 _EK_ROWS = 128
 
 #: sweeps after which rolldown reports that it has not converged
@@ -231,12 +232,41 @@ def gauge_transform(state: NeuralState, g, o: GaugeTransformation):
     return NeuralState(phi2), g2
 
 
-def _uniform_ring_energies(x: np.ndarray, lam: np.ndarray,
-                           v: np.ndarray) -> np.ndarray:
+def _ring_modes(n: int, lam: np.ndarray, v: np.ndarray) -> tuple:
+    """The constants of _uniform_ring_energies for an n-site ring whose
+    connection G has lam and v as the eigenvalues and eigenvectors of the
+    Hermitian iG, as np.linalg.eigh(1j * G) returns them: built once per
+    draw and sphere, and shared by its row blocks.
+
+    Returns (table, forms, vblock, weight).  table's rows take x to
+    sqrt(n) x_hat_k: cos_k for each real mode (k = 0 and, for even n,
+    k = n/2), then cos_k and -sin_k for each complex mode 0 < k < n/2.
+    forms holds the N x N real symmetric C_k = Re(V diag(w_k) V^H) of the
+    real modes, with w_kj = Re exp(-1 + w_k (1 + mu_j)); vblock is
+    [[Re V, -Im V], [Im V, Re V]], and weight holds each complex mode's
+    w_k twice (for Re z and Im z) and doubled (for the mode n - k).
+    """
+    k = np.arange(n // 2 + 1)
+    real = (k == 0) | (2 * k == n)
+    k = np.concatenate([k[real], k[~real]])
+    r = int(np.count_nonzero(real))
+    theta = 2.0 * math.pi * (np.outer(k, np.arange(n)) % n) / n
+    cos, sin = np.cos(theta), np.sin(theta)
+    table = np.concatenate(
+        [cos[:r], np.stack([cos[r:], -sin[r:]], axis=1).reshape(-1, n)])
+    omega = np.exp(2j * math.pi * k / n)
+    weight = np.exp(-1.0 + omega[:, None] * (1.0 - 1j * lam)).real
+    # Re(V diag(w) V^H) = Re V diag(w) Re V^T + Im V diag(w) Im V^T
+    vv = np.concatenate([v.real, v.imag], axis=1)
+    forms = [(vv * np.concatenate([w, w])) @ vv.T for w in weight[:r]]
+    vblock = np.block([[v.real, -v.imag], [v.imag, v.real]])
+    return table, forms, vblock, 2.0 * np.concatenate([weight[r:]] * 2, axis=1)
+
+
+def _uniform_ring_energies(x: np.ndarray, modes: tuple) -> np.ndarray:
     """-(1/2N) <x, exp(D) x> per sample, x shaped (samples, n, N), for a
     ring that carries the same antisymmetric connection G at every site;
-    lam and v are the eigenvalues and eigenvectors of the Hermitian iG, as
-    np.linalg.eigh(1j * G) returns them.
+    modes is _ring_modes(n, lam, v) of G's eigenpairs.
 
     D = -I + S (x) (1 + G) with (S x)_i = x_{i+1} is block-circulant: site
     mode k (x_i ~ w_k^i, w_k = exp(2 pi i k / n)) and eigenvector v_j of G
@@ -248,31 +278,26 @@ def _uniform_ring_energies(x: np.ndarray, lam: np.ndarray,
 
     x and G are real, so x_hat_{n-k} = conj(x_hat_k) and the k and n - k
     terms of <x, exp(D) x> are complex conjugates: only k = 0 .. n//2 are
-    evaluated, each 0 < k < n/2 counted twice.  With x_hat_k = a + ib,
-    z_k = [a, b] @ [[Re V, -Im V], [Im V, Re V]] as [Re z_k, Im z_k].
+    evaluated, each 0 < k < n/2 counted twice.  In a real mode, x_hat_k = a
+    is real and its term is the quadratic form a . (C_k a).  In a complex
+    mode, x_hat_k = a + ib and z_k = [a, b] @ vblock as [Re z_k, Im z_k].
     """
+    table, forms, vblock, weight = modes
     samples, n, N = x.shape
-    m = n // 2 + 1
-    k = np.arange(m)
-    theta = 2.0 * math.pi * (np.outer(k, np.arange(n)) % n) / n
-    # rows cos_k, -sin_k interleaved, so that one matmul leaves [a_k, b_k]
-    # side by side: sqrt(n) x_hat_k without a complex copy of the samples
-    table = np.empty((2 * m, n))
-    table[0::2] = np.cos(theta)
-    table[1::2] = -np.sin(theta)
-    ab = np.matmul(table, x).reshape(samples, m, 2 * N)
-    vblock = np.block([[v.real, -v.imag], [v.imag, v.real]])
-    omega = np.exp(2j * math.pi * k / n)
-    weight = np.exp(-1.0 + omega[:, None] * (1.0 - 1j * lam)).real
-    weight *= np.where((k == 0) | (2 * k == n), 1.0, 2.0)[:, None]
-    weight = np.concatenate([weight, weight], axis=1)
+    # one matmul gives every mode's a_k, or [a_k, b_k] side by side, without
+    # a complex copy of the samples
+    ab = np.matmul(table, x)
     energy = np.zeros(samples)
-    # one mode at a time: z for every mode at once would be another array
-    # the size of the samples
-    for q in range(m):
+    # one mode at a time: all modes at once would be another array the size
+    # of the samples
+    for q, form in enumerate(forms):
+        a = ab[:, q]
+        energy += np.einsum("ij,ij->i", a @ form, a)
+    ab = ab[:, len(forms):].reshape(samples, -1, 2 * N)
+    for q, w in enumerate(weight):
         z = ab[:, q] @ vblock
         z *= z
-        energy += z @ weight[q]
+        energy += z @ w
     return -energy / (2.0 * n * N)
 
 
@@ -310,16 +335,18 @@ def _median(x: np.ndarray) -> float:
 def _sphere_energies(rng: np.random.Generator, samples: int, n: int, N: int,
                      lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     """_uniform_ring_energies of `samples` uniform unit vectors of R^(nN)
-    from rng, taken as (n, N) ring states.  The vectors are drawn,
-    normalised and evaluated _EK_ROWS rows at a time, so that only the
-    energies are held whole."""
+    from rng, taken as (n, N) ring states.  The mode tables are built once;
+    the vectors are drawn into one buffer, normalised and evaluated
+    _EK_ROWS rows at a time, so that only the energies are held whole."""
+    modes = _ring_modes(n, lam, v)
+    buf = np.empty((min(_EK_ROWS, samples), n * N))
     energy = np.empty(samples)
     for start in range(0, samples, _EK_ROWS):
         rows = min(_EK_ROWS, samples - start)
-        x = rng.standard_normal((rows, n * N))
+        x = rng.standard_normal(out=buf[:rows])
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         energy[start:start + rows] = _uniform_ring_energies(
-            x.reshape(rows, n, N), lam, v)
+            x.reshape(rows, n, N), modes)
     return energy
 
 

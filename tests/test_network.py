@@ -25,7 +25,7 @@ from semiq import (
     window_counts,
 )
 from semiq import network
-from semiq.network import _median, _uniform_ring_energies
+from semiq.network import _median, _ring_modes, _uniform_ring_energies
 
 SEED = 1123
 
@@ -80,12 +80,16 @@ def test_gauge_invariance_property(n, N, seed, scale):
 @PROPERTY
 @given(st.integers(1, 9), st.integers(1, 8), st.integers(0, 2**32 - 1),
        st.floats(0.0, 3.0))
+@example(1, 6, 5, 2.0)
 @example(2, 5, 17, 1.5)
+@example(5, 7, 31, 2.5)
 @example(8, 8, 23, 2.0)
 def test_site_fourier_energy_matches_dense_expm(n, N, seed, scale):
     # the same connection at every site: the closed form against the dense
-    # exp(D), three states at once; the explicit even n carry the unpaired
-    # k = n/2 mode, n = 8 is the benchmark's ring
+    # exp(D), three states at once.  The examples pin each kind of mode:
+    # n = 1 has only the real k = 0, n = 2 the real k = 0 and k = n/2 and
+    # no complex mode, the odd n = 5 no k = n/2, and n = 8, the benchmark's
+    # ring, both real modes and three complex ones
     rng = np.random.default_rng(seed)
     r = rng.standard_normal((N, N))
     g = scale * (r - r.T) / 2.0
@@ -94,7 +98,8 @@ def test_site_fourier_energy_matches_dense_expm(n, N, seed, scale):
     field = GlialField(np.broadcast_to(g, (n, N, N)).copy())
     dense = [dense_energy(NeuralState(phi), field)[0] for phi in x]
     lam, v = np.linalg.eigh(1j * g)
-    assert _uniform_ring_energies(x, lam, v) == pytest.approx(dense, rel=1e-12)
+    assert _uniform_ring_energies(x, _ring_modes(n, lam, v)) == pytest.approx(
+        dense, rel=1e-12)
 
 
 @PROPERTY
@@ -128,7 +133,7 @@ def test_hamiltonian_full_at_large_norm(n, N, seed):
     assert abs(hamiltonian_full(state, g) - want) <= 1e-11 * size
     uniform = GlialField(np.broadcast_to(g.matrices[0], (n, N, N)).copy())
     lam, v = np.linalg.eigh(1j * g.matrices[0])
-    want = _uniform_ring_energies(state.phi[None], lam, v)[0]
+    want = _uniform_ring_energies(state.phi[None], _ring_modes(n, lam, v))[0]
     size = dense_energy(state, uniform)[1]
     assert abs(hamiltonian_full(state, uniform) - want) <= 1e-13 * size
 
@@ -197,6 +202,22 @@ def test_ek_comparison_one_eigh_per_draw(monkeypatch):
     assert calls == [(8, 8)] * 3
 
 
+def test_ek_comparison_builds_mode_tables_once_per_draw(monkeypatch):
+    # each sphere's site table, forms and weights serve all of its row
+    # blocks: three blocks per sphere here, and one build
+    built = []
+    modes = network._ring_modes
+
+    def spy(n, lam, v):
+        built.append(n)
+        return modes(n, lam, v)
+
+    monkeypatch.setattr(network, "_ring_modes", spy)
+    ek_comparison(n=4, N=8, beta=1.0, draws=3,
+                  samples=2 * network._EK_ROWS + 1, seed=9)
+    assert sorted(built) == [1] * 3 + [4] * 3
+
+
 def _usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
@@ -243,7 +264,8 @@ def test_sphere_energies_row_blocks_match_one_block(n, samples):
     x = ref_rng.standard_normal((samples, n * N))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     np.testing.assert_allclose(
-        e, _uniform_ring_energies(x.reshape(samples, n, N), lam, v),
+        e, _uniform_ring_energies(x.reshape(samples, n, N),
+                                  _ring_modes(n, lam, v)),
         rtol=1e-14, atol=0)
     assert rng.random() == ref_rng.random()     # as many rows drawn
 
