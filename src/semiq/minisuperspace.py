@@ -556,7 +556,9 @@ def wdw_residual(model: MiniSuperspaceModel, a_span: tuple[float, float],
     with A'' = A (5 U'^2 / (16 U^2) - U'' / (4 U)).  The residual relative
     to ||U Psi|| is hbar**2 ||A''|| / ||U A|| on RESIDUAL_POINTS uniform
     points; the grid never has to resolve the phase, but its points must
-    increase, which a span a few float spacings wide refuses.  A constant
+    increase, which a span a few float spacings wide refuses.  A span so
+    short that the second difference's roundoff, about eps max U / h^2 over
+    4 min U, exceeds 1% of the RMS of A''/A is refused too.  A constant
     U gives residual 0 and slope nan.  An hbar whose square is not a positive
     normal float (hbar below about 1.5e-154) is refused, since its
     residual would underflow to 0 as well.  Matter is deliberately left out: chi
@@ -588,9 +590,18 @@ def wdw_residual(model: MiniSuperspaceModel, a_span: tuple[float, float],
     du = np.gradient(u - u[0], h, edge_order=2)
     if du.any():
         d2u = np.gradient(du, h, edge_order=2)
+        bracket = 5.0 * du**2 / (16.0 * u**2) - d2u / (4.0 * u)
+        # the second difference carries roundoff of about eps max U / h^2,
+        # which reaches A''/A divided by 4U
+        noise = np.finfo(float).eps * np.max(u) / h**2 / (4.0 * np.min(u))
+        rms = math.sqrt(np.mean(bracket**2))
+        if noise > 0.01 * rms:
+            raise ValueError(
+                f"residual span [{a_span[0]!r}, {a_span[1]!r}] is too short: "
+                f"the roundoff of U'' ({noise:.3g}) exceeds 1% of the RMS of "
+                f"A''/A ({rms:.3g})")
         amp = (u[0] / u) ** 0.25
-        amp_dd = amp * (5.0 * du**2 / (16.0 * u**2) - d2u / (4.0 * u))
-        ratio = np.linalg.norm(amp_dd) / np.linalg.norm(u * amp)
+        ratio = np.linalg.norm(amp * bracket) / np.linalg.norm(u * amp)
     else:
         # a constant U has A'' = 0, also where u**2 underflows or overflows
         ratio = 0.0

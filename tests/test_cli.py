@@ -310,6 +310,19 @@ def test_cosmo_refuses_a_residual_span_of_a_few_ulps(tmp_path, capsys, args):
     assert "residual span" in capsys.readouterr().err
 
 
+def test_cosmo_refuses_a_residual_span_lost_in_roundoff(tmp_path, capsys):
+    # a grows by 4e-9: the points increase, but the roundoff of the second
+    # difference (about eps U / h^2) swamps the residual, which once read
+    # 31420 at hbar 0.1 with slope 2
+    out = tmp_path / "out"
+    assert main(["cosmo", "--t-max", "1e-9", "--output-dir", str(out)]) \
+        == EXIT_NUMERICAL
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "residual span [1.0, 1.000000004] is too short" in err
+    assert "roundoff of U''" in err
+
+
 def test_cosmo_matter_columns(tmp_path):
     assert run_cli(["cosmo", "--matter", "twolevel:1.3", "--t-max", "0.2",
                     "--t-points", "51"], tmp_path) == EXIT_OK

@@ -440,6 +440,17 @@ def test_wdw_residual_matches_finite_difference_reference(a_span):
     assert rep.residuals == pytest.approx(ref, rel=1e-3)
 
 
+def test_wdw_residual_on_a_short_span():
+    # over [1, 1.001] the roundoff of U'' is 1e-3 of A''/A = 0.75 / a^2, and
+    # the residual hbar^2 0.75 / (4 a^4) is kept; over [1, 1.0001] the
+    # roundoff is 12 % of A''/A, and the span is refused
+    rep = wdw_residual(quad_model(), (1.0, 1.001), [0.1, 0.05])
+    assert rep.residuals[0] == pytest.approx(0.01 * 0.75 / (4.0 * 1.0005**4),
+                                             rel=1e-4)
+    with pytest.raises(ValueError, match=r"residual span \[1.0, 1.0001\] is too short"):
+        wdw_residual(quad_model(), (1.0, 1.0001), [0.1, 0.05])
+
+
 def test_wdw_residual_rejects_turning_point():
     m = MiniSuperspaceModel(potential_u=lambda a: a - 2.0, hbar=1.0)
     with pytest.raises(ValueError, match="<= 0"):
