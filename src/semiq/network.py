@@ -241,10 +241,10 @@ def _ring_modes(n: int, lam: np.ndarray, v: np.ndarray) -> tuple:
     Returns (table, forms, vblock, weight).  table's rows take x to
     sqrt(n) x_hat_k: cos_k for each real mode (k = 0 and, for even n,
     k = n/2), then cos_k and -sin_k for each complex mode 0 < k < n/2.
-    forms holds the N x N real symmetric C_k = Re(V diag(w_k) V^H) of the
-    real modes, with w_kj = Re exp(-1 + w_k (1 + mu_j)); vblock is
+    forms holds the N x N real symmetric C_k = Re(V diag(e_k) V^H) of the
+    real modes, with e_kj = Re exp(-1 + w_k (1 + mu_j)); vblock is
     [[Re V, -Im V], [Im V, Re V]], and weight holds each complex mode's
-    w_k twice (for Re z and Im z) and doubled (for the mode n - k).
+    e_k twice (for Re z and Im z) and doubled (for the mode n - k).
     """
     k = np.arange(n // 2 + 1)
     real = (k == 0) | (2 * k == n)
@@ -255,12 +255,13 @@ def _ring_modes(n: int, lam: np.ndarray, v: np.ndarray) -> tuple:
     table = np.concatenate(
         [cos[:r], np.stack([cos[r:], -sin[r:]], axis=1).reshape(-1, n)])
     omega = np.exp(2j * math.pi * k / n)
-    weight = np.exp(-1.0 + omega[:, None] * (1.0 - 1j * lam)).real
-    # Re(V diag(w) V^H) = Re V diag(w) Re V^T + Im V diag(w) Im V^T
+    e = np.exp(-1.0 + omega[:, None] * (1.0 - 1j * lam)).real
+    # Re(V diag(e) V^H) = Re V diag(e) Re V^T + Im V diag(e) Im V^T
     vv = np.concatenate([v.real, v.imag], axis=1)
-    forms = [(vv * np.concatenate([w, w])) @ vv.T for w in weight[:r]]
+    forms = [(vv * np.concatenate([ek, ek])) @ vv.T for ek in e[:r]]
     vblock = np.block([[v.real, -v.imag], [v.imag, v.real]])
-    return table, forms, vblock, 2.0 * np.concatenate([weight[r:]] * 2, axis=1)
+    twice = 2.0 * e[r:]
+    return table, forms, vblock, np.concatenate([twice, twice], axis=1)
 
 
 def _uniform_ring_energies(x: np.ndarray, modes: tuple) -> np.ndarray:

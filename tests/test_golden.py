@@ -2,9 +2,13 @@
 
 The tunnel and sweep files under tests/golden/ were written by the
 per-point quadrature WKB code, the others by the row-at-a-time table code
-that the columnar tables replaced; the ek files (N = 4 and N = 32) by the
+that the columnar tables replaced; the ek files at N = 4 and N = 32 by the
 dense expm of the (nN) x (nN) ring operator that the site-Fourier closed
-form replaced; the deep tunnel at 10^6 cells and the 20 x 20 oracle sweep
+form replaced, and the benchmark's ek shape (n = 8, N = 64, three complex
+site modes) by that closed form with a 2N x 2N product for every mode,
+before the real modes became N x N quadratic forms (which are within
+1.1e-14 relative of the ek discrepancies and 2.2e-15 of the standard errors
+of all three); the deep tunnel at 10^6 cells and the 20 x 20 oracle sweep
 by the chunked suffix-scan walk, before the transmission walk reduced each
 chunk to its one product; the 30-level clock by the csv.writer table
 writer, before each row came from one % template.  Every clock file was
@@ -29,9 +33,10 @@ Every column must match its text exactly, except:
 - the clock's coherence, which the closed form and the cumulative product
   round differently from the per-tick product that wrote it, and columns
   that pass through BLAS (the Monte Carlo clock's coherence, and the ek
-  discrepancies and standard errors, which go through an eigh and real
-  matrix products over the n//2 + 1 paired site modes), whose last bits
-  may differ with the BLAS build and the evaluation order: 1e-12 relative;
+  discrepancies and standard errors, which go through an eigh, real
+  quadratic forms and real matrix products over the n//2 + 1 paired site
+  modes), whose last bits may differ with the BLAS build and the
+  evaluation order: 1e-12 relative;
 - the gauge check's two energies, which round differently from the dense
   expm that wrote them: 1e-14 relative, and its abs_difference, a defect
   at the roundoff of those energies that no relative bound can hold: 1e-16
