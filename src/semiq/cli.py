@@ -821,9 +821,12 @@ def run(cfg: RunConfig) -> dict[str, ResultTable]:
     """Execute a resolved config: compute, render, then write files.
 
     Everything is computed and rendered before the first write; files are
-    staged, then renamed into place (manifest last), so a failing run leaves
-    no partial output.  Raises ValidationError for bad inputs, module
-    exceptions for numerical trouble, OSError for I/O.
+    staged, an earlier run's files of the same names are moved into the
+    stage, and the new files are renamed into place (manifest last).  A
+    failing write or rename removes the files already placed and moves the
+    earlier ones back, so the directory is left as the run found it.
+    Raises ValidationError for bad inputs, module exceptions for numerical
+    trouble, OSError for I/O.
     """
     tables, make_plots = _RUNNERS[cfg.subcommand](cfg)
     plot_files = make_plots() if cfg.plot else []
@@ -832,8 +835,9 @@ def run(cfg: RunConfig) -> dict[str, ResultTable]:
     outputs = list(tables.keys()) + [name for name, _ in plot_files]
 
     os.makedirs(cfg.output_dir, exist_ok=True)
-    placed = []
+    placed, kept = [], []
     with tempfile.TemporaryDirectory(prefix=".semiq-", dir=cfg.output_dir) as stage:
+        previous = os.path.join(stage, "previous")
         try:
             for name, table in tables.items():
                 write_csv(table, os.path.join(stage, name))
@@ -842,6 +846,13 @@ def run(cfg: RunConfig) -> dict[str, ResultTable]:
                     fh.write(content)
             write_manifest(os.path.join(stage, manifest_name),
                            cfg.manifest_entries(), outputs)
+            os.mkdir(previous)
+            for name in outputs + [manifest_name]:
+                dest = os.path.join(cfg.output_dir, name)
+                # a directory in the way stays there and fails its rename
+                if os.path.isfile(dest) or os.path.islink(dest):
+                    os.replace(dest, os.path.join(previous, name))
+                    kept.append(name)
             for name in outputs + [manifest_name]:
                 dest = os.path.join(cfg.output_dir, name)
                 os.replace(os.path.join(stage, name), dest)
@@ -849,6 +860,9 @@ def run(cfg: RunConfig) -> dict[str, ResultTable]:
         except OSError:
             for dest in placed:
                 os.remove(dest)
+            for name in kept:
+                os.replace(os.path.join(previous, name),
+                           os.path.join(cfg.output_dir, name))
             raise
     return tables
 

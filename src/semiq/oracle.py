@@ -12,6 +12,13 @@ with the exact constant-coefficient propagator, and the flux carries the
 wavenumber ratio of the two asymptotic regions.  Richardson extrapolation
 over a grid-halving pair supplies the truncation-error estimate.
 
+The capped barrier is even, and every cell propagator R has det R = 1, so
+the mirror image of a cell is P R^-1 P with P = diag(1, -1).  The product
+of the cells left of phi = 0 is then P adj(M_R) P, where M_R is the product
+of the cells right of it: the walk crosses ceil(n/2) of a grid's n cells,
+from the middle one to the right edge, on the fine grid and on its coarse
+Richardson partner alike.  Any other profile is walked over all its cells.
+
 transfer_matrix_transmission(cap_barrier(bp)) walks at bp's hbar and mu.
 The walk asks its profile for the samples of one chunk of cells at a time;
 the capped barrier holds no per-cell array and computes each chunk's grid
@@ -127,8 +134,9 @@ def cap_barrier(bp: BarrierProblem, L: float | None = None, n: int = 20000) -> C
     return CappedBarrier(bp, L, n)
 
 
-def _chunks(pot, hbar, mu):
-    """Yield (start, end, h, q, x, under) per chunk, walking right to left.
+def _chunks(pot, hbar, mu, lo, hi):
+    """Yield (start, end, h, q, x, under) per chunk of cells lo .. hi-1,
+    walking right to left.
 
     A chunk [start, end) holds at most _CHUNK cells and ends early where its
     integrated kappa passes _GROWTH_BOUND.  Each chunk's geometry is computed
@@ -137,10 +145,9 @@ def _chunks(pot, hbar, mu):
     and the mask under = w > 0 of the cells under the barrier, where
     kappa = q.
     """
-    end = pot.cells
-    while end > 0:
-        lo = max(end - _CHUNK, 0)
-        grid, values = pot.samples(lo, end)
+    end = hi
+    while end > lo:
+        grid, values = pot.samples(max(end - _CHUNK, lo), end)
         h = grid[1:] - grid[:-1]
         # w in place, with the operations of 2*mu*V/hbar^2 in order
         w = np.add(values[1:], values[:-1])
@@ -231,49 +238,83 @@ def _chunk_products(chunks, cells):
         yield from np.moveaxis(products(buf[:, :, :filled]), -1, 0)
 
 
-def _carry(p, psi, dpsi, log_scale):
-    """Carry (psi, psi') across one chunk and renormalise into the log-scale."""
-    psi, dpsi = (p[0, 0] * psi + p[0, 1] * dpsi,
-                 p[1, 0] * psi + p[1, 1] * dpsi)
-    m = max(abs(psi), abs(dpsi))
-    return psi / m, dpsi / m, log_scale + math.log(m)
+def _walk(pot, hbar, mu, lo, hi):
+    """The right-to-left product of cells lo .. hi-1 and its log-scale.
 
-
-def _propagate(pot, hbar, mu):
-    """Propagate (psi, psi') from the right edge to the left edge.
-
-    Starts from a pure outgoing wave psi = 1, psi' = i*k_R and walks left
-    using the exact constant-potential propagator per cell (the cell value
-    is the mean of its endpoint samples), in the chunks of _chunks.  Each
+    Returns ((a, b, c, d), log_scale): the product R_lo @ ... @ R_{hi-1} of
+    the cell propagators, which carries (psi, psi') from the right edge of
+    the range to its left edge, is e^log_scale * [[a, b], [c, d]].  Each
     chunk's total product, from the batched pairwise reductions of
-    _chunk_products, carries (psi, psi') across it, and the carried pair
-    is then renormalised into the returned log-scale.
+    _chunk_products, multiplies the carried matrix from the left, which is
+    then renormalised into the log-scale.  The carry is in Python floats,
+    whose underflow of a subdominant entry raises no floating-point error.
     """
-    k_left_sq = -2.0 * mu * pot.samples(0, 0)[1][0] / hbar**2
-    k_right_sq = -2.0 * mu * pot.samples(pot.cells, pot.cells)[1][0] / hbar**2
-    if k_left_sq <= 0 or k_right_sq <= 0:
+    m, log_scale = (1.0, 0.0, 0.0, 1.0), 0.0
+    for p in _chunk_products(_chunks(pot, hbar, mu, lo, hi), hi - lo):
+        m = _times(p.ravel().tolist(), m)
+        top = max(map(abs, m))
+        m = tuple(x / top for x in m)
+        log_scale += math.log(top)
+    return m, log_scale
+
+
+def _times(m, n):
+    """The 2x2 product m @ n of two (a, b, c, d) tuples."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _wavenumber(pot, i, hbar, mu):
+    """The zero-energy wavenumber at grid point i, where the wave must
+    propagate."""
+    k_sq = -2.0 * mu * pot.samples(i, i)[1][0] / hbar**2
+    if k_sq <= 0:
         raise ValueError("both asymptotic levels must be negative so that "
                          "zero-energy waves propagate on both sides")
-    k_left = math.sqrt(k_left_sq)
-    k_right = math.sqrt(k_right_sq)
+    return math.sqrt(k_sq)
 
-    psi = 1.0 + 0.0j
-    dpsi = 1j * k_right
-    log_scale = 0.0
-    for p in _chunk_products(_chunks(pot, hbar, mu), pot.cells):
-        psi, dpsi, log_scale = _carry(p, psi, dpsi, log_scale)
-    return psi, dpsi, log_scale, k_left, k_right
+
+def _log_transmission(pot, hbar, mu) -> float:
+    """log T through any profile with cells and samples(lo, hi).
+
+    A pure outgoing wave psi = 1, psi' = i*k_R at the right edge is
+    carried to the left edge by the product of the exact constant-potential
+    propagators of the cells (the cell value is the mean of its endpoint
+    samples).  For a capped barrier that product is P adj(M_R) P @ M_mid @
+    M_R (module docstring): M_R of the cells right of phi = 0, and M_mid of
+    the middle cell, which straddles phi = 0 when n is odd.  Any other
+    profile is walked over all its cells.
+    """
+    n = pot.cells
+    if isinstance(pot, CappedBarrier):
+        k_left = k_right = _wavenumber(pot, n, hbar, mu)
+        half = n // 2
+        right, log_right = _walk(pot, hbar, mu, n - half, n)
+        a, b, c, d = right
+        left = (d, b, c, a)                       # P adj(M_R) P
+        log_scale = 2.0 * log_right
+        if n % 2:
+            middle, log_middle = _walk(pot, hbar, mu, half, half + 1)
+            left = _times(left, middle)
+            log_scale += log_middle
+        a, b, c, d = _times(left, right)
+    else:
+        k_left = _wavenumber(pot, 0, hbar, mu)
+        k_right = _wavenumber(pot, n, hbar, mu)
+        (a, b, c, d), log_scale = _walk(pot, hbar, mu, 0, n)
+    psi = a + 1j * k_right * b
+    dpsi = c + 1j * k_right * d
+    # decompose the left-edge solution into incident and reflected waves
+    alpha = 0.5 * (psi + dpsi / (1j * k_left))
+    return (math.log(k_right / k_left)
+            - 2.0 * math.log(abs(alpha)) - 2.0 * log_scale)
 
 
 def _transmission_once(pot, hbar, mu) -> float:
     """T through any profile with cells and samples(lo, hi), at hbar and mu."""
-    psi, dpsi, log_scale, k_left, k_right = _propagate(pot, hbar, mu)
-    # decompose the left-edge solution into incident and reflected waves
-    alpha = 0.5 * (psi + dpsi / (1j * k_left))
-    log_T = (math.log(k_right / k_left)
-             - 2.0 * math.log(abs(alpha)) - 2.0 * log_scale)
     # a near-transparent profile can round to just above T = 1
-    return math.exp(min(log_T, 0.0))
+    return math.exp(min(_log_transmission(pot, hbar, mu), 0.0))
 
 
 def transfer_matrix_transmission(pot: CappedBarrier) -> TransmissionEstimate:

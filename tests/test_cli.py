@@ -1,6 +1,8 @@
 """End-to-end checks driven through semiq.cli.main (same code path as the
 console script, minus the process boundary, so failures keep tracebacks)."""
 
+import builtins
+import errno
 import math
 import os
 import subprocess
@@ -213,17 +215,82 @@ def test_io_failure_after_first_file_leaves_no_files(tmp_path, blocked):
     assert os.listdir(tmp_path) == [blocked]
 
 
-def test_sweep_single_axis_monotone(tmp_path):
-    assert run_cli(["sweep", "--axis", "h0=0.8:2.0:7", "--oracle"],
-                   tmp_path) == EXIT_OK
-    t = read_csv(tmp_path / "sweep.csv")
-    h0s = [float(v) for v in t.column("h0")]
-    ts = [float(v) for v in t.column("T_closed")]
-    assert h0s == sorted(h0s)
-    assert ts == sorted(ts, reverse=True)    # taller barrier, less tunnelling
-    tn = [float(v) for v in t.column("T_numeric")]
-    for a, b in zip(ts, tn):
-        assert abs(a - b) / a < 0.10
+#: (an earlier run, a rerun in the same directory) per subcommand and mode,
+#: with --plot wherever it is accepted, so the plots are written too
+RERUNS = [
+    (["clock", "--steps", "5", "--plot"], ["clock", "--steps", "6", "--plot"]),
+    (["tunnel", "--h0", "1"], ["tunnel", "--h0", "2"]),
+    (["sweep", "--axis", "h0=1:2:3", "--plot"],
+     ["sweep", "--axis", "h0=1:2:4", "--plot"]),
+    *[(["network", "--mode", mode, *flags, "--seed", "1"],
+       ["network", "--mode", mode, *flags, "--seed", "2"])
+      for mode, flags in [
+          ("gauge-check", ["--n", "2", "--N", "2", "--draws", "2"]),
+          ("ek", ["--n", "2", "--N", "2", "--draws", "2", "--samples", "50"]),
+          ("rolldown", ["--n", "8", "--plot"]),
+          ("entropy", ["--n", "3", "--steps", "50", "--plot"])]],
+    (["cosmo", "--t-points", "20", "--plot"],
+     ["cosmo", "--t-points", "21", "--plot"]),
+]
+
+
+def snapshot(path):
+    """Every name in path, with the bytes of the files."""
+    return {name: (path / name).read_bytes() if (path / name).is_file() else None
+            for name in os.listdir(path)}
+
+
+def fail_at(k, real, counts):
+    """real, raising ENOSPC at its k-th call that counts (none for k = 0);
+    returns the wrapper and the list of the calls that counted."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        if counts(args, kwargs):
+            calls.append(args)
+            if len(calls) == k:
+                raise OSError(errno.ENOSPC, "injected", args[0])
+        return real(*args, **kwargs)
+
+    return wrapper, calls
+
+
+def writing(args, kwargs):
+    return "w" in (args[1] if len(args) > 1 else kwargs.get("mode", "r"))
+
+
+@pytest.mark.filterwarnings("ignore:EK comparison undersampled")
+@pytest.mark.parametrize("earlier, argv", RERUNS,
+                         ids=[" ".join(r[1][:3]) for r in RERUNS])
+def test_failed_run_leaves_the_directory_as_it_found_it(tmp_path, monkeypatch,
+                                                       earlier, argv):
+    # an OSError at each write of a staged file and at each rename, over an
+    # empty directory and over an earlier run's files
+    def prepared(out, ahead):
+        out.mkdir()
+        if ahead:
+            assert run_cli(ahead, out) == EXIT_OK
+        return snapshot(out)
+
+    def run_with(out, target, name, k, counts):
+        with monkeypatch.context() as m:
+            wrapper, calls = fail_at(k, getattr(target, name), counts)
+            m.setattr(target, name, wrapper)
+            code = run_cli(argv, out)
+        return code, calls
+
+    for ahead in ([], earlier):
+        for target, name, counts in [(builtins, "open", writing),
+                                     (os, "replace", lambda *_: True)]:
+            out = tmp_path / f"{name}_{bool(ahead)}"
+            prepared(out, ahead)
+            code, calls = run_with(out, target, name, 0, counts)
+            assert code == EXIT_OK and len(calls) >= 2
+            for k in range(1, len(calls) + 1):
+                out = tmp_path / f"{name}_{bool(ahead)}_{k}"
+                before = prepared(out, ahead)
+                assert run_with(out, target, name, k, counts)[0] == EXIT_IO
+                assert snapshot(out) == before, (name, k)
 
 
 def test_sweep_two_axes_lexicographic(tmp_path):

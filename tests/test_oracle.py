@@ -1,8 +1,10 @@
 import cmath
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from semiq import (
     cap_barrier,
     transfer_matrix_transmission,
 )
-from semiq.oracle import (_BATCH, _CHUNK, _GROWTH_BOUND, _carry, _chunks,
-                          _propagate, _transmission_once, _write_propagators)
+from semiq import oracle
+from semiq.oracle import (_BATCH, _CHUNK, _GROWTH_BOUND, CappedBarrier,
+                          _chunks, _log_transmission, _transmission_once,
+                          _walk, _write_propagators)
 from semiq.scan import products
 
 
@@ -321,18 +325,22 @@ def test_matches_per_cell_loop(case):
     assert _transmission_once(pot, hbar, mu) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
-def assert_walks_agree(pot, hbar, mu):
-    """The batched walk and one chunk product at a time agree bit for bit."""
-    args = (pot, hbar, mu)
+def one_chunk_at_a_time(chunks, cells):
+    """_chunk_products without the batch: one scan of each chunk alone."""
+    for _, _, h, q, x, under in chunks:
+        p = np.empty((2, 2, h.size))
+        _write_propagators(p, h, q, x, under)
+        yield products(p)
+
+
+def assert_walks_agree(pot, hbar, mu, lo=0):
+    """The batched walk of cells lo .. n-1 and one chunk product at a time
+    agree bit for bit."""
+    args = (pot, hbar, mu, lo, pot.cells)
     with np.errstate(all="raise"):
-        got = _propagate(*args)
-        k_right = got[4]
-        psi, dpsi, log_scale = 1.0 + 0.0j, 1j * k_right, 0.0
-        for _, _, h, q, x, under in _chunks(*args):
-            p = np.empty((2, 2, h.size))
-            _write_propagators(p, h, q, x, under)
-            psi, dpsi, log_scale = _carry(products(p), psi, dpsi, log_scale)
-    assert got[:3] == (psi, dpsi, log_scale)
+        got = _walk(*args)
+        with mock.patch.object(oracle, "_chunk_products", one_chunk_at_a_time):
+            assert _walk(*args) == got
 
 
 @PROPERTY
@@ -349,9 +357,11 @@ def test_chunk_products_match_the_scan_on_a_deep_barrier(cells):
     # their products are reduced together with identity padding
     bp = BarrierProblem(hbar=0.007, mu=1.0, j0=1.0, h0=4.0)
     pot = cap_barrier(bp, n=cells)
-    sizes = [end - start for start, end, *_ in _chunks(pot, 0.007, 1.0)]
+    sizes = [end - start for start, end, *_ in _chunks(pot, 0.007, 1.0, 0, cells)]
     assert min(sizes[:-1]) < _CHUNK
     assert_walks_agree(pot, 0.007, 1.0)
+    # the half that the capped barrier's transmission walks
+    assert_walks_agree(pot, 0.007, 1.0, lo=cells // 2)
 
 
 # --------------------------------------------------------------------------
@@ -393,7 +403,8 @@ def test_chunk_bounds_match_the_cumsum_rule(hbar, h0, cells):
     # kappa*h comes near the bound; the bounds must not move
     pot = cap_barrier(BarrierProblem(hbar=hbar, mu=1.0, j0=1.0, h0=h0), n=cells)
     args = (*pot.samples(0, pot.cells), hbar, 1.0)
-    assert [c[:2] for c in _chunks(pot, hbar, 1.0)] == [c[:2] for c in reference_chunks(*args)]
+    ours = _chunks(pot, hbar, 1.0, 0, cells)
+    assert [c[:2] for c in ours] == [c[:2] for c in reference_chunks(*args)]
 
 
 def writer_profile(kind, cells, rng):
@@ -434,7 +445,7 @@ def test_writer_matches_the_reference_bit_for_bit(kind, cells):
     grid, values = writer_profile(kind, cells, rng)
     buf = np.full((2, 2, 2, _CHUNK), np.nan)
     with np.errstate(all="raise"):
-        ours = list(_chunks(PiecewisePotential(grid, values), 1.0, 1.0))
+        ours = list(_chunks(PiecewisePotential(grid, values), 1.0, 1.0, 0, cells))
         ref = list(reference_chunks(grid, values, 1.0, 1.0))
         assert [c[:2] for c in ours] == [c[:2] for c in ref]
         for (_, _, h, q, x, under), (_, _, w, h_ref) in zip(ours, ref):
@@ -528,3 +539,87 @@ def test_steps_just_above_three_ulps_keep_the_grid_increasing(L):
         grid, _ = pot.samples(lo, lo + 4000)
         assert np.all(np.diff(grid) > 0.0)
     assert pot.samples(n - 1, n)[0][1] == L
+
+
+# --------------------------------------------------------------------------
+# the capped barrier is even: its transmission walks the cells from the
+# middle one to the right edge and takes the left half's product from parity
+
+
+@dataclass(frozen=True)
+class FullWalk:
+    """A capped barrier under another type, so the walk crosses every cell."""
+
+    barrier: CappedBarrier
+
+    @property
+    def cells(self) -> int:
+        return self.barrier.cells
+
+    def samples(self, lo, hi):
+        return self.barrier.samples(lo, hi)
+
+
+@PROPERTY
+@given(hbar=st.floats(0.007, 2.0), mu=st.floats(0.5, 2.0),
+       j0=st.floats(0.1, 10.0), h0=st.floats(0.01, 10.0),
+       over=st.floats(1.001, 8.0),
+       cells=st.one_of(st.integers(100, 300), CAPPED_CELLS))
+# a deep barrier whose growth bound cuts the chunks short; T underflows
+@example(hbar=0.007, mu=1.0, j0=1.0, h0=4.0, over=4.0, cells=20000)
+@example(hbar=1.0, mu=1.0, j0=1.0, h0=1.0, over=4.0, cells=101)
+@example(hbar=0.3, mu=1.0, j0=1.0, h0=1.0, over=4.0, cells=2 * _CHUNK - 1)
+@example(hbar=0.3, mu=1.0, j0=1.0, h0=1.0, over=4.0, cells=2 * _CHUNK + 1)
+def test_mirrored_walk_matches_the_full_walk(hbar, mu, j0, h0, over, cells):
+    bp = BarrierProblem(hbar=hbar, mu=mu, j0=j0, h0=h0)
+    pot = cap_barrier(bp, L=over * math.sqrt(h0 / j0), n=cells)
+    full = _log_transmission(FullWalk(pot), hbar, mu)
+    if math.exp(full) >= sys.float_info.min:
+        assert _transmission_once(pot, hbar, mu) == pytest.approx(
+            _transmission_once(FullWalk(pot), hbar, mu), rel=1e-12, abs=0.0)
+    else:
+        # T is subnormal or 0: compare its logarithm
+        assert _log_transmission(pot, hbar, mu) == pytest.approx(
+            full, rel=1e-12, abs=0.0)
+
+
+def sampled_windows(profile_type, run):
+    """The (cells, lo, hi) of every samples call run() makes on profile_type."""
+    calls = []
+    samples = profile_type.samples
+
+    def spy(self, lo, hi):
+        calls.append((self.cells, lo, hi))
+        return samples(self, lo, hi)
+
+    with mock.patch.object(profile_type, "samples", spy):
+        run()
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:odd cell count")
+@pytest.mark.parametrize("cells", [20000, 20001, 8194])
+def test_capped_transmission_samples_only_the_right_half(cells):
+    pot = cap_barrier(BarrierProblem(hbar=0.3, mu=1.0, j0=1.0, h0=1.0), n=cells)
+    calls = sampled_windows(CappedBarrier,
+                            lambda: transfer_matrix_transmission(pot))
+    grids = {cells} if cells % 2 else {cells, cells // 2}
+    assert {n for n, _, _ in calls} == grids
+    for n in grids:
+        windows = sorted((lo, hi) for m, lo, hi in calls if m == n)
+        # from the middle cell to the right edge, and nothing left of it
+        assert windows[0][0] == n // 2
+        assert windows[-1][1] == n
+        assert all(a[1] >= b[0] for a, b in zip(windows, windows[1:]))
+
+
+def test_any_other_profile_is_walked_over_every_cell():
+    grid = np.linspace(-3.0, 5.0, 3 * _CHUNK + 2)
+    values = np.where(np.abs(grid - 1.0) < 1.0, 0.5, -1.0)
+    pot = PiecewisePotential(grid, values)
+    calls = sampled_windows(PiecewisePotential,
+                            lambda: _transmission_once(pot, 1.0, 1.0))
+    windows = sorted((lo, hi) for _, lo, hi in calls)
+    assert windows[0][0] == 0 and windows[-1][1] == pot.cells
+    cells = {c for lo, hi in windows for c in range(lo, hi)}
+    assert cells == set(range(pot.cells))
