@@ -293,6 +293,19 @@ def test_failed_run_leaves_the_directory_as_it_found_it(tmp_path, monkeypatch,
                 assert snapshot(out) == before, (name, k)
 
 
+def test_sweep_single_axis_monotone(tmp_path):
+    assert run_cli(["sweep", "--axis", "h0=0.8:2.0:7", "--oracle"],
+                   tmp_path) == EXIT_OK
+    t = read_csv(tmp_path / "sweep.csv")
+    h0s = [float(v) for v in t.column("h0")]
+    ts = [float(v) for v in t.column("T_closed")]
+    assert h0s == sorted(h0s)
+    assert ts == sorted(ts, reverse=True)    # taller barrier, less tunnelling
+    tn = [float(v) for v in t.column("T_numeric")]
+    for a, b in zip(ts, tn):
+        assert abs(a - b) / a < 0.10
+
+
 def test_sweep_two_axes_lexicographic(tmp_path):
     assert run_cli(["sweep", "--axis", "h0=1:2:3", "--axis", "mu=1:4:2"],
                    tmp_path) == EXIT_OK
