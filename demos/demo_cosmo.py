@@ -40,7 +40,9 @@ traj = evolve_matter(m, clock_map(m, 1.0, (0.0, 0.3)),
 print("matter norm drift over the branch:", traj.max_norm_drift)
 
 hbars = [0.1, 0.05, 0.025]
-rep = wdw_residual(model, (1.0, 4.0), hbars)
+# U, U' and U'' of the same potential, exactly
+rep = wdw_residual(model.potential_u, lambda a: 8.0 * a,
+                   lambda a: np.full(np.shape(a), 8.0), (1.0, 4.0), hbars)
 print("constraint residuals:", [float(r) for r in rep.residuals])
 print("log-log slope vs hbar:", rep.slope, " (semiclassical truncation: 2)")
 

@@ -622,17 +622,21 @@ def _read_table(path: str, kind: str, columns: tuple) -> dict:
 
 
 def _parse_potential(spec: str):
+    """(U, U', U'') as functions of an array of a, and a table's range."""
     kind, _, arg = spec.partition(":")
     if kind == "quadratic":
         c = _as_float(arg or "4")
         if c <= 0:
             raise ValidationError("quadratic coefficient must be positive")
-        return lambda a: c * np.asarray(a, dtype=float) ** 2, None
+        return (lambda a: c * np.asarray(a, dtype=float) ** 2,
+                lambda a: 2.0 * c * np.asarray(a, dtype=float),
+                lambda a: np.full(np.shape(a), 2.0 * c)), None
     if kind == "constant":
         c = _as_float(arg or "1")
         if c <= 0:
             raise ValidationError("constant potential must be positive")
-        return lambda a: c + 0.0 * np.asarray(a, dtype=float), None
+        zero = lambda a: np.zeros(np.shape(a))
+        return (lambda a: c + 0.0 * np.asarray(a, dtype=float), zero, zero), None
     if kind == "table":
         if not arg:
             raise ValidationError("table potential needs a file path")
@@ -646,13 +650,15 @@ def _parse_potential(spec: str):
 
 
 def _spline(x, y):
-    """The not-a-knot cubic spline through (x, y), as scipy's CubicSpline.
+    """The not-a-knot cubic spline through (x, y), as scipy's CubicSpline,
+    and its first two derivatives.
 
     The slopes at the knots solve scipy's tridiagonal system, and each
     interval is the cubic Hermite piece between its knots; two knots give
     the line and three the parabola through them.  Outside [x[0], x[-1]]
-    the spline is held constant, so U stays positive on the clock's last G
-    panel, which reaches past the table's end when a(t) is truncated there.
+    the spline is held constant (derivatives 0), so U stays positive on the
+    clock's last G panel, which reaches past the table's end when a(t) is
+    truncated there.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
@@ -677,15 +683,20 @@ def _spline(x, y):
     t = (s[:-1] + s[1:] - 2.0 * slope) / dx
     c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
 
-    def spline(a):
-        a = np.clip(np.asarray(a, dtype=float), x[0], x[-1])
-        k = np.clip(np.searchsorted(x, a, side="right") - 1, 0, x.size - 2)
-        h = a - x[k]
+    def derivative(a, nu):
+        held = np.clip(np.asarray(a, dtype=float), x[0], x[-1])
+        k = np.clip(np.searchsorted(x, held, side="right") - 1, 0, x.size - 2)
+        h = held - x[k]
         h2 = h * h
-        # scipy's order of the terms, not Horner's, so both round alike
-        return c0[k] + c1[k] * h + c2[k] * h2 + c3[k] * (h2 * h)
+        if nu == 0:
+            # scipy's order of the terms, not Horner's, so both round alike
+            return c0[k] + c1[k] * h + c2[k] * h2 + c3[k] * (h2 * h)
+        d = (c1[k] + 2.0 * c2[k] * h + 3.0 * c3[k] * h2 if nu == 1
+             else 2.0 * c2[k] + 6.0 * c3[k] * h)
+        return np.where(held == a, d, 0.0)
 
-    return spline
+    return (lambda a: derivative(a, 0), lambda a: derivative(a, 1),
+            lambda a: derivative(a, 2))
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
@@ -758,10 +769,10 @@ def _parse_matter(spec: str):
 def _run_cosmo(cfg: RunConfig):
     p = cfg.parameters
     hbars = p["hbar_list"]
-    u_of, domain = _parse_potential(p["potential"])
+    potential, domain = _parse_potential(p["potential"])
     matter = _parse_matter(p["matter"])
     model = minisuperspace.MiniSuperspaceModel(
-        potential_u=u_of, hbar=hbars[0], matter_hamiltonian=matter)
+        potential_u=potential[0], hbar=hbars[0], matter_hamiltonian=matter)
 
     a_cap = p["a_max"] if p["a_max"] > 0 else None
     if a_cap is None and domain is not None:
@@ -791,7 +802,7 @@ def _run_cosmo(cfg: RunConfig):
     a_end = float(a_vals[-1])
     if not a_end > p["a0"]:
         raise ValidationError("trajectory does not grow; residual span empty")
-    report = minisuperspace.wdw_residual(model, (p["a0"], a_end), hbars)
+    report = minisuperspace.wdw_residual(*potential, (p["a0"], a_end), hbars)
     t_res = ResultTable({"hbar": report.hbars, "residual": report.residuals,
                          "slope": [report.slope] * len(report.hbars)})
 

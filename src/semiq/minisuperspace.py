@@ -533,7 +533,7 @@ def evolve_matter(model: MiniSuperspaceModel, clock: ClockMap,
                             max_norm_drift=float(np.max(np.abs(norms - norm0))))
 
 
-#: uniform points on which wdw_residual samples U and its derivatives
+#: uniform points on which wdw_residual evaluates U, U' and U''
 RESIDUAL_POINTS = 4097
 
 
@@ -544,24 +544,23 @@ class ResidualReport:
     slope: float                       # log-log fit of residual vs hbar
 
 
-def wdw_residual(model: MiniSuperspaceModel, a_span: tuple[float, float],
-                 hbar_list) -> ResidualReport:
+def wdw_residual(u: Callable, du: Callable, d2u: Callable,
+                 a_span: tuple[float, float], hbar_list) -> ResidualReport:
     """Relative defect of the assembled branch under the full constraint.
 
-    With S' = sqrt(U) and A = (U(a0)/U)^(1/4) the eikonal and transport
+    u, du and d2u are U, U' and U'', each called on an array.  With
+    S' = sqrt(U) and A proportional to U^(-1/4) the eikonal and transport
     equations cancel the hbar^0 and hbar^1 terms, so exactly
 
         (-hbar**2 d^2/da^2 - U) A e^{iS/hbar} = -hbar**2 A'' e^{iS/hbar},
 
-    with A'' = A (5 U'^2 / (16 U^2) - U'' / (4 U)).  The residual relative
+    with A'' = A (5 (U'/U)^2 / 16 - (U''/U) / 4).  The residual relative
     to ||U Psi|| is hbar**2 ||A''|| / ||U A|| on RESIDUAL_POINTS uniform
-    points; the grid never has to resolve the phase, but its points must
-    increase, which a span a few float spacings wide refuses.  A span so
-    short that the second difference's roundoff, about eps max U / h^2 over
-    4 min U, exceeds 1% of the RMS of A''/A is refused too.  A constant
-    U gives residual 0 and slope nan.  An hbar whose square is not a positive
-    normal float (hbar below about 1.5e-154) is refused, since its
-    residual would underflow to 0 as well.  Matter is deliberately left out: chi
+    points, which never have to resolve the phase.  A constant U gives
+    residual 0 and slope nan.  An hbar whose square is not a positive
+    normal float (hbar below about 1.5e-154) is refused, since its residual
+    would underflow to 0 as well; any other residual that leaves the normal
+    floats raises OverflowError.  Matter is deliberately left out: chi
     contributes a kinetic term of order hbar^0 that the semiclassical
     factorisation discards, so the hbar**2 scaling is a property of the
     gravitational factor alone.
@@ -575,37 +574,25 @@ def wdw_residual(model: MiniSuperspaceModel, a_span: tuple[float, float],
     if squashed:
         raise ValueError(f"hbar**2 is not a normal float for hbar = {squashed}")
     a = np.linspace(a_span[0], a_span[1], RESIDUAL_POINTS)
-    # a span a few float spacings wide repeats points, and h = 0 then
-    # turns every derivative into nan
-    if not np.all(np.diff(a) > 0.0):
-        raise ValueError(f"residual span [{a_span[0]!r}, {a_span[1]!r}] is too "
-                         f"short for {RESIDUAL_POINTS} increasing points")
-    u = _values(model.potential_u, a)
+    u, du, d2u = (_values(f, a) for f in (u, du, d2u))
     if np.any(u <= 0.0):
         raise ValueError(f"U({a[np.argmin(u)]}) <= 0 on the residual span: "
                          "Euclidean region or turning point")
-    h = a[1] - a[0]
-    # the one-sided edge weights -1.5/h, 2/h, -0.5/h do not cancel in
-    # floating point; differencing u - u[0] keeps a constant U's U' at 0
-    du = np.gradient(u - u[0], h, edge_order=2)
-    if du.any():
-        d2u = np.gradient(du, h, edge_order=2)
-        bracket = 5.0 * du**2 / (16.0 * u**2) - d2u / (4.0 * u)
-        # the second difference carries roundoff of about eps max U / h^2,
-        # which reaches A''/A divided by 4U
-        noise = np.finfo(float).eps * np.max(u) / h**2 / (4.0 * np.min(u))
-        rms = math.sqrt(np.mean(bracket**2))
-        if noise > 0.01 * rms:
-            raise ValueError(
-                f"residual span [{a_span[0]!r}, {a_span[1]!r}] is too short: "
-                f"the roundoff of U'' ({noise:.3g}) exceeds 1% of the RMS of "
-                f"A''/A ({rms:.3g})")
-        amp = (u[0] / u) ** 0.25
-        ratio = np.linalg.norm(amp * bracket) / np.linalg.norm(u * amp)
-    else:
-        # a constant U has A'' = 0, also where u**2 underflows or overflows
-        ratio = 0.0
-    residuals = hbars**2 * ratio
+    with np.errstate(all="ignore"):
+        # U relative to its largest value keeps U A = s^(3/4) in (0, 1], and
+        # the defect is scaled by its peak before the norm squares it, so
+        # neither norm leaves the float range before the ratio does
+        s = u / np.max(u)
+        defect = s**-0.25 * (5.0 / 16.0 * (du / u) ** 2 - 0.25 * (d2u / u))
+        peak = np.max(np.abs(defect)) or 1.0
+        ratio = peak / np.max(u) * (np.linalg.norm(defect / peak)
+                                    / np.linalg.norm(s**0.75))
+        residuals = hbars**2 * ratio
+    # a constant U has ratio 0; the slope is fitted to the others' logs
+    if ratio and not np.all((tiny <= residuals) & (residuals < math.inf)):
+        raise OverflowError(f"the residual on [{a_span[0]!r}, {a_span[1]!r}] "
+                            "overflows or underflows: ||A''|| / ||U A|| = "
+                            f"{ratio:.3g} times hbar**2")
     slope = (float(np.polyfit(np.log(hbars), np.log(residuals), 1)[0])
              if ratio > 0.0 else math.nan)
     return ResidualReport(hbars=hbars, residuals=residuals, slope=slope)

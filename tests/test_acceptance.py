@@ -286,7 +286,9 @@ def test_criterion_10_minisuperspace_pipeline():
     cov = max(float(np.max(np.abs(tr2.a_values - tr1.a_values))),
               float(np.max(np.abs(tr2.chis - tr1.chis))))
 
-    rep = wdw_residual(model, (1.0, 4.0), [0.1, 0.05, 0.025])
+    rep = wdw_residual(model.potential_u, lambda a: 8.0 * a,
+                       lambda a: np.full(np.shape(a), 8.0), (1.0, 4.0),
+                       [0.1, 0.05, 0.025])
     dt = time.perf_counter() - t0
     ok = (hj < 1e-8 and cons < 1e-8 and drift < 1e-8 and cov < 1e-8
           and abs(rep.slope - 2.0) < 0.2 and dt < 30.0)

@@ -371,26 +371,86 @@ def test_cosmo_refuses_hbar_whose_square_is_not_normal(tmp_path, capsys, hbars):
     assert "--hbar-list: must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [
-    ["--potential", "quadratic:1.4444534486892788e-05",
-     "--hbar-list", "3.716686886034444e-09,2.206770671254327e-105",
-     "--a0", "4.490630820763953e-11", "--t-max", "6.587264248730766e-13",
-     "--t-points", "188"],
-    ["--potential", "quadratic:1.368307824923521e-12",
-     "--hbar-list", "1533093271.4900444,8.497252017384294e+142",
-     "--a0", "8515.052231063642", "--t-max", "8.487096331521277e-09",
-     "--t-points", "203", "--matter", "twolevel:0.19943017752417364"],
-    ["--t-max", "1e-9"],
-], ids=["35-ulps", "93-ulps", "roundoff"])
-def test_cosmo_refuses_a_residual_span_of_a_few_ulps(tmp_path, capsys, args):
-    # a(t) grows by 35 and 93 float spacings: the residual grid repeats
-    # points, and its derivatives would be nan.  At --t-max 1e-9 a grows by
-    # 4e-9: the points increase, but the roundoff of U'' (about eps U / h^2)
-    # swamps the residual, which once read 31420 at hbar 0.1 with slope 2
+def residual_rows(out_dir):
+    res = read_csv(out_dir / "cosmo_residual.csv")
+    return [(float(h), float(r), float(s)) for h, r, s in res.rows]
+
+
+def assert_quadratic_residuals(out_dir, c, a0, rel):
+    """The residuals of U = c a^2 on the written span: A ~ a^(-1/2) and
+    A''/A = 0.75 / a^2, so each is hbar^2 ||0.75 a^(-5/2)|| / (c ||a^(3/2)||)
+    on wdw_residual's grid; hypot keeps the norms in the float range."""
+    from semiq.minisuperspace import RESIDUAL_POINTS
+
+    a_end = float(read_csv(out_dir / "cosmo_trajectory.csv").column("a")[-1])
+    a = np.linspace(a0, a_end, RESIDUAL_POINTS)
+    ratio = math.hypot(*0.75 * a**-2.5) / (c * math.hypot(*a**1.5))
+    for hbar, residual, slope in residual_rows(out_dir):
+        assert residual == pytest.approx(hbar**2 * ratio, rel=rel)
+        assert abs(slope - 2.0) < 0.2
+
+
+@pytest.mark.parametrize("args, c, a0", [
+    (["--potential", "quadratic:1.4444534486892788e-05",
+      "--hbar-list", "3.716686886034444e-09,2.206770671254327e-105",
+      "--a0", "4.490630820763953e-11", "--t-max", "6.587264248730766e-13",
+      "--t-points", "188"], 1.4444534486892788e-05, 4.490630820763953e-11),
+    (["--potential", "quadratic:1.368307824923521e-12",
+      "--hbar-list", "1533093271.4900444,8.497252017384294e+142",
+      "--a0", "8515.052231063642", "--t-max", "8.487096331521277e-09",
+      "--t-points", "203", "--matter", "twolevel:0.19943017752417364"],
+     1.368307824923521e-12, 8515.052231063642),
+    (["--t-max", "1e-9"], 4.0, 1.0),
+], ids=["35-ulps", "93-ulps", "4e-9"])
+def test_cosmo_residual_on_a_span_of_a_few_ulps(tmp_path, args, c, a0):
+    # a(t) grows by 35 and 93 float spacings, and at --t-max 1e-9 by 4e-9.
+    # Second differences of U repeated points there or drowned A''/A in
+    # roundoff (the residual once read 31420 at hbar 0.1), and the span was
+    # refused; U' and U'' of the potential itself need no spacing at all.
+    # Measured within 5.6e-16 of the closed form
+    assert run_cli(["cosmo", *args], tmp_path) == EXIT_OK
+    assert_quadratic_residuals(tmp_path, c, a0, 1e-12)
+
+
+@pytest.mark.parametrize("args, c, a0", [
+    # U reaches 1e200: U**2 and ||U A|| overflowed to nan residuals
+    (["--potential", "quadratic:1e200", "--t-max", "1e-101"], 1e200, 1.0),
+    # U is 1e-250: U**2 underflowed to 0, and 0/0 gave nan residuals
+    (["--potential", "quadratic:1e-250", "--t-max", "1e124"], 1e-250, 1.0),
+    # U grows by 1e208 over the span: U**2 underflowed at a0, and U A
+    # relative to U(a0) would overflow ||U A|| to a residual of 0
+    (["--a0", "1e-100", "--t-max", "60"], 4.0, 1e-100),
+    # A''/A reaches 7.5e159 at a0, whose square overflows a plain norm,
+    # while the residual is 5e297
+    (["--potential", "quadratic:1e20", "--a0", "1e-80", "--t-max", "1e-11"],
+     1e20, 1e-80),
+], ids=["huge-U", "tiny-U", "wide-U", "tiny-a0"])
+def test_cosmo_residual_at_the_edges_of_the_float_range(tmp_path, args, c, a0):
+    # warnings are errors here, so a raw RuntimeWarning fails the run;
+    # measured within 2.2e-16 of the closed form, slopes within 7.6e-14 of 2
+    assert run_cli(["cosmo", *args], tmp_path) == EXIT_OK
+    assert_quadratic_residuals(tmp_path, c, a0, 1e-12)
+
+
+@pytest.mark.parametrize("args, span", [
+    # a grows by 3.5e-72 from 7.3e-69, where ||A''|| / ||U A|| is about
+    # 5e438; U**2 underflowed there and the run wrote nan residuals
+    (["--potential", "quadratic:5.149202901108389e-167",
+      "--hbar-list", "7.343958023505904e-39,2.4900187032525734e+43",
+      "--a0", "7.253479008024359e-69", "--t-max", "3.3984173274803886e+79",
+      "--t-points", "244"], "[7.253479008024359e-69, "),
+    # the ratio is 1.4e-302, and hbar**2 = 1e-10 takes it below the normal
+    # floats, where a log-log fit has nothing left to fit
+    (["--potential", "quadratic:1e300", "--t-max", "1e-150",
+      "--hbar-list", "0.1,1e-5"], "[1.0, "),
+], ids=["overflow", "underflow"])
+def test_cosmo_names_a_residual_outside_the_float_range(tmp_path, capsys,
+                                                        args, span):
     out = tmp_path / "out"
     assert main(["cosmo", *args, "--output-dir", str(out)]) == EXIT_NUMERICAL
     assert not out.exists()
-    assert "residual span" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"the residual on {span}" in err and "overflows or underflows" in err
 
 
 def test_cosmo_matter_columns(tmp_path):
@@ -420,23 +480,12 @@ def test_cosmo_reads_potential_and_matter_tables(tmp_path):
     assert not (tmp_path / "no").exists()
 
 
-def residual_rows(out_dir):
-    res = read_csv(out_dir / "cosmo_residual.csv")
-    return [(float(h), float(r), float(s)) for h, r, s in res.rows]
-
-
 def test_cosmo_residual_in_deep_regime(tmp_path):
     # a grows to e^4: S = a^2 - 1 winds far faster than any grid resolves,
     # and the residual is hbar^2 ||A''|| / ||U A|| with A = a^(-1/2)
-    from semiq.minisuperspace import RESIDUAL_POINTS
-
+    # (measured within 1.1e-16)
     assert run_cli(["cosmo", "--t-max", "1.0"], tmp_path) == EXIT_OK
-    a_end = float(read_csv(tmp_path / "cosmo_trajectory.csv").column("a")[-1])
-    a = np.linspace(1.0, a_end, RESIDUAL_POINTS)
-    ratio = np.linalg.norm(0.75 * a**-2.5) / np.linalg.norm(4.0 * a**1.5)
-    for hbar, residual, slope in residual_rows(tmp_path):
-        assert residual == pytest.approx(hbar**2 * ratio, rel=1e-10)
-        assert abs(slope - 2.0) < 0.2
+    assert_quadratic_residuals(tmp_path, 4.0, 1.0, 1e-14)
 
 
 @pytest.mark.parametrize("plot", [False, True])
@@ -498,10 +547,10 @@ def test_cosmo_table_potential_is_splined(tmp_path):
                          "--output-dir", str(tmp_path / name)]) == EXIT_OK
     assert len(record) == 2
     # a cubic spline reproduces u = 4 a^2 exactly, so U'' is 8, not a sum
-    # of delta functions at the knots
+    # of delta functions at the knots (measured within 8.9e-16)
     for got, want in zip(residual_rows(tmp_path / "table"),
                          residual_rows(tmp_path / "closed")):
-        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-13)
     for _, residual, slope in residual_rows(tmp_path / "flat"):
         assert residual == 0.0 and math.isnan(slope)
 
@@ -1015,13 +1064,23 @@ def test_cli_tables_leave_out_numpy_ma_fractions_decimal(tmp_path):
 def test_table_spline_matches_scipy_cubic_spline(knots, where):
     # knot gaps from 1e-6 to 10 and positive values, as in a table:
     # potential; the spline is compared inside and outside the table, where
-    # both are held at their end values
+    # both are held at their end values and U' and U'' are exactly 0.  Each
+    # derivative is bounded relative to its largest value inside the table
+    # (over 300 random tables with log-uniform gaps, U' was within 1.1e-15
+    # and U'' within 1.6e-14)
     x = np.cumsum([g for g, _ in knots])
     y = np.array([u for _, u in knots])
     a = np.concatenate((x, x[0] + (np.array(where) * 1.2 + 0.5) * (x[-1] - x[0])))
-    want = CubicSpline(x, y)(np.clip(a, x[0], x[-1]))
-    got = _spline(x, y)(a)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    inside = (x[0] <= a) & (a <= x[-1])
+    held = np.clip(a, x[0], x[-1])
+    u, du, d2u = _spline(x, y)
+    want = CubicSpline(x, y)(held)
+    assert np.max(np.abs(u(a) - want)) <= 1e-13 * np.max(np.abs(want))
+    for nu, got in ((1, du(a)), (2, d2u(a))):
+        want = CubicSpline(x, y)(held, nu)
+        assert np.all(got[~inside] == 0.0)
+        assert (np.max(np.abs(got - want)[inside])
+                <= 1e-13 * np.max(np.abs(want)[inside]))
 
 
 # one run per subcommand and network mode with every switch on (--oracle,

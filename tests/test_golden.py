@@ -53,7 +53,12 @@ Every column must match its text exactly, except:
   the t and a columns and is within 5.1e-15 (re_chi_0), 1.6e-15
   (re_chi_1), 5.0e-15 (im_chi_0), 3.4e-15 (im_chi_1) and 6.8e-15 (norm)
   of the file, whose norm column drifts from 1 by up to 6.4e-15 (the
-  closed form's by 8.9e-16): 1e-14 absolute.
+  closed form's by 8.9e-16): 1e-14 absolute;
+- the cosmo residual file's residual and slope, which were written with U'
+  and U'' from second differences of U: the exact derivatives that
+  replaced them are within 1.67e-12 relative of its residual (1e-11
+  relative) and 4.4e-16 of its slope, a log-log fit through three points
+  (1e-14 absolute).
 """
 
 import os
@@ -69,10 +74,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 TOLERANCE = {"T_current_ratio": 1e-11, "T_numeric": 1e-12, "coherence": 1e-12,
              "discrepancy": 1e-12, "std_error": 1e-12,
              "median_abs_discrepancy": 1e-12, "se": 1e-12,
-             "hamiltonian": 1e-14, "transformed_hamiltonian": 1e-14}
+             "hamiltonian": 1e-14, "transformed_hamiltonian": 1e-14,
+             "residual": 1e-11}
 #: column -> absolute tolerance; every other column is compared as text
 ABS_TOLERANCE = {"abs_difference": 1e-16, "re_chi_0": 1e-14, "re_chi_1": 1e-14,
-                 "im_chi_0": 1e-14, "im_chi_1": 1e-14, "norm": 1e-14}
+                 "im_chi_0": 1e-14, "im_chi_1": 1e-14, "norm": 1e-14,
+                 "slope": 1e-14}
 #: column -> (column, tolerance): deviation in units of the golden row's
 #: value of the other column
 SCALED_TOLERANCE = {"richardson_error": ("T_numeric", 1e-12)}
