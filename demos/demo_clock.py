@@ -35,7 +35,7 @@ print("physical retention time:", rec.retention_time_physical)
 # the same number out of a direct average over sampled tick durations
 mc = evolve_monte_carlo(system, clock, steps=50, samples=20000, seed=11)
 coh_mc = np.abs(mc.rhos[-1][0, 1])
-coh_cf = np.abs(traj.rhos[50][0, 1])
+coh_cf = traj.coherences[50, 0]    # pair (0, 1), from the closed form
 print("coherence after 50 ticks: %.6f (Monte Carlo) vs %.6f (closed form)"
       % (coh_mc, coh_cf))
 

@@ -169,31 +169,47 @@ class CoherenceTrajectory:
     ``event_log`` lists every tick at which non-unitary damping acted
     (all of them when sigma > 0, none when sigma = 0).  ``pairs`` lists
     every (i, j) with i < j in row-major order, and ``coherences[k, p]``
-    is |rho_ij(k)| of pairs[p], shape (steps+1, len(pairs)): computed once
-    here, and read by every coherence summary.
+    is |rho_ij(k)| of pairs[p], shape (steps+1, len(pairs)), read by every
+    coherence summary.
+
+    ``rhos`` is the (steps+1, d, d) stack of rho(k), trace-checked here, or
+    a function that builds it on the first read of ``rhos`` (trace-checked
+    then) when ``coherences`` is given.
     """
 
-    def __init__(self, rhos: np.ndarray, times: np.ndarray,
-                 mean_increments: np.ndarray, sigma: float,
-                 event_log: list[tuple[int, float]]):
-        rhos = np.asarray(rhos, dtype=complex)
-        tr = np.trace(rhos, axis1=1, axis2=2)
-        bad = np.flatnonzero(~((np.abs(tr.real - 1.0) <= 1e-12)
-                               & (np.abs(tr.imag) <= 1e-12)))
-        if bad.size:
-            raise ValueError(f"trace not preserved at step {bad[0]}: {tr[bad[0]]}")
-        self.rhos = rhos
+    def __init__(self, rhos, times: np.ndarray, mean_increments: np.ndarray,
+                 sigma: float, event_log: list[tuple[int, float]],
+                 coherences: np.ndarray | None = None):
+        self._rhos = rhos if callable(rhos) else lambda: rhos
         self.times = np.asarray(times, dtype=float)
         self.mean_increments = np.asarray(mean_increments, dtype=float)
         self.sigma = float(sigma)
         self.event_log = list(event_log)
-        iu, ju = np.triu_indices(rhos.shape[1], k=1)
+        if coherences is None:
+            iu, ju = np.triu_indices(self.rhos.shape[1], k=1)
+            coherences = np.abs(self.rhos[:, iu, ju])
+        else:   # d levels have d(d-1)/2 pairs
+            d = (1 + math.isqrt(1 + 8 * coherences.shape[1])) // 2
+            iu, ju = np.triu_indices(d, k=1)
         self.pairs = list(zip(iu.tolist(), ju.tolist()))
-        self.coherences = np.abs(rhos[:, iu, ju])
+        self.coherences = coherences
+
+    @property
+    def rhos(self) -> np.ndarray:
+        """The stack, built on first read; ValueError at a step whose trace is not 1."""
+        if callable(self._rhos):
+            rhos = np.asarray(self._rhos(), dtype=complex)
+            tr = np.trace(rhos, axis1=1, axis2=2)
+            bad = np.flatnonzero(~((np.abs(tr.real - 1.0) <= 1e-12)
+                                   & (np.abs(tr.imag) <= 1e-12)))
+            if bad.size:
+                raise ValueError(f"trace not preserved at step {bad[0]}: {tr[bad[0]]}")
+            self._rhos = rhos
+        return self._rhos
 
     @property
     def steps(self) -> int:
-        return self.rhos.shape[0] - 1
+        return self.coherences.shape[0] - 1
 
     def coherence_magnitudes(self) -> dict[tuple[int, int], np.ndarray]:
         """Map (i, j), i < j, to the |rho_ij| history (a view of coherences)."""
@@ -218,11 +234,12 @@ class CoherenceTrajectory:
                          out=np.full(prev.shape, complex(math.nan, math.nan)))
 
     def step_damping_exponents(self) -> np.ndarray:
-        """Per-step damping exponents -log|rho(k+1)/rho(k)| of the
-        dominant pair: inf for the step in which the coherence falls to
-        exactly 0, and nan for every step after it."""
-        with np.errstate(divide="ignore"):
-            return -np.log(np.abs(self.step_factors()))
+        """Per-step damping exponents -log(c(k+1)/c(k)) of the dominant
+        pair's coherence c: inf for the step in which c falls to exactly 0,
+        and nan for every step after it."""
+        c = self.coherences[:, self.pairs.index(self.dominant_pair())]
+        with np.errstate(divide="ignore", invalid="ignore"):   # log(0), 0/0
+            return -np.log(c[1:] / c[:-1])
 
     def max_coherence_ratio(self) -> np.ndarray:
         """max_ij |rho_ij(k)| / |rho_ij(0)| over pairs with nonzero start."""
@@ -233,12 +250,23 @@ class CoherenceTrajectory:
         return np.max(self.coherences[:, live] / start[live], axis=1)
 
 
-def _trajectory(rhos: np.ndarray, times: np.ndarray, mus: np.ndarray,
-                sigma: float) -> CoherenceTrajectory:
+def _trajectory(rhos, times: np.ndarray, mus: np.ndarray, sigma: float,
+                coherences: np.ndarray | None = None) -> CoherenceTrajectory:
     """Trajectory of the stack rhos[k] after k ticks of mean increments mus,
     at times[k] = mus[0] + ... + mus[k-1]."""
     events = list(enumerate(times[1:].tolist(), 1)) if sigma > 0.0 else []
-    return CoherenceTrajectory(rhos, times, mus, sigma, events)
+    return CoherenceTrajectory(rhos, times, mus, sigma, events, coherences)
+
+
+def _closed_form_stack(times, w, damping, rho0) -> np.ndarray:
+    """rho(k) = rho(0) * exp(-1j*w*T_k + k*damping) for every tick k."""
+    with np.errstate(over="ignore"):
+        # the phase -1j*w*T_k has a zero real part, which takes the damping
+        expo = np.multiply.outer(times, -1j * w)
+        expo.real = np.multiply.outer(np.arange(times.size), damping)
+    rhos = np.exp(expo, out=expo)
+    rhos *= rho0
+    return rhos
 
 
 def evolve_analytic(system: QuantumSystem, clock: ClockModel,
@@ -246,12 +274,13 @@ def evolve_analytic(system: QuantumSystem, clock: ClockModel,
     """Closed-form ensemble average after k = 0 .. steps ticks.
 
     rho_ij(k) = rho_ij(0) * exp(-1j*w_ij*T_k - k * w_ij**2 * sigma**2 / 2),
-    with T_k the cumulative sum of the tick means, evaluated as one array
-    expression.  Each entry is one exp of its exponent, so the rounding
-    error stays a few ulps times (1 + the damping exponent) at any k.
-    A frequency w_ij, a damping exponent per tick w_ij**2 sigma**2 / 2, a
-    phase w_ij*T_k or a time T_k past the float range raises ValueError
-    naming it.
+    with T_k the cumulative sum of the tick means.  Each coherence
+    |rho_ij(0)| * exp(-k * w_ij**2 * sigma**2 / 2), i < j, is one real exp
+    with no phase, so its rounding error stays a few ulps times (1 + the
+    damping exponent) at any k; the complex stack is built on the first
+    read of ``rhos``.  A frequency w_ij, a damping exponent per tick
+    w_ij**2 sigma**2 / 2, a phase w_ij*T_k or a time T_k past the float
+    range raises ValueError naming it.
     """
     mus = clock.means(steps)
     times = _tick_times(mus)
@@ -259,16 +288,17 @@ def evolve_analytic(system: QuantumSystem, clock: ClockModel,
     with np.errstate(over="ignore", invalid="ignore"):
         # numpy's power gives inf where a float's raises OverflowError
         damping = -0.5 * w**2 * np.float64(clock.fluctuation_std)**2
-        # the phase -1j*w*T_k has a zero real part, which takes the damping
-        expo = np.multiply.outer(times, -1j * w)
+        last_phase = w * times[-1]
     _refuse_pair(damping, "damping exponent per tick "
                  "(E_i - E_j)**2 sigma**2 / (2 hbar**2)")
     # |w*T_k| grows with k, so the last tick overflows first
-    _refuse_pair(expo[-1].imag, f"phase (E_i - E_j) T_k / hbar by tick {steps}")
-    expo.real = np.multiply.outer(np.arange(steps + 1), damping)
-    rhos = np.exp(expo, out=expo)
-    rhos *= system.initial_density
-    return _trajectory(rhos, times, mus, clock.fluctuation_std)
+    _refuse_pair(last_phase, f"phase (E_i - E_j) T_k / hbar by tick {steps}")
+    rho0, (iu, ju) = system.initial_density, np.triu_indices(system.dim, k=1)
+    with np.errstate(over="ignore"):
+        coherences = np.abs(rho0[iu, ju]) * np.exp(
+            np.multiply.outer(np.arange(steps + 1), damping[iu, ju]))
+    return _trajectory(lambda: _closed_form_stack(times, w, damping, rho0),
+                       times, mus, clock.fluctuation_std, coherences)
 
 
 def evolve_monte_carlo(system: QuantumSystem, clock: ClockModel, steps: int,

@@ -145,6 +145,10 @@ LAPSE_PANELS = 64
 #: roundoff
 SCALE_RATIO = 17.0 / 16.0
 
+#: the G(a) table's edges stay below this, so that a panel's edge sum is
+#: finite
+A_TABLE_END = 0.5 * np.finfo(float).max
+
 #: a panel is accepted once its Kronrod and Gauss sums agree to this,
 #: relative; otherwise it is bisected
 PANEL_RTOL = 1e-13
@@ -299,8 +303,9 @@ class _Primitive:
                 x = xt - step
             else:
                 x[todo] = xt - step
-            # Newton's error after a step is about |f'/(2f)| * step**2
-            more = self.kappa[kt] * (step * step) > self.newton_tol[kt]
+            # Newton's error after a step is about |f'/(2f)| * step**2,
+            # which stays in range where step**2 would not
+            more = self.kappa[kt] * step * step > self.newton_tol[kt]
             if not more.any():
                 break
             todo = np.flatnonzero(more) if todo is None else todo[more]
@@ -343,14 +348,15 @@ def clock_map(model: MiniSuperspaceModel, a0: float,
     with a warning.
 
     A lapse that is not positive, or a U that a(t) would take to 0 or
-    below before t1, raises ValueError; a U that overflows before t1
-    raises OverflowError.
+    below before t1, raises ValueError; a U that overflows, or an a(t)
+    past the table's last edge below A_TABLE_END, before t1 raises
+    OverflowError.
     """
     t0, t1 = (float(t) for t in t_span)
     if not t1 > t0:
         raise ValueError("t_span must be increasing")
-    if not (a0 > 0.0 and math.isfinite(a0)):
-        raise ValueError("a0 must be positive and finite")
+    if not 0.0 < a0 < A_TABLE_END:
+        raise ValueError(f"a0 must be positive and below {A_TABLE_END:.6g}")
     # a U(a0) past the float range is refused below, where a(t) meets it
     with np.errstate(all="ignore"):
         u0 = model.potential_u(a0)
@@ -368,15 +374,20 @@ def clock_map(model: MiniSuperspaceModel, a0: float,
     tau_end = tau.F[-1]
     a_stop = a_max if a_max is not None and a_max > a0 else math.inf
 
-    edges = a0 * SCALE_RATIO ** np.arange(65.0)
+    count = 65
     while True:
+        with np.errstate(over="ignore"):
+            edges = a0 * SCALE_RATIO ** np.arange(float(count))
+        edges = edges[edges < A_TABLE_END]
         g = _Primitive(pace, edges, tau_end, a_stop)
         if g.F[-1] >= tau_end or g.x[-1] >= a_stop:
             break
         if g.gap is not None:
             _refuse(model, *g.gap, t1)
-        with np.errstate(over="ignore"):
-            edges = a0 * SCALE_RATIO ** np.arange(2.0 * edges.size - 1.0)
+        if edges.size < count:
+            raise OverflowError(f"a grows past {edges[-1]:.6g}, where the clock "
+                                f"map's table ends, before t={t1}")
+        count = 2 * count - 1
 
     truncated_at = None
     if g.x[-1] >= a_stop:
@@ -397,9 +408,6 @@ def _refuse(model: MiniSuperspaceModel, lo: float, hi: float, t1: float) -> None
     integrable across the panel: U vanishes there to second order or more,
     or has a root between the samples.
     """
-    if not math.isfinite(hi):
-        raise OverflowError(f"a is not finite beyond a = {lo:.6g}, which a(t) "
-                            f"reaches before t={t1}")
     a = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.concatenate(
         ([-1.0], quadrature.KRONROD_X, [1.0]))
     with np.errstate(all="ignore"):

@@ -64,15 +64,33 @@ def test_tunnel_reference_values(tmp_path):
     assert float(row["richardson_error"]) < 1e-6
 
 
-def test_rerun_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    a.mkdir(), b.mkdir()
-    args = ["clock", "--energies", "0,0.5,1.3", "--sigma", "0.2",
-            "--samples", "200", "--seed", "7", "--steps", "80"]
-    assert run_cli(args, a) == EXIT_OK
-    assert run_cli(args, b) == EXIT_OK
-    for name in os.listdir(a):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+#: the clock_tables benchmark's shape: 30 levels, sigma 0.1, 400 steps
+CLOCK_BENCH = ["clock", "--energies", ",".join(repr(0.97 * k) for k in range(30)),
+               "--steps", "400"]
+
+
+def test_rerun_byte_identical(tmp_path, monkeypatch):
+    # Monte Carlo, and the closed form at the benchmark's shape; the middle
+    # run builds each analytic trajectory's stack, by reading its rhos,
+    # before the tables are written
+    evolve = semiq.clock.evolve_analytic
+
+    def evolve_and_build(*args):
+        traj = evolve(*args)
+        traj.rhos
+        return traj
+
+    for args in (["clock", "--energies", "0,0.5,1.3", "--sigma", "0.2",
+                  "--samples", "200", "--seed", "7", "--steps", "80"], CLOCK_BENCH):
+        a, b, c = (tmp_path / args[-1] / name for name in "abc")
+        assert run_cli(args, a) == EXIT_OK
+        with monkeypatch.context() as m:
+            m.setattr(semiq.clock, "evolve_analytic", evolve_and_build)
+            assert run_cli(args, b) == EXIT_OK
+        assert run_cli(args, c) == EXIT_OK
+        for name in os.listdir(a):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+            assert (a / name).read_bytes() == (c / name).read_bytes(), name
 
 
 MANIFEST_RUNS = {
@@ -522,6 +540,27 @@ def test_cosmo_extreme_constant_potential_has_no_residual(tmp_path, args):
         assert residual == 0.0 and math.isnan(slope)
 
 
+def test_cosmo_clock_map_table_stays_finite(tmp_path):
+    # a(t) = a0 + 2 sqrt(c) t ends near 1e265, which the G table's edges
+    # a0 (17/16)^k reach only in a table that also held edges past the
+    # float range: their inf - inf once gave nan panels and three raw
+    # RuntimeWarnings on exit 0
+    c, a0 = 1.3997596543989627e+63, 1.3134136328262902e-32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["cosmo", "--potential", f"constant:{c!r}", "--hbar-list",
+                        "1345045620.2757947,0.009796650782984827,0.03342937017015736",
+                        "--a0", repr(a0), "--t-max", "1.3475672087621247e+233",
+                        "--t-points", "180"], tmp_path) == EXIT_OK
+    t, a = np.array(read_csv(tmp_path / "cosmo_trajectory.csv").rows, dtype=float).T
+    assert np.all(np.isfinite(t)) and np.all(np.isfinite(a))
+    np.testing.assert_allclose(a, a0 + 2.0 * math.sqrt(c) * t, rtol=1e-14, atol=0)
+    # a constant U has no residual: README's sentinels
+    assert (tmp_path / "cosmo_residual.csv").read_text() == (
+        "hbar,residual,slope\n1345045620.2757947,0,nan\n"
+        "0.03342937017015736,0,nan\n0.0097966507829848268,0,nan\n")
+
+
 def test_cosmo_huge_a0_names_the_overflow_without_a_warning(tmp_path, capsys):
     # U(a0) = c*a0**2 overflows; the check of U(a0) > 0 once warned of it
     out = tmp_path / "out"
@@ -532,6 +571,24 @@ def test_cosmo_huge_a0_names_the_overflow_without_a_warning(tmp_path, capsys):
     assert not out.exists()
     assert ("U is not finite at a = 2.58797e+199, which a(t) reaches before "
             "t=0.3") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    # a(t) = 1 + 2e100 t passes the G table's last edge
+    (["--t-max", "1e300"],
+     "a grows past 8.77541e+307, where the clock map's table ends, before t=1e+300"),
+    (["--a0", "1e308"], "a0 must be positive and below 8.98847e+307"),
+], ids=["a", "a0"])
+def test_cosmo_names_the_end_of_the_clock_map_table_without_a_warning(
+        tmp_path, capsys, args, message):
+    # edges past the float range once warned in the panels' ulps span
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["cosmo", "--potential", "constant:1e200", *args],
+                       out) == EXIT_NUMERICAL
+    assert not out.exists()
+    assert message in capsys.readouterr().err
 
 
 def test_cosmo_table_potential_is_splined(tmp_path):

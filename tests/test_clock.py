@@ -1,4 +1,6 @@
 import math
+import os
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -16,6 +18,8 @@ from semiq import (
     rescale_class,
     retention_time,
 )
+from semiq import clock as semiq_clock
+from semiq.cli import EXIT_OK, main
 from semiq.clock import CoherenceTrajectory
 
 SEED = 20260814
@@ -72,31 +76,113 @@ def test_per_step_damping_matches_gaussian_characteristic_function():
     assert np.allclose(ratios, STEP_FACTOR, rtol=1e-13)
 
 
-@pytest.mark.parametrize("energies, clock, steps", [
+CLOSED_FORM = [
     ([1.3 * k for k in range(5)], ClockModel(1.0, 0.05), 2000),
     ([0.0, 0.7, 2.9], ClockModel(1.0, 0.01), 4000),
     ([0.0, 0.4, 1.5, 1.9], ClockModel(lambda k: 0.5 + 1e-3 * k, 0.03), 1500),
-], ids=["5-level", "3-level", "schedule"])
-def test_closed_form_error_is_bounded_by_the_exponent(energies, clock, steps):
+]
+CLOSED_FORM_IDS = ["5-level", "3-level", "schedule"]
+
+#: the clock_tables benchmark's shape: 30 levels, sigma 0.1, 400 steps
+BENCH_ENERGIES = [0.97 * k for k in range(30)]
+
+
+@pytest.mark.parametrize("energies, clock, steps, stride", [
+    *[(*case, 1) for case in CLOSED_FORM],
+    (BENCH_ENERGIES, ClockModel(1.0, 0.1), 400, 29),
+], ids=[*CLOSED_FORM_IDS, "benchmark"])
+def test_closed_form_error_is_bounded_by_the_exponent(energies, clock, steps,
+                                                      stride):
     # |rho_ij(k)| = |rho_ij(0)| exp(-x), x = k w^2 sigma^2 / 2, against a
     # 40-digit reference from the exact binary w, sigma and rho(0): the
-    # error may grow with x (exp's conditioning) but not with the step count
+    # error may grow with x (exp's conditioning) but not with the step count;
+    # the benchmark's shape checks every stride-th of its 435 pairs
     system = QuantumSystem.uniform_superposition(energies)
-    coherence = np.abs(evolve_analytic(system, clock, steps).rhos)
+    traj = evolve_analytic(system, clock, steps)
     w, rho0 = system.omegas(), system.initial_density
     eps = np.finfo(float).eps
     with localcontext() as ctx:
         ctx.prec = 40
         sig2 = Decimal(clock.fluctuation_std) ** 2
-        for i, j in zip(*np.triu_indices(system.dim, k=1)):
+        for p in range(0, len(traj.pairs), stride):
+            i, j = traj.pairs[p]
             r0 = (Decimal(rho0[i, j].real) ** 2 + Decimal(rho0[i, j].imag) ** 2).sqrt()
             rate = Decimal(w[i, j]) ** 2 * sig2 / 2
             for k in range(steps + 1):
                 x = k * rate
                 if x > 600:
                     break
-                err = abs(Decimal(coherence[k, i, j]) / (r0 * (-x).exp()) - 1)
+                err = abs(Decimal(traj.coherences[k, p]) / (r0 * (-x).exp()) - 1)
                 assert err <= 4 * eps * (1 + float(x)), (i, j, k, float(err / eps))
+
+
+@pytest.mark.parametrize("energies, clock, steps", CLOSED_FORM, ids=CLOSED_FORM_IDS)
+def test_stack_built_on_first_read_is_the_eager_closed_form(energies, clock,
+                                                            steps):
+    # the stack once built eagerly in evolve_analytic, bit for bit
+    system = QuantumSystem.uniform_superposition(energies)
+    traj = evolve_analytic(system, clock, steps)
+    w = system.omegas()
+    expo = np.multiply.outer(traj.times, -1j * w)
+    expo.real = np.multiply.outer(np.arange(steps + 1),
+                                  -0.5 * w**2 * np.float64(clock.fluctuation_std)**2)
+    assert np.array_equal(traj.rhos, np.exp(expo) * system.initial_density)
+    assert traj.rhos is traj.rhos
+
+
+def spy_on_stack(monkeypatch, spoil=None):
+    """Record the tick count of every closed-form stack built; spoil, if
+    given, edits each one before the trajectory sees it."""
+    built = []
+    build = semiq_clock._closed_form_stack
+
+    def spy(times, *args):
+        built.append(times.size)
+        rhos = build(times, *args)
+        if spoil:
+            spoil(rhos)
+        return rhos
+
+    monkeypatch.setattr(semiq_clock, "_closed_form_stack", spy)
+    return built
+
+
+def test_cli_clock_writes_its_files_without_building_the_stack(tmp_path,
+                                                               monkeypatch):
+    # the coherences, the retention time and the plot read only magnitudes
+    built = spy_on_stack(monkeypatch)
+    assert main(["clock", "--energies", ",".join(map(repr, BENCH_ENERGIES)),
+                 "--steps", "400", "--plot", "--output-dir", str(tmp_path)]) == EXIT_OK
+    assert sorted(os.listdir(tmp_path)) == [
+        "clock.manifest.txt", "clock.svg", "clock_summary.csv",
+        "clock_trajectory.csv"]
+    assert built == []
+    traj = evolve_analytic(two_level(), ClockModel(1.0, 0.1), steps=30)
+    retention_time(traj)
+    assert built == []
+    traj.rhos, traj.step_factors()
+    assert built == [31]
+
+
+def test_built_stack_names_the_first_step_that_loses_the_trace(monkeypatch):
+    def spoil(rhos):
+        rhos[3, 0, 0] += 1e-9
+
+    built = spy_on_stack(monkeypatch, spoil)
+    traj = evolve_analytic(two_level(), ClockModel(1.0, 0.1), steps=5)
+    assert traj.dominant_pair() == (0, 1)
+    with pytest.raises(ValueError, match="trace not preserved at step 3:"):
+        traj.rhos
+    assert built == [6]
+
+
+def test_damping_past_the_float_range_gives_zero_coherence_without_a_warning():
+    # the exponent per tick, 5e307, is finite; k times it is not from k = 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve_analytic(two_level(), ClockModel(1.0, 1e154), steps=5)
+        assert np.array_equal(traj.coherences[1:], np.zeros((5, 1)))
+        assert np.array_equal(np.abs(traj.rhos[1:, 0, 1]), np.zeros(5))
 
 
 def test_monte_carlo_is_the_running_product_of_its_tick_factors():
@@ -260,17 +346,40 @@ def test_dominant_pair_three_levels():
     assert traj.dominant_pair() == (0, 1)
 
 
+def exponents(system, clock, steps):
+    """x[k, p] = k w_ij^2 sigma^2 / 2 of each pair i < j in row-major order."""
+    iu, ju = np.triu_indices(system.dim, k=1)
+    return np.multiply.outer(np.arange(steps + 1), system.omegas()[iu, ju] ** 2
+                             * clock.fluctuation_std ** 2 / 2)
+
+
+def assert_within_the_closed_form_bound(got, want, x):
+    """got within 4 eps (1 + x) of want, relative: an analytic trajectory's
+    coherences come from the real exp of the closed form, its stack from the
+    complex one, and test_closed_form_error_is_bounded_by_the_exponent holds
+    the coherences to that bound of a 40-digit reference."""
+    dev = np.abs(got / want - 1.0)
+    assert np.all(dev <= 4 * np.finfo(float).eps * (1 + x)), np.max(dev)
+
+
 def test_pair_coherences_in_row_major_order():
     amps = np.sqrt([0.1, 0.3, 0.3, 0.3]).astype(complex)
     system = QuantumSystem([0.0, 1.0, 2.5, 4.0], 1.0, np.outer(amps, amps.conj()))
-    traj = evolve_analytic(system, ClockModel(1.0, 0.1), steps=5)
+    clock = ClockModel(1.0, 0.1)
+    traj = evolve_analytic(system, clock, steps=5)
     assert traj.pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert traj.coherences.shape == (6, 6)
-    mags = traj.coherence_magnitudes()
-    assert list(mags) == traj.pairs
-    for p, (i, j) in enumerate(traj.pairs):
-        assert np.array_equal(traj.coherences[:, p], np.abs(traj.rhos[:, i, j]))
-        assert np.array_equal(mags[(i, j)], traj.coherences[:, p])
+    iu, ju = np.triu_indices(4, k=1)
+    assert_within_the_closed_form_bound(traj.coherences, np.abs(traj.rhos[:, iu, ju]),
+                                        exponents(system, clock, 5))
+    # a Monte Carlo trajectory's coherences are |rho_ij| of its stack exactly
+    mc = evolve_monte_carlo(system, clock, steps=5, samples=20, seed=SEED)
+    assert np.array_equal(mc.coherences, np.abs(mc.rhos[:, iu, ju]))
+    for t in (traj, mc):
+        mags = t.coherence_magnitudes()
+        assert list(mags) == t.pairs
+        for p, pair in enumerate(t.pairs):
+            assert np.array_equal(mags[pair], t.coherences[:, p])
     # three pairs tie at the largest start; the first in row-major order wins
     assert traj.dominant_pair() == (1, 2)
 
@@ -280,10 +389,11 @@ def test_coherence_ratio_skips_pairs_without_coherence():
     # pairs (0, 2) and (1, 2) start at zero and take no part in the ratio
     psi = np.array([math.sqrt(0.5), math.sqrt(0.5), 0.0], dtype=complex)
     rho = 0.6 * np.outer(psi, psi.conj()) + np.diag([0.0, 0.0, 0.4])
-    traj = evolve_analytic(QuantumSystem([0.0, 1.0, 3.0], 1.0, rho),
-                           ClockModel(1.0, 0.1), steps=20)
+    system, clock = QuantumSystem([0.0, 1.0, 3.0], 1.0, rho), ClockModel(1.0, 0.1)
+    traj = evolve_analytic(system, clock, steps=20)
     series = np.abs(traj.rhos[:, 0, 1])
-    assert np.array_equal(traj.max_coherence_ratio(), series / series[0])
+    assert_within_the_closed_form_bound(traj.max_coherence_ratio(), series / series[0],
+                                        exponents(system, clock, 20)[:, 0])
     assert traj.dominant_pair() == (0, 1)
     mixed = evolve_analytic(QuantumSystem([0.0, 1.0], 1.0, np.diag([0.5, 0.5])),
                             ClockModel(1.0, 0.1), steps=3)

@@ -12,9 +12,11 @@ of all three); the deep tunnel at 10^6 cells and the 20 x 20 oracle sweep
 by the chunked suffix-scan walk, before the transmission walk reduced each
 chunk to its one product; the 30-level clock by the csv.writer table
 writer, before each row came from one % template.  Every clock file was
-written by a per-tick product, one factor per tick; the closed form that
-replaced it is within 3.8e-15 of their coherence (3 levels) and 4.4e-16
-(30 levels), and the Monte Carlo cumulative product within 4.4e-16.  The
+written by a per-tick product, one factor per tick; the closed form's
+complex stack that replaced it was within 3.8e-15 of their coherence (3
+levels) and 4.4e-16 (30 levels), and the magnitude |rho_ij(0)| exp(-x)
+that replaced the stack's |rho_ij| is within 3.7e-15 (3 levels) and
+4.4e-16 (30 levels); the Monte Carlo cumulative product is within 4.4e-16.  The
 two cosmo files come from the clock map as the tabulated inverse of
 G(a) = integral da/(2 sqrt U), whose a column is exp(4t) to 8e-16 relative
 (the adaptive ODE solve it replaced was off by 4.5e-12).  The chi and norm
