@@ -27,9 +27,6 @@ import numpy as np
 
 PAD = 0xFF
 
-#: bytes that make csv.QUOTE_MINIMAL quote a field
-QUOTED = b',"\r\n'
-
 #: exponents k of the 10**k table; a value's k = 16 - E lies in [-293, 341]
 _K_MIN, _K_MAX = -300, 350
 
@@ -283,20 +280,3 @@ def text_cells(texts: list[str]) -> np.ndarray:
     out[np.arange(out.shape[1]) < lens[:, None]] = np.frombuffer(b"".join(raw), np.uint8)
     return out
 
-
-def ascii_cells(x: np.ndarray):
-    """The text of a numpy unicode array straight from its code points, or
-    None unless every string is ASCII, needs no quotes in a CSV field and
-    holds no NUL (numpy pads a string with NULs, so only a NUL before
-    another character belongs to it)."""
-    x = np.ascontiguousarray(x, x.dtype.newbyteorder("="))
-    codes = x.view(np.uint32).reshape(x.size, x.dtype.itemsize // 4)
-    if codes.size and codes.max() >= 128:
-        return None
-    text = codes.astype(np.uint8)
-    raw = text.tobytes()
-    nul = text == 0
-    if any(c in raw for c in QUOTED) or (nul[:, :-1] & ~nul[:, 1:]).any():
-        return None
-    text[nul] = PAD
-    return text

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, clock, minisuperspace, network, oracle, wkb
-from .tableio import ResultTable, read_csv, read_manifest, write_csv, write_manifest
+from .tableio import Indexed, ResultTable, read_csv, read_manifest, write_csv, write_manifest
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -368,12 +368,14 @@ def _run_clock(cfg: RunConfig):
     coherence = traj.coherences
     event_steps = np.array([k for k, _t in traj.event_log], dtype=int)
     events_at = np.cumsum(np.bincount(event_steps, minlength=traj.steps + 1))
+    step = np.repeat(np.arange(traj.steps + 1), len(labels))
+    pair = np.tile(np.arange(len(labels)), traj.steps + 1)
     t_traj = ResultTable({
-        "step": np.repeat(np.arange(traj.steps + 1), len(labels)),
-        "time": np.repeat(traj.times, len(labels)),
-        "pair": np.tile(labels, traj.steps + 1),
+        "step": Indexed(np.arange(traj.steps + 1), step),
+        "time": Indexed(traj.times, step),
+        "pair": Indexed(labels, pair),
         "coherence": coherence.ravel(),
-        "events_so_far": np.repeat(events_at, len(labels)),
+        "events_so_far": Indexed(events_at, step),
     })
 
     record = clock.retention_time(traj, threshold=p["threshold"])

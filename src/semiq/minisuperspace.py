@@ -184,13 +184,15 @@ def _qk21(f: Callable, lo: np.ndarray, hi: np.ndarray):
     the 10-point Gauss sums, whether f is positive and finite at all 21
     nodes, and whether it is monotone across them."""
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    # f may overflow, and so may its sums on a wide panel; _Primitive
+    # refuses or drops the panels whose sums are not finite
     with np.errstate(all="ignore"):
         vals = f((quadrature.KRONROD_X[:, None] * half + mid).ravel())
-    vals = vals.reshape(quadrature.KRONROD_X.size, lo.size)
-    kron = (quadrature.KRONROD_W @ vals) * half
-    gauss = (quadrature.GAUSS_W @ vals[1::2]) * half
+        vals = vals.reshape(quadrature.KRONROD_X.size, lo.size)
+        kron = (quadrature.KRONROD_W @ vals) * half
+        err = np.abs(kron - (quadrature.GAUSS_W @ vals[1::2]) * half)
     rise = np.diff(vals, axis=0)
-    return (kron, np.abs(kron - gauss), np.all(_positive(vals), axis=0),
+    return (kron, err, np.all(_positive(vals), axis=0),
             np.all(rise >= 0.0, axis=0) | np.all(rise <= 0.0, axis=0))
 
 
@@ -204,7 +206,9 @@ class _Primitive:
     once the difference moves F^-1 by NOISE_ULPS or less.  The table stops
     short at the first panel it cannot resolve before NARROW_ULPS wide:
     where f is not positive and finite or not integrable.  That panel is
-    kept as ``gap``.
+    kept as ``gap``.  A panel where f is positive and finite but F passes
+    the float range ends the table, and if the table must pass it to reach
+    its end, raises OverflowError naming ``what`` (F) and the panel.
 
     Between edges F is the edge value plus qk21's 10-point Gauss rule on
     the partial panel.  The inverse takes a cubic Hermite guess between the
@@ -213,10 +217,19 @@ class _Primitive:
     """
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
-                 f_end: float = math.inf, x_end: float = math.inf):
+                 f_end: float = math.inf, x_end: float = math.inf, what: str = "the integral"):
         x = np.asarray(edges, dtype=float)
         lo, hi = x[:-1], x[1:]
         kron, err, ok, mono = _qk21(f, lo, hi)
+        with np.errstate(over="ignore"):
+            total = np.cumsum(kron[:lo.size if ok.all() else int(np.argmin(ok))])
+        over = np.flatnonzero(~np.isfinite(total))
+        if over.size:
+            j = over[0]
+            if not (j and (total[j - 1] >= f_end or hi[j - 1] >= x_end)):
+                raise OverflowError(f"{what} passes the float range on the panel "
+                                    f"[{lo[j]:.6g}, {hi[j]:.6g}]")
+            lo, hi, kron, err, ok, mono = (v[:j] for v in (lo, hi, kron, err, ok, mono))
         self.gap = None
         while True:
             # the width in units in the last place, exact since a spacing
@@ -348,8 +361,8 @@ def clock_map(model: MiniSuperspaceModel, a0: float,
     with a warning.
 
     A lapse that is not positive, or a U that a(t) would take to 0 or
-    below before t1, raises ValueError; a U that overflows, or an a(t)
-    past the table's last edge below A_TABLE_END, before t1 raises
+    below before t1, raises ValueError; a U or a G that overflows, or an
+    a(t) past the table's last edge below A_TABLE_END, before t1 raises
     OverflowError.
     """
     t0, t1 = (float(t) for t in t_span)
@@ -379,7 +392,7 @@ def clock_map(model: MiniSuperspaceModel, a0: float,
         with np.errstate(over="ignore"):
             edges = a0 * SCALE_RATIO ** np.arange(float(count))
         edges = edges[edges < A_TABLE_END]
-        g = _Primitive(pace, edges, tau_end, a_stop)
+        g = _Primitive(pace, edges, tau_end, a_stop, "G = integral da/(2 sqrt(U))")
         if g.F[-1] >= tau_end or g.x[-1] >= a_stop:
             break
         if g.gap is not None:

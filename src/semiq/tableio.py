@@ -15,13 +15,12 @@ matrix, each distinct value once, and written as one ``bytes``.  One value,
 as the manifest writes each of its own, goes through ``fmt_value``, the
 same rule applied with ``%``.
 
-Two rules keep the formatting of a block cheap (``_cells``).  Rows are
-gathered only from C-ordered tables of distinct cells: gathering a cosmo
-block's 57 344 float cells from a column-major table took 4.8-7.2 ms, from
-a C-ordered one 1.4 ms (2-vCPU Xeon, numpy 2.4).  Integers that span no
-more values than the block holds are found by their offset from the
-least one, not by ``np.unique``: the step counters of a clock block hold
-about 19 distinct values in 8192 rows, and their sort is skipped.
+Two rules keep the formatting cheap.  Rows are gathered only from
+C-ordered tables of distinct cells (``_cells``).  And a column given as
+``Indexed(values, index)``, whose row r is ``values[index[r]]``, is
+formatted from its values once per table, each block gathering its rows
+of that text: the clock's 174 435-row trajectory repeats 401 steps,
+times and event counts and 435 pair labels.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import _fmt17
 
-__all__ = ["ResultTable", "fmt_value", "write_csv", "read_csv",
+__all__ = ["ResultTable", "Indexed", "fmt_value", "write_csv", "read_csv",
            "write_manifest", "read_manifest", "MANIFEST_FORMAT"]
 
 MANIFEST_FORMAT = "1"
@@ -42,38 +41,25 @@ MANIFEST_FORMAT = "1"
 _BLOCK_ROWS = 8192
 
 #: characters that make csv.QUOTE_MINIMAL quote a field
-_SPECIAL = _fmt17.QUOTED.decode("ascii")
+_SPECIAL = ',"\r\n'
 
 _PAD = bytes([_fmt17.PAD])
 
 
-def _numeric(values, kind: str) -> bool:
-    """Whether a column of numpy kind ``kind`` is written as a number:
-    floats, booleans, and integer arrays.  A list of ints is written by
-    ``str``, which keeps a True among them as ``True``."""
-    return kind in "fb" or (kind in "iu" and isinstance(values, np.ndarray))
-
-
-def _kinds(columns: list) -> dict:
-    """Indices of the columns of numbers of each numpy kind, and under None
-    those of the other columns."""
-    out: dict = {}
-    for i, col in enumerate(columns):
-        kind = np.asarray(col).dtype.kind
-        out.setdefault(kind if _numeric(col, kind) else None, []).append(i)
-    return out
+def _kind(col):
+    """A column's numpy kind if it is written as numbers (floats, booleans
+    and integer arrays), else None: it is written by ``str``, as a list of
+    ints is, which keeps a True among them as ``True``."""
+    values = col.values if isinstance(col, Indexed) else col
+    kind = np.asarray(values).dtype.kind
+    return kind if kind in "fb" or (kind in "iu" and isinstance(values, np.ndarray)) else None
 
 
 def _cells(columns: list, kind: str) -> list[np.ndarray]:
-    """The text of equal-length columns of numbers of one numpy kind (see
-    ``_numeric``) as PAD-filled byte matrices, one row per value: floats by
-    ``%.17g`` and integers from their digits, each distinct value of all
-    the columns formatted once, and booleans as 1/0.
-
-    Integers whose span max - min + 1 is no more than their count are
-    formatted as the whole range min..max and found at offset value - min,
-    with no sort: an 8192-row clock block holds about 19 distinct steps.
-    Otherwise the distinct values come from ``np.unique``.
+    """The text of columns of numbers of one numpy kind (see ``_kind``)
+    as PAD-filled byte matrices, one row per value: floats by ``%.17g`` and
+    integers from their digits, each distinct value of all the columns
+    formatted once, and booleans as 1/0.
 
     Rows are gathered only from a C-ordered table, so that each row is one
     run of bytes.  A boolean column index (``text[:, used]``) returns a
@@ -89,23 +75,15 @@ def _cells(columns: list, kind: str) -> list[np.ndarray]:
         distinct, where = np.unique(bits, return_inverse=True)
         text = _fmt17.float_cells(distinct.view(np.float64)).view(np.uint8)
     else:
-        values = np.concatenate(columns)
-        lo, hi = values.min(), values.max()
-        if int(hi) - int(lo) < values.size:
-            # offsets in 64 bits, where value - min cannot wrap as it can
-            # in a narrower dtype (int8: 50 - -128)
-            wide = np.int64 if kind == "i" else np.uint64
-            where = np.subtract(values, lo, dtype=wide).astype(np.intp)
-            distinct = np.arange(int(hi) - int(lo) + 1, dtype=wide) + wide(lo)
-        else:
-            distinct, where = np.unique(values, return_inverse=True)
+        distinct, where = np.unique(np.concatenate(columns), return_inverse=True)
         text = _fmt17.int_cells(distinct)
     # the bytes that are PAD in every distinct value are PAD in every row;
     # compress, unlike a boolean index, keeps the table C-ordered
     used = (text != _fmt17.PAD).any(axis=0)
     if not used.all():
         text = text.compress(used, axis=1)
-    return [np.take(text, w, axis=0) for w in np.split(where, len(columns))]
+    ends = np.cumsum([len(c) for c in columns])[:-1]
+    return [np.take(text, w, axis=0) for w in np.split(where, ends)]
 
 
 def fmt_value(v) -> str:
@@ -135,17 +113,41 @@ def _quote(value, alone: bool) -> str:
 
 
 def _fields(values, alone: bool) -> np.ndarray:
-    """The text of a block of a column of non-numbers as a PAD-filled byte
-    matrix: ``str`` of each value, all of them quoted value by value if
-    one needs quotes (or the column is its table's only one)."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "U" and not alone:
-        cells = _fmt17.ascii_cells(values)
-        if cells is not None:
-            return cells
+    """The text of a column of non-numbers as a PAD-filled byte matrix, one
+    row per value: ``str`` of each value, all of them quoted value by value
+    if one needs quotes (or the column is its table's only one)."""
     texts = list(map(str, values.tolist() if isinstance(values, np.ndarray) else values))
     if alone or _needs_quotes("".join(texts)):
         texts = [_quote(t, alone) for t in texts]
     return _fmt17.text_cells(texts)
+
+
+def _format(columns: dict, kinds: dict, alone: bool) -> dict:
+    """The cells of each column as a byte matrix, one row per value, keyed
+    as ``columns``; the numbers of one kind are formatted together."""
+    cells = {}
+    for kind in dict.fromkeys(map(kinds.get, columns)):
+        where = [i for i in columns if kinds[i] == kind]
+        part = [columns[i] for i in where]
+        cells.update(zip(where, [_fields(c, alone) for c in part] if kind is None
+                         else _cells(part, kind)))
+    return cells
+
+
+class Indexed:
+    """A column whose row r is ``values[index[r]]``, written from the text
+    of its values, formatted once per table.  ``values`` is taken as a
+    numpy array; ``ResultTable.column`` expands the column on demand."""
+
+    def __init__(self, values, index):
+        self.values = np.asarray(values)
+        self.index = np.asarray(index, np.intp)
+
+    def __len__(self):
+        return self.index.size
+
+    def __getitem__(self, k):
+        return self.values[self.index[k]]
 
 
 class _Rows(Sequence):
@@ -166,8 +168,9 @@ class _Rows(Sequence):
 
 
 class ResultTable:
-    """Named, equal-length columns (numpy arrays or lists); ``columns`` lists
-    the names and ``rows`` is a read-only view of the same data as tuples."""
+    """Named, equal-length columns (numpy arrays, lists or ``Indexed``);
+    ``columns`` lists the names and ``rows`` is a read-only view of the
+    same data as tuples.  Neither expands an ``Indexed`` column."""
 
     def __init__(self, data: dict):
         lengths = {name: len(col) for name, col in data.items()}
@@ -178,28 +181,30 @@ class ResultTable:
         self.rows = _Rows(list(self._data.values()))
 
     def column(self, name: str):
-        return self._data[name]
+        col = self._data[name]
+        return col.values[col.index] if isinstance(col, Indexed) else col
 
 
 def write_csv(table: ResultTable, path) -> None:
     """Write the table in blocks of ``_BLOCK_ROWS`` rows: a block is one
     byte matrix of its cells and separators, compacted and written as one
-    ``bytes``."""
-    cols = list(map(table.column, table.columns))
+    ``bytes``.  An ``Indexed`` column's values are formatted once, and a
+    block gathers its rows of that text."""
+    cols = dict(enumerate(table._data.values()))
+    kinds = {i: _kind(c) for i, c in cols.items()}
     alone = len(cols) == 1
-    kinds = _kinds(cols)
-    texts = kinds.pop(None, [])
+    texts = _format({i: c.values for i, c in cols.items() if isinstance(c, Indexed)},
+                    kinds, alone)
+    plain = {i: c for i, c in cols.items() if i not in texts}
     header = ",".join(_quote(name, alone) for name in table.columns) + "\r\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         for lo in range(0, len(table.rows), _BLOCK_ROWS):
-            block = [col[lo:lo + _BLOCK_ROWS] for col in cols]
-            cells = [None] * len(cols)
-            for kind, where in kinds.items():
-                for i, c in zip(where, _cells([block[i] for i in where], kind)):
-                    cells[i] = c
-            for i in texts:
-                cells[i] = _fields(block[i], alone)
+            hi = lo + _BLOCK_ROWS
+            cells = _format({i: c[lo:hi] for i, c in plain.items()}, kinds, alone)
+            cells.update((i, np.take(t, cols[i].index[lo:hi], axis=0))
+                         for i, t in texts.items())
+            cells = [cells[i] for i in cols]
             rows = len(cells[0])
             seps = [np.full((rows, 1), ord(","), np.uint8)] * (len(cells) - 1)
             seps.append(np.tile(np.frombuffer(b"\r\n", np.uint8), (rows, 1)))

@@ -3,6 +3,7 @@ console script, minus the process boundary, so failures keep tracebacks)."""
 
 import builtins
 import errno
+import hashlib
 import math
 import os
 import subprocess
@@ -16,7 +17,7 @@ from scipy.interpolate import CubicSpline
 
 import semiq
 from semiq import MiniSuperspaceModel, clock_map, evolve_matter
-from semiq import cli
+from semiq import cli, minisuperspace
 from semiq.cli import (EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                        _parse_matter, _spline, main)
 from semiq.tableio import read_csv, read_manifest
@@ -589,6 +590,54 @@ def test_cosmo_names_the_end_of_the_clock_map_table_without_a_warning(
                        out) == EXIT_NUMERICAL
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+def test_cosmo_drops_g_panels_past_the_float_range_without_a_warning(tmp_path):
+    # G reaches tau(t1) near a = 1e166, far below the table's last edges,
+    # whose qk21 sums 1/(2 sqrt(c)) * width overflow: they once printed raw
+    # overflow and invalid-value RuntimeWarnings on exit 0
+    c, a0 = 4.7045121748451426e-154, 2.900617749162507e+55
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["cosmo", "--potential", f"constant:{c!r}", "--hbar-list",
+                        "1.2447562838095887e-145,2.3110949338460993e+138",
+                        "--a0", repr(a0), "--t-max", "2.388746979694181e+242",
+                        "--t-points", "77"], tmp_path) == EXIT_OK
+    raw = (tmp_path / "cosmo_trajectory.csv").read_bytes()
+    # the bytes written before the panels past the float range were dropped:
+    # dropping them moves no cell
+    assert hashlib.sha256(raw).hexdigest() == (
+        "be18cc9e254243e7f0a6f9e72f140b74f8725a2f8fba4d78f52733de007233f1")
+    t, a = np.array(read_csv(tmp_path / "cosmo_trajectory.csv").rows, dtype=float).T
+    np.testing.assert_allclose(a, a0 + 2.0 * math.sqrt(c) * t, rtol=1e-14, atol=0)
+    assert (tmp_path / "cosmo_residual.csv").read_text() == (
+        "hbar,residual,slope\n2.3110949338460993e+138,0,nan\n"
+        "1.2447562838095887e-145,0,nan\n")
+
+
+def test_cosmo_names_the_g_panel_past_the_float_range_before_bisecting(
+        tmp_path, capsys, monkeypatch):
+    # the first G panel [1e307, 1.0625e307] times 1/(2 sqrt(1e-200)) passes
+    # the float range, which no bisection within MAX_PANELS brings back: it
+    # once warned, bisected 32 768 panels and called the integrand too rough
+    calls = []
+    qk21 = minisuperspace._qk21
+
+    def spy(f, lo, hi):
+        calls.append(lo.size)
+        return qk21(f, lo, hi)
+
+    monkeypatch.setattr(minisuperspace, "_qk21", spy)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["cosmo", "--potential", "constant:1e-200", "--a0", "1e307",
+                        "--t-max", "1e300"], out) == EXIT_NUMERICAL
+    assert not out.exists()
+    assert ("G = integral da/(2 sqrt(U)) passes the float range on the panel "
+            "[1e+307, 1.0625e+307]") in capsys.readouterr().err
+    # the lapse table's first sums and the G table's, and no bisection
+    assert calls == [minisuperspace.LAPSE_PANELS, 36]
 
 
 def test_cosmo_table_potential_is_splined(tmp_path):

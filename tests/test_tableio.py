@@ -13,6 +13,7 @@ import semiq
 from semiq import _fmt17, cli, tableio
 from semiq.svgplot import LinePlot
 from semiq.tableio import (
+    Indexed,
     ResultTable,
     fmt_value,
     read_csv,
@@ -175,17 +176,27 @@ COLUMN_KINDS = [
 def tables(draw):
     """Tables of 1-4 columns, each of one of COLUMN_KINDS.  A column is one
     fill value with up to three others at drawn rows, so a value that needs
-    quotes can sit in one row block and not in the next."""
+    quotes can sit in one row block and not in the next.  Any column may
+    come as ``Indexed``: its values, the fill value first and then up to
+    two that no row refers to, and the index of each row's value, which
+    repeats the fill value across both row blocks."""
     rows = draw(st.one_of(st.integers(0, 5),
                           st.sampled_from([TWO_BLOCKS - 1, TWO_BLOCKS + 1])))
     names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
     data = {}
     for name in names:
         value, make = draw(st.sampled_from(COLUMN_KINDS))
-        col = [draw(value)] * rows
+        values, index = [draw(value)], np.zeros(rows, np.intp)
         for _ in range(draw(st.integers(0, 3)) if rows else 0):
-            col[draw(st.integers(0, rows - 1))] = draw(value)
-        data[name] = make(col)
+            index[draw(st.integers(0, rows - 1))] = len(values)
+            values.append(draw(value))
+        if draw(st.booleans()):
+            skipped = draw(st.lists(value, max_size=2))
+            at = draw(st.integers(0, len(values)))
+            index[index >= at] += len(skipped)
+            data[name] = Indexed(make(values[:at] + skipped + values[at:]), index)
+        else:
+            data[name] = make([values[i] for i in index])
     return ResultTable(data)
 
 
@@ -203,7 +214,7 @@ def tables(draw):
 @example(ResultTable({"": []}))
 @example(ResultTable({"x": np.arange(TWO_BLOCKS + 1) * 0.5,
                       "s": ["p"] * TWO_BLOCKS + ["p,q"]}))
-# integers whose span equals their count are found by offset, one more by sort
+# integers whose span equals their count, and one whose span is one more
 @example(ResultTable({"i": np.array([3, 8, 5, 5, 5, 5])}))
 @example(ResultTable({"i": np.array([3, 9, 5, 5, 5, 5])}))
 # offsets that wrap when formed in the column's own dtype
@@ -216,6 +227,18 @@ def tables(draw):
 # floats that leave byte columns all PAD, and floats that use all 24 bytes
 @example(ResultTable({"x": np.array([0.5, 1.25] * 3)}))
 @example(ResultTable({"x": np.array([-1 / 3e3, 1 / 3e-300] * 3)}))
+# Indexed columns: indices that skip values, indices that repeat values
+# across both row blocks, and empty indices
+@example(ResultTable({"i": Indexed(np.array([7, -3, 12]), [2, 0, 2, 2]),
+                      "s": Indexed(["a,b", "c", 'd"'], [1, 1, 0, 1]),
+                      "f": Indexed([True, 2.5, False], [0, 0, 2, 0])}))
+@example(ResultTable({"x": Indexed(np.array([0.1, -0.0, math.nan]),
+                                   np.arange(TWO_BLOCKS + 1) % 3),
+                      "p": Indexed(["p", "q", "r,s"], np.arange(TWO_BLOCKS + 1) % 2),
+                      "n": np.arange(TWO_BLOCKS + 1)}))
+@example(ResultTable({"e": Indexed(np.array([1.5]), np.array([], np.intp)),
+                      "t": Indexed(["x"], [])}))
+@example(ResultTable({"": Indexed(["", "a"], [0, 1, 0])}))
 def test_write_csv_bytes_match_csv_writer(table):
     assert _written(write_csv, table) == _written(_reference_write_csv, table)
 
@@ -233,8 +256,11 @@ def test_write_csv_gathers_rows_from_c_ordered_tables(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "take", spy)
     n = tableio._BLOCK_ROWS + 3
     x = np.random.default_rng(1).normal(size=n)
-    write_csv(ResultTable({"i": np.arange(n) % 7, "x": x}), tmp_path / "t.csv")
-    assert len(layouts) == 4 and all(layouts)
+    t = Indexed(x[:5], np.arange(n) % 5)
+    write_csv(ResultTable({"i": np.arange(n) % 7, "x": x, "t": t}), tmp_path / "t.csv")
+    # two blocks of two plain columns, and the Indexed column's values
+    # once and its rows per block
+    assert len(layouts) == 7 and all(layouts)
 
 
 @pytest.mark.parametrize("argv, tables", [
@@ -242,10 +268,14 @@ def test_write_csv_gathers_rows_from_c_ordered_tables(tmp_path, monkeypatch):
     # no two level spacings alike, so hardly two coherences are
     (["clock", "--energies", ",".join(map(repr, np.sort(
         np.random.default_rng(7).uniform(0.0, 29.0, 30)).tolist())), "--steps", "60"], 2),
+    # Monte Carlo: event counts that differ from step to step, over 3 blocks
+    (["clock", "--energies", ",".join(map(str, range(12))), "--steps", "300",
+      "--samples", "40", "--seed", "5"], 2),
     (["sweep", "--axis", "hbar=0.2:2:40", "--axis", "h0=0.5:2:40"], 1),
     (["cosmo", "--potential", "quadratic:4", "--hbar-list", "0.1,0.05,0.025",
       "--t-max", "0.3", "--t-points", "20001", "--matter", "twolevel:5"], 2),
-], ids=["clock_30level_400step", "clock_random_energies", "sweep_2axis", "cosmo_matter"])
+], ids=["clock_30level_400step", "clock_random_energies", "clock_monte_carlo",
+        "sweep_2axis", "cosmo_matter"])
 def test_cli_tables_match_csv_writer_bytes(tmp_path, monkeypatch, argv, tables):
     # the golden tests compare cells after read_csv, which a changed line
     # terminator or quoting would pass
@@ -260,6 +290,53 @@ def test_cli_tables_match_csv_writer_bytes(tmp_path, monkeypatch, argv, tables):
     assert len(kept) == tables
     for name, table in kept.items():
         assert (tmp_path / name).read_bytes() == _written(_reference_write_csv, table), name
+
+
+def test_cli_clock_formats_each_repeated_value_once_per_table(tmp_path, monkeypatch):
+    # the benchmark's shape: 401 steps, times and event counts and 435 pair
+    # labels repeated over 174 435 rows
+    calls, derived, kept = [], [], {}
+    text_cells, int_cells, write = _fmt17.text_cells, _fmt17.int_cells, cli.write_csv
+
+    def spy(builder, kind):
+        def wrapper(values):
+            calls.append((kind, list(kept)[-1], values))
+            return builder(values)
+        return wrapper
+
+    def keep(table, path):
+        kept[os.path.basename(path)] = table
+        write(table, path)
+
+    class Tracked(np.ndarray):
+        def __array_finalize__(self, obj):
+            derived.append(len(self) if self.ndim else 1)
+
+    class Spied(Indexed):
+        # values whose every derived array is counted, to find an expansion
+        def __init__(self, values, index):
+            super().__init__(values, index)
+            self.values = self.values.view(Tracked)
+
+    monkeypatch.setattr(_fmt17, "text_cells", spy(text_cells, "text"))
+    monkeypatch.setattr(_fmt17, "int_cells", spy(int_cells, "int"))
+    monkeypatch.setattr(cli, "write_csv", keep)
+    monkeypatch.setattr(cli, "Indexed", Spied)
+    argv = ["clock", "--energies", ",".join(map(str, range(30))), "--steps", "400"]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == cli.EXIT_OK
+    table = kept["clock_trajectory.csv"]
+    assert len(table.rows) == 401 * 435
+    # neither ResultTable(...) nor write_csv expanded an Indexed column
+    assert max(derived, default=0) < len(table.rows)
+    labels = [f"{i}-{j}" for i in range(30) for j in range(i + 1, 30)]
+    mine = [(kind, values) for kind, name, values in calls if name == "clock_trajectory.csv"]
+    assert [v for kind, v in mine if kind == "text" and set(v) & set(labels)] == [labels]
+    ints = [v for kind, v in mine if kind == "int"]
+    assert len(ints) == 1
+    np.testing.assert_array_equal(ints[0], np.union1d(
+        table.column("step"), table.column("events_so_far")))
+    # the spy sees an expansion: column() builds one on demand
+    assert max(derived) == len(table.rows)
 
 
 def _float_text(values) -> list[str]:
